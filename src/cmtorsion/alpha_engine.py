@@ -18,6 +18,9 @@ from .cm_core import is_primitive
 from .exact_linalg import CanonicalSubspace, IntSpanBasis
 from .mt_torus import CharacterSystem, Classification, check_mod2_distinct, classify
 
+# Largest character count the brute-force oracle accepts.
+ORACLE_CAP = 12
+
 
 @dataclass(frozen=True)
 class SubspaceWitness:
@@ -49,6 +52,7 @@ class _SearchOutcome:
     contained: tuple[int, ...]
     dim: int
     basis: IntSpanBasis
+    full_dim: int
     counting_bound_ok: bool
     spans_visited: int
 
@@ -145,6 +149,7 @@ def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
         contained=contained,
         dim=dim,
         basis=basis,
+        full_dim=d,
         counting_bound_ok=cor_ok,
         spans_visited=visited,
     )
@@ -152,6 +157,10 @@ def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
 
 def alpha_exact(cs: CharacterSystem) -> AlphaReport:
     """Exponent, witness span and classification data for a system."""
+    return _exact_report(cs, classify(cs))
+
+
+def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
     outcome = _search(cs.characters)
     witness = SubspaceWitness(
         subspace=outcome.basis.to_subspace(),
@@ -160,7 +169,6 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
         dim=outcome.dim,
         ratio=outcome.ratio,
     )
-    cls = classify(cs)
     return AlphaReport(
         alpha=outcome.ratio,
         gamma=outcome.ratio,
@@ -174,7 +182,7 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
     )
 
 
-def alpha_oracle(cs: CharacterSystem, cap: int = 12) -> Fraction:
+def alpha_oracle(cs: CharacterSystem, cap: int = ORACLE_CAP) -> Fraction:
     """Plain maximum over every nonempty character subset, no pruning.
 
     Enumerates the |S| / dim span(S) ratio of all 2^(2g) - 1 subsets;
@@ -257,8 +265,8 @@ def check_bounds(report: AlphaReport, cs: CharacterSystem) -> AlphaReport:
 
 def build_report(cs: CharacterSystem) -> AlphaReport:
     """Full pipeline: search, shortcut cross-check, bound evaluation."""
-    report = alpha_exact(cs)
     cls = classify(cs)
+    report = _exact_report(cs, cls)
     shortcut = shortcut_alpha(cls, cs)
     label = None
     if shortcut is not None:
@@ -317,14 +325,9 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
         subset = [i for i in range(r) if mask >> i & 1]
         cols = [joint.characters[k] for i in subset for k in by_factor[i]]
         outcome = _search(cols)
-        basis = IntSpanBasis(len(cols[0]))
-        for col in cols:
-            basis.insert(col)
-        d_subset = basis.dim
-        alpha_subset = outcome.ratio
-        lower = max(lower, min(ns[i] for i in subset) * alpha_subset)
+        lower = max(lower, min(ns[i] for i in subset) * outcome.ratio)
         dim_total = sum(ns[i] * genus_of[i] for i in subset)
-        question2 = max(question2, Fraction(2 * dim_total, d_subset))
+        question2 = max(question2, Fraction(2 * dim_total, outcome.full_dim))
     assert lower <= upper
     return ProductEnvelope(lower=lower, upper=upper, question2=question2)
 

@@ -8,11 +8,10 @@ is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from .alpha_engine import alpha_exact, alpha_oracle, build_report
+from .alpha_engine import ORACLE_CAP, alpha_exact, alpha_oracle, build_report
 from .cm_core import CMDatum, FiniteGroup, enumerate_types, is_primitive
 from .documents import (
     DatumParseError,
@@ -183,9 +182,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    threads = _threads_from_env()
     try:
-        summary = run_verify(args.max_group_order, threads=threads)
+        summary = run_verify(args.max_group_order)
     except ValueError as e:
         return _fail(str(e), EXIT_INVALID)
     print(f"groups with a central involution: {summary.groups_seen}")
@@ -208,8 +206,8 @@ def cmd_oracle(args) -> int:
     if cs is None:
         return code
     m = 2 * cs.genus
-    if m > 12:
-        return _fail(f"oracle handles at most 12 characters, system has {m}",
+    if m > ORACLE_CAP:
+        return _fail(f"oracle handles at most {ORACLE_CAP} characters, system has {m}",
                      EXIT_INVALID)
     report = alpha_exact(cs)
     reference = alpha_oracle(cs)
@@ -220,15 +218,6 @@ def cmd_oracle(args) -> int:
         return EXIT_OK
     print("agreement: NO")
     return EXIT_CHECK_FAILED
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("CMT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(n, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,16 +3,16 @@
 Everything here is computed with arbitrary-precision integers or
 `fractions.Fraction`; no floating point is used anywhere.  The kernel
 provides the handful of lattice operations the rest of the package is
-built on: fraction-free rank, canonical subspace forms (for hashing and
-memoization), Smith normal form with unimodular transforms, Hermite
-normal form, integer kernels and lattice saturation.
+built on: rank, canonical subspace forms (for hashing and memoization),
+Smith normal form with unimodular transforms, Hermite normal form,
+integer kernels, lattice saturation and lattice coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -147,42 +147,6 @@ class SmithForm:
     right: IntMatrix
 
 
-def _nonzero_rank_bareiss(rows: list[list[int]], nrows: int, ncols: int) -> int:
-    """Fraction-free Gaussian elimination (Bareiss); mutates `rows`."""
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            rowi = rows[i]
-            rowr = rows[r]
-            for j in range(c + 1, ncols):
-                # exact division by the previous pivot is the Bareiss step
-                rowi[j] = (rowi[j] * pv - ric * rowr[j]) // prev
-            rowi[c] = 0
-        prev = pv
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def rank(m: IntMatrix) -> int:
-    """Exact rank over Q via fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return _nonzero_rank_bareiss(m.row_lists(), m.rows, m.cols)
-
-
 def determinant(m: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
     if m.rows != m.cols:
@@ -297,6 +261,14 @@ class IntSpanBasis:
             lead = row[p]
             frac_rows.append([Fraction(x, lead) for x in row])
         return CanonicalSubspace(self.width, RatMatrix.from_rows(frac_rows, cols=self.width))
+
+
+def rank(m: IntMatrix) -> int:
+    """Exact rank over Q: the dimension of the row span."""
+    basis = IntSpanBasis(m.cols)
+    for i in range(m.rows):
+        basis.insert(m.row(i))
+    return basis.dim
 
 
 def canonical_span(vectors: RatMatrix | Sequence[Sequence]) -> CanonicalSubspace:
@@ -479,11 +451,8 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is always a saturated lattice.
     """
     snf = smith_normal_form(m)
-    r = len(snf.diag)
-    cols = [snf.right.column(j) for j in range(r, m.cols)]
-    if not cols:
-        return IntMatrix.zero(0, m.cols)
-    return hermite_normal_form(IntMatrix.from_rows(cols, cols=m.cols))
+    return hermite_normal_form(IntMatrix.from_rows(
+        [snf.right.column(j) for j in range(len(snf.diag), m.cols)], cols=m.cols))
 
 
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
@@ -491,47 +460,39 @@ def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
 
     Returns the Hermite basis of the saturation together with the index
     of the input lattice inside it, which equals the product of the
-    nonzero elementary divisors of the input matrix.
+    nonzero elementary divisors of the input matrix.  Both come from one
+    Smith form: left @ m = diag @ right^-1, so row i of left @ m is d_i
+    times row i of the unimodular right^-1, and those first rank-many
+    rows of right^-1 span the saturation.
     """
     snf = smith_normal_form(m)
-    index = 1
-    for d in snf.diag:
-        index *= d
-    ker = integer_kernel(m)
-    if ker.rows == 0:
-        return hermite_normal_form(IntMatrix.identity(m.cols)), index
-    sat = integer_kernel(ker)
-    return sat, index
+    cols = list(zip(*m.row_lists()))
+    sat = IntMatrix.from_rows(
+        [[sum(a * b for a, b in zip(snf.left.row(i), col)) // d for col in cols]
+         for i, d in enumerate(snf.diag)], cols=m.cols)
+    return hermite_normal_form(sat), prod(snf.diag)
 
 
-def solve_left(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[Fraction]]:
-    """Solve x @ basis = vector over Q; None when the vector is outside.
+def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[int]]:
+    """Integer x with x @ basis = vector; None when the vector is outside.
 
-    Requires the rows of `basis` to be linearly independent.
+    `basis` must be in row echelon form with nonzero pivots, as
+    `hermite_normal_form` returns it.  The coordinates are read off by
+    back-substitution in pivot order, one exact division per row; a
+    vector of the rational span with non-integral coordinates also
+    gives None.
     """
     if len(vector) != basis.cols:
         raise ValueError("vector width mismatch")
-    n, d = basis.cols, basis.rows
-    # augment each row with its coordinate marker, echelonize on the
-    # first n columns, then reduce the augmented target once
-    rows = [[Fraction(x) for x in basis.row(i)]
-            + [Fraction(int(j == i)) for j in range(d)] for i in range(d)]
-    echelon: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        for p, er in echelon:
-            if row[p]:
-                coef = row[p]
-                row = [x - coef * y for x, y in zip(row, er)]
-        p = next((j for j in range(n) if row[j]), None)
-        if p is None:
-            raise ValueError("basis rows are dependent")
-        inv = row[p]
-        echelon.append((p, [x / inv for x in row]))
-    v = [Fraction(x) for x in vector] + [Fraction(0)] * d
-    for p, er in echelon:
-        if v[p]:
-            coef = v[p]
-            v = [x - coef * y for x, y in zip(v, er)]
-    if any(v[:n]):
-        return None
-    return [-x for x in v[n:]]
+    v = list(vector)
+    coords = []
+    for i in range(basis.rows):
+        row = basis.row(i)
+        p = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[p], row[p])
+        if rem:
+            return None
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+        coords.append(q)
+    return None if any(v) else coords

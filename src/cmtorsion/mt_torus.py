@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cm_core import CMDatum, validate
-from .exact_linalg import (
-    IntMatrix,
-    hermite_normal_form,
-    integer_kernel,
-    rank,
-    saturate,
-    solve_left,
-)
+from .exact_linalg import IntMatrix, hermite_coordinates, integer_kernel, saturate
 
 log = logging.getLogger(__name__)
 
@@ -66,17 +59,12 @@ class Classification:
     defect_one: bool
 
 
-def build_character_system(datum: CMDatum) -> CharacterSystem:
-    """Build and sanity-check the full character system of a datum.
+def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
+    """Column labels, orbit matrix and its columns (the characters).
 
-    Raises ValueError for invalid data and DuplicateCharactersError
-    when two columns coincide.
+    Raises DuplicateCharactersError when two columns coincide.
     """
-    problems = validate(datum)
-    if problems:
-        raise ValueError("invalid datum: " + "; ".join(problems))
     group = datum.group
-    n = group.order
     labels = []
     for fi, factor in enumerate(datum.factors):
         # phi and its conjugate partition the cosets, so the columns of
@@ -84,9 +72,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         for s in range(factor.space.size):
             labels.append((fi, s))
     two_g = len(labels)
-    genus = two_g // 2
     rows = []
-    for g in range(n):
+    for g in range(group.order):
         ginv = group.inv(g)
         row = []
         for fi, s in labels:
@@ -100,6 +87,21 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         for j in range(i + 1, two_g):
             if columns[i] == columns[j]:
                 raise DuplicateCharactersError(i, j)
+    return tuple(labels), matrix, columns
+
+
+def build_character_system(datum: CMDatum) -> CharacterSystem:
+    """Build and sanity-check the full character system of a datum.
+
+    Raises ValueError for invalid data and DuplicateCharactersError
+    when two columns coincide.
+    """
+    problems = validate(datum)
+    if problems:
+        raise ValueError("invalid datum: " + "; ".join(problems))
+    labels, matrix, columns = _orbit_matrix(datum)
+    n = datum.group.order
+    genus = len(labels) // 2
 
     pos = {lab: k for k, lab in enumerate(labels)}
     pairing = tuple(
@@ -117,18 +119,19 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     else:
         log.debug("column sum check skipped over proper coset factors")
 
-    d = rank(matrix)
+    # the saturation of the row lattice has the rank of the matrix
+    cochar_basis, sat_rows = saturate(matrix)
+    d = cochar_basis.rows
     assert 2 <= d <= genus + 1, "torus rank out of the admissible range"
 
-    cochar_basis, sat_rows = saturate(matrix)
     col_matrix = IntMatrix.from_rows(columns, cols=n)
     char_lattice, sat_cols = saturate(col_matrix)
     assert sat_rows == sat_cols, "row and column saturation indices must agree"
     coords = []
     for col in columns:
-        sol = solve_left(char_lattice, col)
-        assert sol is not None and all(c.denominator == 1 for c in sol)
-        coords.append(tuple(int(c) for c in sol))
+        sol = hermite_coordinates(char_lattice, col)
+        assert sol is not None
+        coords.append(tuple(sol))
 
     return CharacterSystem(
         datum=datum,
@@ -138,7 +141,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         characters=columns,
         conj_pairing=pairing,
         weight=weight,
-        column_labels=tuple(labels),
+        column_labels=labels,
         cochar_basis=cochar_basis,
         char_lattice=char_lattice,
         char_coords=tuple(coords),
@@ -193,4 +196,4 @@ def character_span_saturation(cs: CharacterSystem, indices: Sequence[int]) -> In
     b = cs.cochar_basis
     rows = [[b.row(r)[i] for r in range(b.rows)] for i in idx]
     sat, _ = saturate(IntMatrix.from_rows(rows, cols=b.rows))
-    return hermite_normal_form(sat)
+    return sat

@@ -9,11 +9,10 @@ statement to them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .alpha_engine import alpha_oracle, build_report
+from .alpha_engine import ORACLE_CAP, alpha_oracle, build_report
 from .cm_core import (
     CMDatum,
     CMType,
@@ -25,13 +24,12 @@ from .cm_core import (
 from .exact_linalg import IntMatrix, integer_kernel
 from .mt_torus import (
     DuplicateCharactersError,
+    _orbit_matrix,
     build_character_system,
     character_span_saturation,
     classify,
     perp_lattice,
 )
-
-ORACLE_CAP = 12
 
 
 def _is_prime(n: int) -> bool:
@@ -128,8 +126,7 @@ def _check_class(group: FiniteGroup, conj: int, rep: CMType) -> VerifySummary:
         # every translate must then repeat a character as well
         for phi in _translation_orbit(group, rep):
             try:
-                build_character_system(
-                    CMDatum(group, conj, (CMType(space, phi),)))
+                _orbit_matrix(CMDatum(group, conj, (CMType(space, phi),)))
                 local.count("duplicate_consistency", False,
                             f"{label} translate {sorted(phi)} built")
             except DuplicateCharactersError:
@@ -170,7 +167,7 @@ def _check_class(group: FiniteGroup, conj: int, rep: CMType) -> VerifySummary:
         if phi == rep.phi:
             continue
         try:
-            other = build_character_system(
+            _, other, _ = _orbit_matrix(
                 CMDatum(group, conj, (CMType(space, phi),)))
         except DuplicateCharactersError:
             local.count("translation_row_permutation", False,
@@ -178,27 +175,19 @@ def _check_class(group: FiniteGroup, conj: int, rep: CMType) -> VerifySummary:
             continue
         local.translates_checked += 1
         local.count("translation_row_permutation",
-                    _row_multiset(other.orbit_matrix) == rep_rows,
+                    _row_multiset(other) == rep_rows,
                     f"{label} translate {sorted(phi)}")
     return local
 
 
-def run_verify(max_group_order: int = 12, threads: int = 1) -> VerifySummary:
+def run_verify(max_group_order: int = 12) -> VerifySummary:
     """Check every invariant across all built-in data up to the order."""
     summary = VerifySummary(max_group_order=max_group_order)
-    jobs = []
     for group in builtin_groups(max_group_order):
         convs = group.central_involutions()
         if convs:
             summary.groups_seen += 1
         for conj in convs:
             for rep in enumerate_types(group, conj, up_to_translation=True):
-                jobs.append((group, conj, rep))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: _check_class(*j), jobs))
-    else:
-        results = [_check_class(*j) for j in jobs]
-    for r in results:
-        summary.merge(r)
+                summary.merge(_check_class(group, conj, rep))
     return summary

@@ -150,12 +150,11 @@ def test_criterion_2_cyclic_quartic_report():
 
 
 def test_criterion_3_verify_sweep_order_12():
-    env = dict(os.environ, CMT_THREADS="1")
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "cmtorsion.cli", "verify",
          "--max-group-order", "12"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout

@@ -1,11 +1,12 @@
 """Datum parsing and exact serialization."""
 
+import hashlib
 import json
 
 import pytest
 
 from cmtorsion.alpha_engine import build_report
-from cmtorsion.cm_core import FiniteGroup
+from cmtorsion.cm_core import CMDatum, FiniteGroup, enumerate_types
 from cmtorsion.documents import (
     CSV_HEADER,
     DatumParseError,
@@ -20,7 +21,8 @@ from cmtorsion.documents import (
     sweep_rows_to_json,
 )
 from cmtorsion.finite_level import exponent_sweep
-from cmtorsion.mt_torus import build_character_system
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.verify import builtin_groups
 from fractions import Fraction
 
 QUARTIC_DOC = {
@@ -153,3 +155,65 @@ class TestEncoding:
         assert isinstance(entry["subgroup_order"], str)
         assert int(entry["subgroup_order"]) == 101 ** 20
         assert entry["n_W"] == 4
+
+
+# SHA-256 of the JSON report of every buildable translation-class
+# representative up to order 10, keyed by (group, conj, phi).  Any change
+# to a report byte, the witness or spans_visited shows up here.
+PINNED_REPORTS = {
+    ("C2", 1, (0,)):
+        "894f349aa17e17dc18021584986b20ea1a7d8a0bc79576a24c06e4e532c3f3c8",
+    ("C4", 2, (0, 1)):
+        "48a215a7b384ba62f10883724c0d079c2bef4b78c0efedea2c51739e5d51a603",
+    ("C6", 3, (0, 1, 2)):
+        "371dbfb485fe8ac4bfb422b750808a319b88b214286ebfb20a201086a2e16c19",
+    ("C2xC2xC2", 1, (0, 2, 4, 7)):
+        "3c6ee1c48b852231c27df366a68bd05b89cdf0636fc63dcb21ce4851d78c901a",
+    ("C2xC2xC2", 2, (0, 1, 4, 7)):
+        "10679baa267b3dbe86fb43549557f8fff7344d3f408a9ce8cc5d0d9b715fc56f",
+    ("C2xC2xC2", 3, (0, 1, 4, 6)):
+        "b223ca9cb6a769e47bb4c4afb2472ace2fe38fc841087d29e0dc3d98bb89ca6e",
+    ("C2xC2xC2", 4, (0, 1, 2, 7)):
+        "7ba8ee0e9e70f337c259ba6bc6c347461a8309c35672c0b55853b93885f56f27",
+    ("C2xC2xC2", 5, (0, 1, 2, 6)):
+        "a1ddab1b174a500e54ae06327f4171f432f8656394fd5aa6d09adf282a8376a2",
+    ("C2xC2xC2", 6, (0, 1, 2, 5)):
+        "b58e998e307251ddc25e1c0d2ca68b77e2a564e28165f8f7b57a498ca4e214f6",
+    ("C2xC2xC2", 7, (0, 1, 2, 4)):
+        "51c606ee858f7c846f9121fc96f70ee2a448878e74aa966bcb505e5331d14ff3",
+    ("C2xC4", 2, (0, 1, 4, 7)):
+        "35ce92c92b48d39f6d77334d79dba50a6c8c0a444d9fd6fc808bcf98aaa19f74",
+    ("C2xC4", 4, (0, 1, 2, 7)):
+        "70c1c7607db07df6da12a4f0fce992f15328000575635bb5cec6643a2485ca0a",
+    ("C2xC4", 6, (0, 1, 2, 5)):
+        "e9210f82f106db8921a569fbbef1c8758302e26d98ad3acb528f31f70bc1e360",
+    ("C8", 4, (0, 1, 2, 3)):
+        "8a0119e2fabd94b2bce1baf7727ecb1809f240f0b1e41cfaaa595cb37abeaaad",
+    ("C8", 4, (0, 1, 3, 6)):
+        "c02a3a672d803570c6e654febb998ff22278e269b4e94c69cfc2336e06d46dcb",
+    ("C10", 5, (0, 1, 2, 3, 4)):
+        "699b8ce06739e2921eaa81708d91e7da68afc9ba269d21c222d47df773f29625",
+    ("C10", 5, (0, 1, 2, 4, 8)):
+        "f8c59291e4d347141f04646521179727838ec8afb607297f6e84a1c83bf1262a",
+    ("C10", 5, (0, 1, 3, 4, 7)):
+        "26f1c4b5f52c420f9e1d2bcb847a0d542159d31330dfb0505862862102131442",
+    ("Q8", 2, (0, 1, 4, 5)):
+        "0c54797c36b1580708a1358816fd2082c561d8140c78401510775286ca91dfac",
+    ("Q8", 2, (0, 1, 4, 7)):
+        "08e73d5197ba55ba6586460b08a988922ad67e29366a279b348104e8fa314142",
+}
+
+
+def test_report_bytes_pinned_up_to_order_10():
+    found = {}
+    for group in builtin_groups(10):
+        for conj in group.central_involutions():
+            for t in enumerate_types(group, conj, up_to_translation=True):
+                try:
+                    cs = build_character_system(CMDatum(group, conj, (t,)))
+                except DuplicateCharactersError:
+                    continue
+                text = dumps_document(report_to_dict(build_report(cs), cs))
+                found[(group.name, conj, t.phi_sorted())] = hashlib.sha256(
+                    text.encode("utf-8")).hexdigest()
+    assert found == PINNED_REPORTS

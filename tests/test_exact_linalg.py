@@ -3,15 +3,18 @@
 Expected values for the worked examples were frozen after computing
 them with the brute-force oracles in this file (minor expansion for
 rank, gcd-of-minors for elementary divisors, box search for lattice
-saturation), which are also run directly against randomized inputs.
+saturation, rational elimination for lattice coordinates), which are
+also run directly against randomized inputs.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
+from cmtorsion.cm_core import CMDatum, enumerate_types
 from cmtorsion.exact_linalg import (
     CanonicalSubspace,
     IntMatrix,
@@ -20,13 +23,15 @@ from cmtorsion.exact_linalg import (
     canonical_span,
     contains,
     determinant,
+    hermite_coordinates,
     hermite_normal_form,
     integer_kernel,
     rank,
     saturate,
     smith_normal_form,
-    solve_left,
 )
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.verify import builtin_groups
 
 
 def minor_rank_oracle(m: IntMatrix) -> int:
@@ -91,6 +96,38 @@ def in_rational_span(rows: list[list[int]], v: list[int]) -> bool:
             target = [x - coef * y for x, y in zip(target, work[r])]
         r += 1
     return not any(target)
+
+
+def solve_left_reference(basis: IntMatrix, vector) -> list[Fraction] | None:
+    """Solve x @ basis = vector over Q; None when the vector is outside.
+
+    Rational elimination on the basis augmented by coordinate markers;
+    requires linearly independent rows, but no echelon shape.
+    """
+    if len(vector) != basis.cols:
+        raise ValueError("vector width mismatch")
+    n, d = basis.cols, basis.rows
+    rows = [[Fraction(x) for x in basis.row(i)]
+            + [Fraction(int(j == i)) for j in range(d)] for i in range(d)]
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        for p, er in echelon:
+            if row[p]:
+                coef = row[p]
+                row = [x - coef * y for x, y in zip(row, er)]
+        p = next((j for j in range(n) if row[j]), None)
+        if p is None:
+            raise ValueError("basis rows are dependent")
+        inv = row[p]
+        echelon.append((p, [x / inv for x in row]))
+    v = [Fraction(x) for x in vector] + [Fraction(0)] * d
+    for p, er in echelon:
+        if v[p]:
+            coef = v[p]
+            v = [x - coef * y for x, y in zip(v, er)]
+    if any(v[:n]):
+        return None
+    return [-x for x in v[n:]]
 
 
 CYCLE4 = IntMatrix.from_rows([
@@ -312,9 +349,7 @@ class TestSaturate:
                 else:
                     expect = in_rational_span(span_rows, v)
                 if expect and rbasis:
-                    coords = solve_left(basis, v)
-                    assert coords is not None
-                    assert all(c.denominator == 1 for c in coords)
+                    assert hermite_coordinates(basis, v) is not None
                 elif expect:
                     assert not any(v)
 
@@ -350,7 +385,21 @@ class TestIntSpanBasis:
         assert b.dim == 2
 
 
-class TestSolveLeft:
+def coordinates_case(basis: IntMatrix, v) -> str:
+    """Compare back-substitution with the rational reference on one vector."""
+    ref = solve_left_reference(basis, v)
+    got = hermite_coordinates(basis, v)
+    if ref is None:
+        assert got is None
+        return "outside"
+    if any(c.denominator != 1 for c in ref):
+        assert got is None
+        return "fractional"
+    assert got == [int(c) for c in ref]
+    return "integral"
+
+
+class TestHermiteCoordinates:
     def test_roundtrip(self):
         rng = random.Random(3131)
         for _ in range(25):
@@ -361,11 +410,66 @@ class TestSolveLeft:
                     [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d)], cols=n)
                 if rank(basis) == d:
                     break
+            basis = hermite_normal_form(basis)
             x = [rng.randint(-3, 3) for _ in range(d)]
             v = [sum(x[i] * basis.row(i)[j] for i in range(d)) for j in range(n)]
-            coords = solve_left(basis, v)
-            assert coords == [Fraction(c) for c in x]
+            assert hermite_coordinates(basis, v) == x
 
     def test_outside_span(self):
         basis = IntMatrix.from_rows([[1, 0, 0]])
-        assert solve_left(basis, [0, 1, 0]) is None
+        assert hermite_coordinates(basis, [0, 1, 0]) is None
+
+    def test_rational_but_not_integral(self):
+        # (1, 1) = (1/2) * (2, 2): in the span, not in the lattice
+        basis = hermite_normal_form(IntMatrix.from_rows([[2, 2], [0, 4]]))
+        assert solve_left_reference(basis, [1, 1]) == [Fraction(1, 2), Fraction(0)]
+        assert hermite_coordinates(basis, [1, 1]) is None
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError):
+            hermite_coordinates(IntMatrix.identity(2), [1, 2, 3])
+
+    def test_against_reference_randomized(self):
+        rng = random.Random(4242)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(n)]
+                    for _ in range(rng.randint(1, n))]
+            basis = hermite_normal_form(IntMatrix.from_rows(rows, cols=n))
+            if not basis.rows:
+                continue
+            for _ in range(8):
+                x = [rng.randint(-3, 3) for _ in range(basis.rows)]
+                v = [sum(x[i] * basis.row(i)[j] for i in range(basis.rows))
+                     for j in range(n)]
+                # dividing out the content often leaves the lattice but
+                # never the rational span
+                g = gcd(*v)
+                seen.add(coordinates_case(basis, v))
+                if g > 1:
+                    seen.add(coordinates_case(basis, [c // g for c in v]))
+                seen.add(coordinates_case(basis, [rng.randint(-4, 4) for _ in range(n)]))
+        assert seen == {"integral", "fractional", "outside"}
+
+    def test_against_reference_on_catalogue(self):
+        """Every buildable single-factor system up to order 12: the
+        characters in the saturated lattice, and the saturated basis and
+        two unit vectors in the unsaturated character lattice."""
+        seen = set()
+        for group in builtin_groups(12):
+            n = group.order
+            units = [[int(i == j) for i in range(n)] for j in (0, n - 1)]
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj):
+                    try:
+                        cs = build_character_system(CMDatum(group, conj, (t,)))
+                    except DuplicateCharactersError:
+                        continue
+                    for col in cs.characters:
+                        assert coordinates_case(cs.char_lattice, col) == "integral"
+                    spanned = hermite_normal_form(
+                        IntMatrix.from_rows(cs.characters, cols=n))
+                    for v in cs.char_lattice.row_lists() + units:
+                        seen.add(coordinates_case(spanned, v))
+        assert seen == {"integral", "fractional", "outside"}

@@ -43,8 +43,3 @@ class TestSweep:
         # prime genus occurs twice below order 9: the quartic and the
         # sextic cyclic data, both primitive, both forced nondegenerate
         assert s.checks["prime_genus_nondegenerate"] == 2
-
-    def test_threading_gives_identical_summary(self):
-        serial = run_verify(6, threads=1)
-        threaded = run_verify(6, threads=3)
-        assert serial == threaded
