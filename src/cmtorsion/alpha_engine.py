@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cm_core import is_primitive
+from .cm_core import InvariantError, is_primitive
 from .exact_linalg import CanonicalSubspace, IntSpanBasis
 from .mt_torus import CharacterSystem, Classification, check_mod2_distinct, classify
 
@@ -57,64 +57,62 @@ class _SearchOutcome:
     spans_visited: int
 
 
-def _closure(columns: Sequence[tuple[int, ...]], basis: IntSpanBasis) -> tuple[int, ...]:
-    return tuple(i for i, col in enumerate(columns) if basis.contains(col))
-
-
 def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
     """Exact maximum of n(W)/dim W over spans of character subsets.
 
-    States are spans closed under trace (a span is identified with the
-    set of all characters inside it), visited in (dimension, index set)
-    order so the reported witness is deterministic.  The whole-space
-    candidate seeds the incumbent; only strict improvements replace it,
-    which keeps the full span as the witness whenever it attains the
-    maximum.  Branches whose every extension is provably below the
-    incumbent are cut using the subspace counting bound
-    n(W) <= 2^(dim W - 1).
+    The maximum is attained on flats of the character matroid: spans
+    identified with the set of all characters inside them.  The flats
+    covering a flat F are the rank-1 flats of the contraction by F, one
+    per parallel class of the outside characters modulo span(F).  Each
+    flat is keyed by (dimension, index set) and formed once, when it is
+    popped, from the first parent that reached it.
+    Flats are visited in that key's order, which makes the reported
+    witness deterministic and pops every parent of a flat before it.
+    The whole-space candidate seeds the incumbent; only strict
+    improvements replace it, which keeps the full span as the witness
+    whenever it attains the maximum.  A flat is not expanded when no
+    larger dimension can beat the incumbent under the subspace counting
+    bound n(W) <= 2^(dim W - 1).
     """
     m = len(columns)
     if m == 0:
         raise ValueError("no characters to search")
-    width = len(columns[0])
-
-    full = IntSpanBasis(width)
+    empty = IntSpanBasis(len(columns[0]))
+    full = empty.copy()
     for col in columns:
         full.insert(col)
     d = full.dim
-    all_indices = tuple(range(m))
     incumbent_ratio = Fraction(m, d)
-    incumbent = (d, all_indices, full)
+    incumbent = (d, tuple(range(m)), full)
     cor_ok = m <= 2 ** (d - 1) if d >= 1 else False
-
-    def future_cap(dim_from: int) -> Fraction:
-        best = Fraction(0)
-        for mp in range(dim_from, d + 1):
-            cap = min(m, 2 ** (mp - 1))
-            best = max(best, Fraction(cap, mp))
-        return best
+    # cap[k]: the best ratio the counting bound leaves to dimensions >= k
+    cap = [Fraction(0)] * (d + 2)
+    for k in range(d, 0, -1):
+        cap[k] = max(cap[k + 1], Fraction(min(m, 2 ** (k - 1)), k))
 
     heap: list[tuple[int, tuple[int, ...]]] = []
-    states: dict[tuple, tuple[tuple[int, ...], IntSpanBasis]] = {}
-    seen_keys = set()
-    by_handle: dict[tuple[int, tuple[int, ...]], IntSpanBasis] = {}
-    for i in range(m):
-        basis = IntSpanBasis(width)
-        basis.insert(columns[i])
-        key = basis.key()
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        contained = _closure(columns, basis)
-        handle = (basis.dim, contained)
-        if handle not in by_handle:
-            by_handle[handle] = basis
-            heapq.heappush(heap, handle)
+    pending: dict[tuple[int, tuple[int, ...]], tuple[IntSpanBasis, tuple[int, ...]]] = {}
 
+    def expand(parent: IntSpanBasis, contained: tuple[int, ...]):
+        # one child per parallel class of the outside columns modulo the span
+        inside = set(contained)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for j, col in enumerate(columns):
+            if j not in inside:
+                classes.setdefault(parent.direction(col), []).append(j)
+        for direction, members in classes.items():
+            handle = (parent.dim + 1, tuple(sorted(contained + tuple(members))))
+            if handle not in pending:
+                pending[handle] = (parent, direction)
+                heapq.heappush(heap, handle)
+
+    expand(empty, ())
     visited = 0
     while heap:
-        dim, contained = heapq.heappop(heap)
-        basis = by_handle.pop((dim, contained))
+        dim, contained = handle = heapq.heappop(heap)
+        parent, direction = pending.pop(handle)
+        basis = parent.copy()
+        basis.insert(direction)
         visited += 1
         n = len(contained)
         if n > 2 ** (dim - 1):
@@ -123,25 +121,8 @@ def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
         if ratio > incumbent_ratio:
             incumbent_ratio = ratio
             incumbent = (dim, contained, basis)
-        if dim >= d:
-            continue
-        if future_cap(dim + 1) <= incumbent_ratio:
-            continue
-        inside = set(contained)
-        for j in range(m):
-            if j in inside:
-                continue
-            child = basis.copy()
-            child.insert(columns[j])
-            key = child.key()
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            child_contained = _closure(columns, child)
-            handle = (child.dim, child_contained)
-            if handle not in by_handle:
-                by_handle[handle] = child
-                heapq.heappush(heap, handle)
+        if dim < d and cap[dim + 1] > incumbent_ratio:
+            expand(basis, contained)
 
     dim, contained, basis = incumbent
     return _SearchOutcome(
@@ -270,8 +251,8 @@ def build_report(cs: CharacterSystem) -> AlphaReport:
     shortcut = shortcut_alpha(cls, cs)
     label = None
     if shortcut is not None:
-        assert shortcut == report.alpha, (
-            "shortcut value disagrees with the exact search")
+        if shortcut != report.alpha:
+            raise InvariantError("shortcut value disagrees with the exact search")
         label = _shortcut_label(cls)
     report = replace(report, shortcut_used=label)
     return check_bounds(report, cs)
@@ -328,7 +309,8 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
         lower = max(lower, min(ns[i] for i in subset) * outcome.ratio)
         dim_total = sum(ns[i] * genus_of[i] for i in subset)
         question2 = max(question2, Fraction(2 * dim_total, outcome.full_dim))
-    assert lower <= upper
+    if lower > upper:
+        raise InvariantError("product envelope lower bound exceeds the upper")
     return ProductEnvelope(lower=lower, upper=upper, question2=question2)
 
 

@@ -19,6 +19,10 @@ class UnsupportedInputError(ValueError):
     """Raised for well-formed inputs outside the supported model."""
 
 
+class InvariantError(RuntimeError):
+    """A computed value broke a proved invariant: a fault, not bad input."""
+
+
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 

@@ -65,9 +65,6 @@ class IntMatrix:
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)], cols=self.rows)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
@@ -125,13 +122,6 @@ class CanonicalSubspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        pivots = []
-        for i in range(self.basis.rows):
-            r = self.basis.row(i)
-            pivots.append(next(j for j, x in enumerate(r) if x != 0))
-        return tuple(pivots)
 
 
 @dataclass(frozen=True)
@@ -222,20 +212,34 @@ class IntSpanBasis:
     def contains(self, vec: Sequence[int]) -> bool:
         return not any(self._reduce(vec))
 
-    def insert(self, vec: Sequence[int]) -> bool:
-        """Add a vector; returns True iff the span grew."""
+    def direction(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """The line of `vec` modulo the span; None when `vec` lies in it.
+
+        The vector is reduced against every pivot and made primitive with
+        a positive leading entry, so two vectors give equal directions
+        exactly when they span the same line modulo the span.
+        """
         if len(vec) != self.width:
             raise ValueError("vector width mismatch")
         v = self._reduce(vec)
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            return False
+        lead = next((x for x in v if x), 0)
+        if not lead:
+            return None
         g = 0
         for x in v:
             g = gcd(g, x)
-        if v[piv] < 0:
+            if g == 1:
+                break
+        if lead < 0:
             g = -g
-        v = [x // g for x in v]
+        return tuple(x // g for x in v)
+
+    def insert(self, vec: Sequence[int]) -> bool:
+        """Add a vector; returns True iff the span grew."""
+        v = self.direction(vec)
+        if v is None:
+            return False
+        piv = next(j for j, x in enumerate(v) if x)
         # restore full reduction: clear the new pivot column in old rows
         for k, row in enumerate(self.rows):
             if row[piv]:
@@ -249,7 +253,7 @@ class IntSpanBasis:
                 self.rows[k] = [x // g2 for x in new]
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.pivots.insert(at, piv)
-        self.rows.insert(at, v)
+        self.rows.insert(at, list(v))
         return True
 
     def key(self) -> tuple:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
+from .cm_core import InvariantError
 from .exact_linalg import IntMatrix, IntSpanBasis, smith_normal_form
 from .mt_torus import CharacterSystem
 
@@ -61,7 +62,8 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
     total = math.prod(moduli)
     index = math.prod(divisors)
     size, rem = divmod(total, index)
-    assert rem == 0
+    if rem:
+        raise InvariantError("the image index does not divide the group order")
     return size
 
 

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cm_core import CMDatum, validate
+from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import IntMatrix, hermite_coordinates, integer_kernel, saturate
 
 log = logging.getLogger(__name__)
@@ -93,8 +93,8 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
 def build_character_system(datum: CMDatum) -> CharacterSystem:
     """Build and sanity-check the full character system of a datum.
 
-    Raises ValueError for invalid data and DuplicateCharactersError
-    when two columns coincide.
+    Raises ValueError for invalid data, DuplicateCharactersError when
+    two columns coincide, and InvariantError when a sanity check fails.
     """
     problems = validate(datum)
     if problems:
@@ -108,29 +108,34 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         pos[(fi, datum.factors[fi].space.act(datum.conj, s))] for fi, s in labels)
     weight = (1,) * n
     for k, pk in enumerate(pairing):
-        assert pairing[pk] == k
-        paired = tuple(a + b for a, b in zip(columns[k], columns[pk]))
-        assert paired == weight, "conjugate characters must sum to the weight"
+        if pairing[pk] != k:
+            raise InvariantError(f"conjugation does not pair character {k} back")
+        if tuple(a + b for a, b in zip(columns[k], columns[pk])) != weight:
+            raise InvariantError("conjugate characters must sum to the weight")
 
     if all(len(f.space.subgroup) == 1 for f in datum.factors):
         half = n // 2
         for j, col in enumerate(columns):
-            assert sum(col) == half, f"column {j} does not pair half the orbit"
+            if sum(col) != half:
+                raise InvariantError(f"column {j} does not pair half the orbit")
     else:
         log.debug("column sum check skipped over proper coset factors")
 
     # the saturation of the row lattice has the rank of the matrix
     cochar_basis, sat_rows = saturate(matrix)
     d = cochar_basis.rows
-    assert 2 <= d <= genus + 1, "torus rank out of the admissible range"
+    if not 2 <= d <= genus + 1:
+        raise InvariantError("torus rank out of the admissible range")
 
     col_matrix = IntMatrix.from_rows(columns, cols=n)
     char_lattice, sat_cols = saturate(col_matrix)
-    assert sat_rows == sat_cols, "row and column saturation indices must agree"
+    if sat_rows != sat_cols:
+        raise InvariantError("row and column saturation indices must agree")
     coords = []
     for col in columns:
         sol = hermite_coordinates(char_lattice, col)
-        assert sol is not None
+        if sol is None:
+            raise InvariantError("a character lies outside the character lattice")
         coords.append(tuple(sol))
 
     return CharacterSystem(

@@ -10,14 +10,14 @@ statement to them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .alpha_engine import ORACLE_CAP, alpha_oracle, build_report
 from .cm_core import (
     CMDatum,
     CMType,
-    CosetSpace,
     FiniteGroup,
+    _translation_orbit,
     enumerate_types,
     is_primitive,
 )
@@ -94,90 +94,73 @@ class VerifySummary:
         if not ok:
             self.failures.append(f"{name}: {context}")
 
-    def merge(self, other: "VerifySummary"):
-        self.class_reps_checked += other.class_reps_checked
-        self.translates_checked += other.translates_checked
-        self.duplicates_skipped += other.duplicates_skipped
-        for k, v in other.checks.items():
-            self.checks[k] = self.checks.get(k, 0) + v
-        self.failures.extend(other.failures)
-
-
-def _translation_orbit(group: FiniteGroup, t: CMType) -> list[frozenset]:
-    seen = []
-    for g in range(group.order):
-        moved = frozenset(group.mul(g, x) for x in t.phi)
-        if moved not in seen:
-            seen.append(moved)
-    return seen
-
 
 def _row_multiset(m: IntMatrix) -> tuple:
     return tuple(sorted(m.row(i) for i in range(m.rows)))
 
 
-def _check_class(group: FiniteGroup, conj: int, rep: CMType) -> VerifySummary:
-    local = VerifySummary(max_group_order=group.order)
+def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMType):
     label = f"{group.name} conj {conj} phi {sorted(rep.phi)}"
     space = rep.space
+    # distinct translates in first-seen order
+    translates = list(dict.fromkeys(_translation_orbit(space, rep.phi)))
     try:
         rep_cs = build_character_system(CMDatum(group, conj, (rep,)))
     except DuplicateCharactersError:
         # every translate must then repeat a character as well
-        for phi in _translation_orbit(group, rep):
+        for phi in translates:
             try:
                 _orbit_matrix(CMDatum(group, conj, (CMType(space, phi),)))
-                local.count("duplicate_consistency", False,
-                            f"{label} translate {sorted(phi)} built")
+                summary.count("duplicate_consistency", False,
+                              f"{label} translate {sorted(phi)} built")
             except DuplicateCharactersError:
-                local.duplicates_skipped += 1
-        return local
+                summary.duplicates_skipped += 1
+        return
 
-    local.class_reps_checked += 1
+    summary.class_reps_checked += 1
     report = build_report(rep_cs)
     for name, ok in report.bound_checks.items():
-        local.count(name, ok, label)
+        summary.count(name, ok, label)
     g = rep_cs.genus
     if g >= 2:
-        local.count("strict_genus_bound", report.alpha < g, label)
+        summary.count("strict_genus_bound", report.alpha < g, label)
     cls = classify(rep_cs)
     if cls.nondegenerate or cls.defect_one:
-        local.count("shortcut_available", report.shortcut_used is not None, label)
+        summary.count("shortcut_available", report.shortcut_used is not None, label)
     if _is_prime(g) and is_primitive(rep, conj):
-        local.count("prime_genus_nondegenerate", cls.defect == 0, label)
+        summary.count("prime_genus_nondegenerate", cls.defect == 0, label)
     if 2 * g <= ORACLE_CAP:
-        local.count("oracle_agreement",
-                    alpha_oracle(rep_cs, cap=ORACLE_CAP) == report.alpha, label)
+        summary.count("oracle_agreement",
+                      alpha_oracle(rep_cs, cap=ORACLE_CAP) == report.alpha, label)
     # lattice duality on a fixed deterministic selection
     sel = list(range(g + 1))
     perp = perp_lattice(rep_cs, sel)
     if perp.rows:
         double = integer_kernel(perp)
         expected = character_span_saturation(rep_cs, sel)
-        local.count("perp_double_dual",
-                    _row_multiset(double) == _row_multiset(expected), label)
+        summary.count("perp_double_dual",
+                      _row_multiset(double) == _row_multiset(expected), label)
     else:
         # full-rank selection: the perp is zero and the double dual is
         # the whole lattice
         expected = character_span_saturation(rep_cs, sel)
-        local.count("perp_double_dual", expected.rows == rep_cs.dim, label)
+        summary.count("perp_double_dual", expected.rows == rep_cs.dim, label)
 
     rep_rows = _row_multiset(rep_cs.orbit_matrix)
-    for phi in _translation_orbit(group, rep):
+    for phi in translates:
         if phi == rep.phi:
             continue
         try:
             _, other, _ = _orbit_matrix(
                 CMDatum(group, conj, (CMType(space, phi),)))
         except DuplicateCharactersError:
-            local.count("translation_row_permutation", False,
-                        f"{label} translate {sorted(phi)} degenerated")
+            summary.count("translation_row_permutation", False,
+                          f"{label} translate {sorted(phi)} degenerated")
             continue
-        local.translates_checked += 1
-        local.count("translation_row_permutation",
-                    _row_multiset(other) == rep_rows,
-                    f"{label} translate {sorted(phi)}")
-    return local
+        summary.translates_checked += 1
+        summary.count("translation_row_permutation",
+                      _row_multiset(other) == rep_rows,
+                      f"{label} translate {sorted(phi)}")
 
 
 def run_verify(max_group_order: int = 12) -> VerifySummary:
@@ -189,5 +172,5 @@ def run_verify(max_group_order: int = 12) -> VerifySummary:
             summary.groups_seen += 1
         for conj in convs:
             for rep in enumerate_types(group, conj, up_to_translation=True):
-                summary.merge(_check_class(group, conj, rep))
+                _check_class(summary, group, conj, rep)
     return summary

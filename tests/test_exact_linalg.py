@@ -384,6 +384,46 @@ class TestIntSpanBasis:
         assert b.insert([0, 0, 5])
         assert b.dim == 2
 
+    def test_direction_of_parallel_vectors(self):
+        b = IntSpanBasis(4)
+        b.insert([1, 1, 0, 0])
+        # both are multiples of (0, 1, 2, 3) modulo the span
+        u = b.direction([1, 2, 2, 3])
+        w = b.direction([-3, -6, -6, -9])
+        assert u == w == (0, 1, 2, 3)
+        assert b.direction([1, 2, 2, 4]) != u
+
+    def test_direction_inside_is_none(self):
+        b = IntSpanBasis(3)
+        b.insert([1, 2, 0])
+        b.insert([0, 1, 1])
+        assert b.direction([2, 5, 1]) is None
+        assert b.direction([0, 0, 0]) is None
+        with pytest.raises(ValueError):
+            b.direction([1, 2])
+
+    def test_direction_primitive_with_positive_lead(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            b = IntSpanBasis(n)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n - 1))]
+            for r in rows:
+                b.insert(r)
+            v = [rng.randint(-6, 6) for _ in range(n)]
+            dirn = b.direction(v)
+            if dirn is None:
+                assert b.contains(v)
+                continue
+            assert gcd(*dirn) == 1
+            assert next(x for x in dirn if x) > 0
+            # the direction is v modulo the span, up to a nonzero scalar
+            assert not b.contains(dirn)
+            grown = b.copy()
+            grown.insert(v)
+            assert grown.contains(dirn)
+            assert b.direction([-3 * x for x in v]) == dirn
+
 
 def coordinates_case(basis: IntMatrix, v) -> str:
     """Compare back-substitution with the rational reference on one vector."""

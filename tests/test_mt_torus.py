@@ -1,6 +1,9 @@
 """Character system construction and lattice structure."""
 
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -9,6 +12,7 @@ from cmtorsion.cm_core import (
     CMType,
     CosetSpace,
     FiniteGroup,
+    InvariantError,
     enumerate_types,
     is_primitive,
 )
@@ -212,3 +216,40 @@ class TestRankBounds:
                         seen_primitive += 1
                         assert 2 ** (cs.dim - 2) >= cs.genus
         assert seen_primitive > 50
+
+
+class TestInvariantError:
+    def test_not_an_input_error(self):
+        # the CLI maps ValueError to "invalid input"; a broken invariant
+        # is a fault of the program, not of the datum
+        assert issubclass(InvariantError, RuntimeError)
+        assert not issubclass(InvariantError, ValueError)
+
+    def test_raised_with_asserts_stripped(self):
+        script = textwrap.dedent("""
+            import cmtorsion.mt_torus as mt
+            from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
+            from cmtorsion.cm_core import InvariantError
+
+            real = mt.saturate
+            calls = []
+
+            def mismatched(m):
+                basis, index = real(m)
+                calls.append(m)
+                return basis, index + len(calls) - 1
+
+            mt.saturate = mismatched
+            t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
+            try:
+                mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
+            except InvariantError as e:
+                print("InvariantError:", e, "debug" if __debug__ else "optimized")
+            else:
+                print("built")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "InvariantError: row and column saturation indices must agree optimized")
