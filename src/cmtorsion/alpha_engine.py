@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cm_core import InvariantError, is_primitive
-from .exact_linalg import CanonicalSubspace, IntSpanBasis
+from .exact_linalg import IntSpanBasis
 from .mt_torus import CharacterSystem, Classification, check_mod2_distinct, classify
 
 # Largest character count the brute-force oracle accepts.
@@ -24,9 +24,16 @@ ORACLE_CAP = 12
 
 @dataclass(frozen=True)
 class SubspaceWitness:
-    """A character span attaining the reported exponent."""
+    """A character span attaining the reported exponent.
 
-    subspace: CanonicalSubspace
+    `basis` is the span's integer echelon basis (`IntSpanBasis.key()`):
+    one primitive row per dimension, its first nonzero entry a positive
+    pivot, and every pivot column zero in the other rows.  Dividing each
+    row by its pivot gives the reduced rational echelon basis, so equal
+    spans give equal witnesses.
+    """
+
+    basis: tuple[tuple[int, ...], ...]
     generating_indices: tuple[int, ...]
     n: int
     dim: int
@@ -144,7 +151,7 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
 def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
     outcome = _search(cs.characters)
     witness = SubspaceWitness(
-        subspace=outcome.basis.to_subspace(),
+        basis=outcome.basis.key(),
         generating_indices=outcome.contained,
         n=len(outcome.contained),
         dim=outcome.dim,
@@ -286,6 +293,9 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     The lower bound maximizes (min multiplicity in a factor subset)
     times the exact exponent of that subset's joint system; the upper
     bound adds the factor exponents weighted by multiplicity.
+    `reports[i]` must be factor i's own report over the joint's group:
+    it supplies the exponent and dimension of each one-factor subset,
+    so only subsets of two or more factors are searched.
     """
     factors = joint.datum.factors
     r = len(factors)
@@ -304,11 +314,14 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     question2 = Fraction(0)
     for mask in range(1, 2 ** r):
         subset = [i for i in range(r) if mask >> i & 1]
-        cols = [joint.characters[k] for i in subset for k in by_factor[i]]
-        outcome = _search(cols)
-        lower = max(lower, min(ns[i] for i in subset) * outcome.ratio)
+        if len(subset) == 1:
+            ratio, full_dim = reports[subset[0]].alpha, reports[subset[0]].dim
+        else:
+            outcome = _search([joint.characters[k] for i in subset for k in by_factor[i]])
+            ratio, full_dim = outcome.ratio, outcome.full_dim
+        lower = max(lower, min(ns[i] for i in subset) * ratio)
         dim_total = sum(ns[i] * genus_of[i] for i in subset)
-        question2 = max(question2, Fraction(2 * dim_total, outcome.full_dim))
+        question2 = max(question2, Fraction(2 * dim_total, full_dim))
     if lower > upper:
         raise InvariantError("product envelope lower bound exceeds the upper")
     return ProductEnvelope(lower=lower, upper=upper, question2=question2)

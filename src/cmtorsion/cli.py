@@ -15,7 +15,6 @@ from .alpha_engine import ORACLE_CAP, alpha_exact, alpha_oracle, build_report
 from .cm_core import CMDatum, FiniteGroup, enumerate_types, is_primitive
 from .documents import (
     DatumParseError,
-    datum_to_dict,
     dumps_document,
     load_datum,
     report_to_dict,

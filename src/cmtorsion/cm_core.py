@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class UnsupportedInputError(ValueError):

@@ -9,8 +9,9 @@ strings so consumers never round-trip through floats.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .alpha_engine import AlphaReport
 from .cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, validate
@@ -18,6 +19,11 @@ from .finite_level import SweepRow
 from .mt_torus import CharacterSystem
 
 SAFE_INT = 2 ** 53
+
+# Largest group a document may name.  Building a group checks its table
+# in cubic time, so a tiny document must not ask for a huge one; 512
+# admits the order-384 Galois group of a generic quartic CM field.
+MAX_GROUP_ORDER = 512
 
 CSV_HEADER = "ell,n,subgroup_order,degree,dim_W,n_W,estimate_decimal,bound_ok"
 
@@ -47,10 +53,14 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
         for i, x in enumerate(inv):
             _expect(isinstance(x, int) and x >= 2, f"{path}.invariants[{i}]",
                     "must be an integer >= 2")
+        _expect(math.prod(inv) <= MAX_GROUP_ORDER, f"{path}.invariants",
+                f"group order exceeds {MAX_GROUP_ORDER}")
         return FiniteGroup.abelian(inv)
     table = node.get("table")
     _expect(isinstance(table, list) and table, f"{path}.table",
             "must be a nonempty list of rows")
+    _expect(len(table) <= MAX_GROUP_ORDER, f"{path}.table",
+            f"group order exceeds {MAX_GROUP_ORDER}")
     for i, row in enumerate(table):
         _expect(isinstance(row, list) and all(isinstance(x, int) for x in row),
                 f"{path}.table[{i}]", "must be a list of integers")
@@ -153,9 +163,10 @@ def encode_fraction(v: Fraction) -> dict:
 
 def report_to_dict(report: AlphaReport, cs: CharacterSystem) -> dict:
     witness = report.witness
-    basis = witness.subspace.basis
-    basis_rows = [[encode_fraction(x) for x in basis.row(i)]
-                  for i in range(basis.rows)]
+    basis_rows = []
+    for row in witness.basis:
+        pivot = next(x for x in row if x)
+        basis_rows.append([encode_fraction(Fraction(x, pivot)) for x in row])
     return {
         "datum": datum_to_dict(cs.datum),
         "genus": report.genus,

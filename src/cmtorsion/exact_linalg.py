@@ -1,19 +1,19 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel.
 
-Everything here is computed with arbitrary-precision integers or
-`fractions.Fraction`; no floating point is used anywhere.  The kernel
-provides the handful of lattice operations the rest of the package is
-built on: rank, canonical subspace forms (for hashing and memoization),
-Smith normal form with unimodular transforms, Hermite normal form,
-integer kernels, lattice saturation and lattice coordinates.
+Everything here is computed with arbitrary-precision integers; no
+floating point and no fractions are used anywhere.  The kernel provides
+the handful of lattice operations the rest of the package is built on,
+one elimination per job: the fraction-free echelon basis of a rational
+span (rank, membership and its canonical key), Smith normal form with
+unimodular transforms (divisors, kernels, saturation) and Hermite normal
+form (lattices and their coordinates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -77,54 +77,6 @@ class IntMatrix:
 
 
 @dataclass(frozen=True)
-class RatMatrix:
-    """Immutable rational matrix; entries are normalized Fractions."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "RatMatrix":
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        flat = tuple(Fraction(x) for r in rows for x in r)
-        return cls(len(rows), width, flat)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        c = self.cols
-        return self.entries[i * c:(i + 1) * c]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
-class CanonicalSubspace:
-    """A rational subspace in its unique reduced-echelon basis.
-
-    Two subspaces are equal iff their canonical bases are identical, so
-    instances are safe to use as dictionary keys for memoization.
-    """
-
-    ambient_dim: int
-    basis: RatMatrix
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-
-@dataclass(frozen=True)
 class SmithForm:
     """Smith normal form left*A*right = diag, with unimodular transforms.
 
@@ -135,37 +87,6 @@ class SmithForm:
     diag: tuple[int, ...]
     left: IntMatrix
     right: IntMatrix
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_lists()
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        pv = a[c][c]
-        for i in range(c + 1, n):
-            aic = a[i][c]
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * pv - aic * a[c][j]) // prev
-            a[i][c] = 0
-        prev = pv
-    return sign * a[n - 1][n - 1]
 
 
 class IntSpanBasis:
@@ -195,6 +116,8 @@ class IntSpanBasis:
         return len(self.rows)
 
     def _reduce(self, vec: Sequence[int]) -> list[int]:
+        if len(vec) != self.width:
+            raise ValueError("vector width mismatch")
         v = list(vec)
         for p, row in zip(self.pivots, self.rows):
             if v[p]:
@@ -219,8 +142,6 @@ class IntSpanBasis:
         a positive leading entry, so two vectors give equal directions
         exactly when they span the same line modulo the span.
         """
-        if len(vec) != self.width:
-            raise ValueError("vector width mismatch")
         v = self._reduce(vec)
         lead = next((x for x in v if x), 0)
         if not lead:
@@ -256,15 +177,8 @@ class IntSpanBasis:
         self.rows.insert(at, list(v))
         return True
 
-    def key(self) -> tuple:
+    def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self.rows)
-
-    def to_subspace(self) -> CanonicalSubspace:
-        frac_rows = []
-        for p, row in zip(self.pivots, self.rows):
-            lead = row[p]
-            frac_rows.append([Fraction(x, lead) for x in row])
-        return CanonicalSubspace(self.width, RatMatrix.from_rows(frac_rows, cols=self.width))
 
 
 def rank(m: IntMatrix) -> int:
@@ -273,42 +187,6 @@ def rank(m: IntMatrix) -> int:
     for i in range(m.rows):
         basis.insert(m.row(i))
     return basis.dim
-
-
-def canonical_span(vectors: RatMatrix | Sequence[Sequence]) -> CanonicalSubspace:
-    """Reduced echelon basis of the row span; canonical and hashable."""
-    if isinstance(vectors, RatMatrix):
-        rows = vectors.row_lists()
-        width = vectors.cols
-    else:
-        rows = [list(r) for r in vectors]
-        if not rows:
-            raise ValueError("ambient dimension unknown for an empty vector list")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-    basis = IntSpanBasis(width)
-    for r in rows:
-        fracs = [Fraction(x) for x in r]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        basis.insert([int(f * den) for f in fracs])
-    return basis.to_subspace()
-
-
-def contains(space: CanonicalSubspace, vector: Sequence) -> bool:
-    """Membership of a vector in a canonical subspace; exact."""
-    if len(vector) != space.ambient_dim:
-        raise ValueError("vector does not live in the ambient space")
-    v = [Fraction(x) for x in vector]
-    for i in range(space.basis.rows):
-        row = space.basis.row(i)
-        p = next(j for j, x in enumerate(row) if x != 0)
-        if v[p]:
-            coef = v[p]
-            v = [x - coef * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

@@ -8,6 +8,7 @@ import pytest
 
 from cmtorsion.alpha_engine import (
     AlphaReport,
+    _search,
     abel_inequality_check,
     alpha_exact,
     alpha_oracle,
@@ -25,7 +26,7 @@ from cmtorsion.cm_core import (
     enumerate_types,
     is_primitive,
 )
-from cmtorsion.exact_linalg import IntSpanBasis, contains
+from cmtorsion.exact_linalg import IntSpanBasis
 from cmtorsion.mt_torus import (
     Classification,
     DuplicateCharactersError,
@@ -45,6 +46,13 @@ def elliptic():
 
 def quartic():
     return build_character_system(single_factor(FiniteGroup.abelian([4]), 2, [0, 1]))
+
+
+def span_of(columns) -> IntSpanBasis:
+    basis = IntSpanBasis(len(columns[0]))
+    for col in columns:
+        basis.insert(col)
+    return basis
 
 
 def membership_alpha(cs):
@@ -119,8 +127,9 @@ class TestFrozenValues:
         assert report.witness.dim == 3
         assert report.witness.n == 4
         assert report.witness.generating_indices == (0, 1, 2, 3)
+        span = span_of(report.witness.basis)
         for col in cs.characters:
-            assert contains(report.witness.subspace, col)
+            assert span.contains(col)
 
     def test_quartic_bounds_all_pass(self):
         report = build_report(quartic())
@@ -159,9 +168,11 @@ class TestOracleAgreement:
             w = report.witness
             assert w.ratio == report.alpha
             assert w.n == len(w.generating_indices)
-            assert w.subspace.dim == w.dim
+            assert len(w.basis) == w.dim
+            span = span_of(w.basis)
             for i in w.generating_indices:
-                assert contains(w.subspace, cs.characters[i])
+                assert span.contains(cs.characters[i])
+            assert w.basis == span_of([cs.characters[i] for i in w.generating_indices]).key()
             seen += 1
         # one representative per translation class, duplicates skipped;
         # Dih4 contributes nothing (every type repeats a character)
@@ -272,6 +283,24 @@ class TestPowerAndProduct:
             assert env.lower == n
             assert env.upper == n + 1
             assert env.lower <= env.question2 <= env.upper
+
+    def test_product_envelope_c8_pair(self):
+        # the benchmark's warm-up product; each one-factor subset reads
+        # its factor report, which must equal a search of its joint columns
+        group = FiniteGroup.abelian([8])
+        space = CosetSpace(group, [0])
+        factors = (CMType(space, frozenset([0, 1, 2, 3])),
+                   CMType(space, frozenset([0, 1, 3, 6])))
+        joint = build_character_system(CMDatum(group, 4, factors))
+        systems = [build_character_system(CMDatum(group, 4, (f,))) for f in factors]
+        reports = [build_report(cs) for cs in systems]
+        for i, (cs, report) in enumerate(zip(systems, reports)):
+            cols = [col for col, (fi, _) in zip(joint.characters, joint.column_labels)
+                    if fi == i]
+            outcome = _search(cols)
+            assert (outcome.ratio, outcome.full_dim) == (report.alpha, report.dim)
+        env = product_envelope(reports, [1, 1], joint)
+        assert env.lower == env.upper == env.question2 == Fraction(16, 5)
 
     def test_product_envelope_validates(self):
         group = FiniteGroup.abelian([2, 2])

@@ -68,6 +68,13 @@ class TestAnalyze:
         assert main(["analyze", str(p)]) == 2
         assert "$.group.invariants" in capsys.readouterr().err
 
+    def test_oversized_group_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text('{"group": {"kind": "abelian", "invariants": [100000]},'
+                     ' "conj": 50000, "factors": [{"phi": [0]}]}', encoding="utf-8")
+        assert main(["analyze", str(p)]) == 2
+        assert "$.group.invariants" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

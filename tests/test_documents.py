@@ -9,6 +9,7 @@ from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import CMDatum, FiniteGroup, enumerate_types
 from cmtorsion.documents import (
     CSV_HEADER,
+    MAX_GROUP_ORDER,
     DatumParseError,
     datum_to_dict,
     dumps_document,
@@ -110,6 +111,19 @@ class TestParsing:
         with pytest.raises(DatumParseError) as err:
             parse_datum(doc)
         assert err.value.path == "$.group.table"
+
+    @pytest.mark.parametrize("group,path", [
+        ({"kind": "abelian", "invariants": [100000]}, "$.group.invariants"),
+        ({"kind": "abelian", "invariants": [2] * 10}, "$.group.invariants"),
+        ({"kind": "table", "table": [[]] * (MAX_GROUP_ORDER + 1)}, "$.group.table"),
+    ])
+    def test_group_order_cap(self, group, path):
+        # refused before any table is built or checked
+        doc = dict(QUARTIC_DOC, group=group)
+        with pytest.raises(DatumParseError) as err:
+            parse_datum(doc)
+        assert err.value.path == path
+        assert str(MAX_GROUP_ORDER) in str(err.value)
 
 
 class TestEncoding:

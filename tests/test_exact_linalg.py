@@ -3,26 +3,21 @@
 Expected values for the worked examples were frozen after computing
 them with the brute-force oracles in this file (minor expansion for
 rank, gcd-of-minors for elementary divisors, box search for lattice
-saturation, rational elimination for lattice coordinates), which are
-also run directly against randomized inputs.
+saturation, rational elimination for lattice coordinates, span keys and
+span membership), which are also run directly against randomized inputs.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from cmtorsion.cm_core import CMDatum, enumerate_types
 from cmtorsion.exact_linalg import (
-    CanonicalSubspace,
     IntMatrix,
     IntSpanBasis,
-    RatMatrix,
-    canonical_span,
-    contains,
-    determinant,
     hermite_coordinates,
     hermite_normal_form,
     integer_kernel,
@@ -32,6 +27,37 @@ from cmtorsion.exact_linalg import (
 )
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.row_lists()
+    sign = 1
+    prev = 1
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        pv = a[c][c]
+        for i in range(c + 1, n):
+            aic = a[i][c]
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * pv - aic * a[c][j]) // prev
+            a[i][c] = 0
+        prev = pv
+    return sign * a[n - 1][n - 1]
 
 
 def minor_rank_oracle(m: IntMatrix) -> int:
@@ -98,6 +124,35 @@ def in_rational_span(rows: list[list[int]], v: list[int]) -> bool:
     return not any(target)
 
 
+def echelon_key_reference(rows: list[list[int]]) -> tuple:
+    """Reduced rational echelon form with each row's denominators cleared.
+
+    Plain Fraction elimination to pivots equal to 1, then every nonzero
+    row is scaled by the least common multiple of its denominators; the
+    result is primitive with a positive pivot, the shape of
+    `IntSpanBasis.key()`.
+    """
+    work = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][c]
+        work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                coef = work[i][c]
+                work[i] = [x - coef * y for x, y in zip(work[i], work[r])]
+        r += 1
+    out = []
+    for row in work[:r]:
+        den = lcm(*(x.denominator for x in row))
+        out.append(tuple(int(x * den) for x in row))
+    return tuple(out)
+
+
 def solve_left_reference(basis: IntMatrix, vector) -> list[Fraction] | None:
     """Solve x @ basis = vector over Q; None when the vector is outside.
 
@@ -159,14 +214,18 @@ class TestRank:
             assert rank(m) == minor_rank_oracle(m)
 
 
+def span_of(rows, width: int) -> IntSpanBasis:
+    basis = IntSpanBasis(width)
+    for r in rows:
+        basis.insert(r)
+    return basis
+
+
 class TestCanonicalSpan:
     def test_echelon_example(self):
-        s = canonical_span([[2, 4, 0], [1, 2, 1]])
-        assert s.dim == 2
-        assert s.basis.row_lists() == [
-            [Fraction(1), Fraction(2), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1)],
-        ]
+        b = span_of([[2, 4, 0], [1, 2, 1]], 3)
+        assert b.dim == 2
+        assert b.key() == ((1, 2, 0), (0, 0, 1))
 
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(7)
@@ -174,49 +233,51 @@ class TestCanonicalSpan:
             n = rng.randint(2, 5)
             k = rng.randint(1, 4)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-            s1 = canonical_span(rows)
+            key = span_of(rows, n).key()
             shuffled = rows[:]
             rng.shuffle(shuffled)
             factors = [rng.choice([1, 2, -3]) for _ in shuffled]
             scaled = [[x * f for x in r] for f, r in zip(factors, shuffled)]
             # adding a row already in the span must not change anything
-            if rows:
-                extra = [sum(r[j] for r in rows) for j in range(n)]
-                scaled.append(extra)
-            assert canonical_span(scaled) == s1
+            scaled.append([sum(r[j] for r in rows) for j in range(n)])
+            assert span_of(scaled, n).key() == key
 
     def test_hashable_and_idempotent(self):
-        s = canonical_span([[1, 1], [0, 2]])
-        again = canonical_span(s.basis)
-        assert s == again
-        assert hash(s) == hash(again)
-        assert len({s, again}) == 1
+        key = span_of([[1, 1], [0, 2]], 2).key()
+        again = span_of(key, 2).key()
+        assert key == again == ((1, 0), (0, 1))
+        assert hash(key) == hash(again)
+        assert len({key, again}) == 1
 
     def test_empty_input_rejected(self):
+        b = IntSpanBasis(3)
+        assert b.key() == ()
+        assert not b.insert([0, 0, 0])
+        assert b.key() == ()
         with pytest.raises(ValueError):
-            canonical_span([])
+            b.insert([1, 0])
 
 
 class TestContains:
     def test_examples(self):
-        s = canonical_span([[1, 0, 1], [0, 1, 1]])
-        assert contains(s, [1, 1, 2])
-        assert contains(s, [Fraction(1, 2), 0, Fraction(1, 2)])
-        assert not contains(s, [1, 0, 0])
+        b = span_of([[1, 0, 1], [0, 1, 1]], 3)
+        assert b.contains([1, 1, 2])
+        assert b.contains([-2, 0, -2])
+        assert not b.contains([1, 0, 0])
 
     def test_dimension_mismatch(self):
-        s = canonical_span([[1, 0]])
+        b = span_of([[1, 0]], 2)
         with pytest.raises(ValueError):
-            contains(s, [1, 0, 0])
+            b.contains([1, 0, 0])
 
     def test_against_elimination_oracle(self):
         rng = random.Random(31)
         for _ in range(40):
             n = rng.randint(2, 5)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-            s = canonical_span(rows)
+            b = span_of(rows, n)
             v = [rng.randint(-4, 4) for _ in range(n)]
-            assert contains(s, v) == in_rational_span(rows, v)
+            assert b.contains(v) == in_rational_span(rows, v)
 
 
 def diag_extended(diag, rows, cols):
@@ -370,10 +431,8 @@ class TestIntSpanBasis:
         for _ in range(30):
             n = rng.randint(2, 5)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 4))]
-            b = IntSpanBasis(n)
-            for r in rows:
-                b.insert(r)
-            assert b.to_subspace() == canonical_span(rows)
+            b = span_of(rows, n)
+            assert b.key() == echelon_key_reference(rows)
             v = [rng.randint(-3, 3) for _ in range(n)]
             assert b.contains(v) == in_rational_span(rows, v)
 
