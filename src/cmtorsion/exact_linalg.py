@@ -4,9 +4,10 @@ Everything here is computed with arbitrary-precision integers; no
 floating point and no fractions are used anywhere.  The kernel provides
 the handful of lattice operations the rest of the package is built on,
 one elimination per job: the fraction-free echelon basis of a rational
-span (rank, membership and its canonical key), Smith normal form with
-unimodular transforms (divisors, kernels, saturation) and Hermite normal
-form (lattices and their coordinates).
+span (rank, membership and its canonical key), Smith normal form (the
+divisors alone, or with the unimodular transforms that kernels and
+saturation read) and Hermite normal form (lattices and their
+coordinates).
 """
 
 from __future__ import annotations
@@ -189,52 +190,60 @@ def rank(m: IntMatrix) -> int:
     return basis.dim
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form with transforms: left @ m @ right is diagonal.
+def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
+    """The one Smith elimination: (diag, left rows, right rows).
 
-    The returned diagonal lists the nonzero elementary divisors, each
-    positive and dividing the next.
+    With transforms the elimination runs on [[m, I], [I, 0]]: its row
+    operations act on the first m.rows rows and its column operations on
+    the first m.cols columns, so the blocks beside and below m collect
+    `left` and `right`.  Without them both come back as None.  With a
+    modulus D the elimination runs on [m | D*I] (see
+    `elementary_divisors`): before each pivot the remaining entries are
+    reduced modulo D, a column operation with the D*e_i columns, which
+    are then joined to the pivots by a gcd at the end.
     """
     nr, nc = m.rows, m.cols
     a = m.row_lists()
-    left = IntMatrix.identity(nr).row_lists()
-    right = IntMatrix.identity(nc).row_lists()
+    if transforms:
+        a = ([row + [int(i == j) for j in range(nr)] for i, row in enumerate(a)]
+             + [[int(i == j) for j in range(nc)] + [0] * nr for i in range(nc)])
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in right:
             r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, q):
         # row dst -= q * row src
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x - q * y for x, y in zip(left[dst], left[src])]
 
     def add_col(src, dst, q):
         for r in a:
             r[dst] -= q * r[src]
-        for r in right:
-            r[dst] -= q * r[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
 
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        # pick the nonzero entry of smallest magnitude as pivot
+        if modulus:
+            for i in range(t, nr):
+                row = a[i]
+                for j in range(t, nc):
+                    row[j] %= modulus
+        # pick the first nonzero entry of smallest magnitude as pivot
         best = None
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                v = a[i][j]
+                v = row[j]
                 if v and (best is None or abs(v) < best[0]):
                     best = (abs(v), i, j)
+            if best is not None and best[0] == 1:
+                break
         if best is None:
             break
         _, bi, bj = best
@@ -264,16 +273,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide every remaining entry
-            stain = None
+            # pivot must divide every remaining entry (a unit always does)
             piv = a[t][t]
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % piv:
-                        stain = i
-                        break
-                if stain is not None:
-                    break
+            stain = None if abs(piv) == 1 else next(
+                (i for i in range(t + 1, nr) if any(x % piv for x in a[i][t + 1:nc])), None)
             if stain is None:
                 break
             add_row(stain, t, -1)
@@ -281,8 +284,41 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             negate_row(t)
         t += 1
 
-    diag = tuple(a[i][i] for i in range(t) if a[i][i])
-    return SmithForm(diag, IntMatrix.from_rows(left, cols=nr), IntMatrix.from_rows(right, cols=nc))
+    if modulus:
+        # every row left without a pivot keeps only its column D*e_i
+        diag = tuple(gcd(a[i][i], modulus) for i in range(t)) + (modulus,) * (nr - t)
+    else:
+        diag = tuple(a[i][i] for i in range(t) if a[i][i])
+    if not transforms:
+        return diag, None, None
+    return diag, [r[nc:] for r in a[:nr]], [r[:nc] for r in a[nr:]]
+
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Smith normal form with transforms: left @ m @ right is diagonal.
+
+    The returned diagonal lists the nonzero elementary divisors, each
+    positive and dividing the next.
+    """
+    diag, left, right = _smith(m, transforms=True)
+    return SmithForm(diag, IntMatrix.from_rows(left, cols=m.rows),
+                     IntMatrix.from_rows(right, cols=m.cols))
+
+
+def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
+    """The nonzero elementary divisors of `m`, as `smith_normal_form(m).diag`.
+
+    Runs the same elimination without building either transform, for
+    callers that read only the diagonal.  A caller that knows a D > 0
+    with D*Z^rows inside the column lattice of `m` may pass it as
+    `modulus`.  Then [m | D*I] has the same divisors as `m`, all of them
+    dividing D, and the elimination keeps its entries below D; without
+    that bound, eliminating a bordered matrix [A | diag(moduli)] can
+    swell its entries to many thousands of bits.
+    """
+    if modulus is not None and modulus < 1:
+        raise ValueError("modulus must be positive")
+    return _smith(m, transforms=False, modulus=modulus)[0]
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:

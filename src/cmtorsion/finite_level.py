@@ -2,10 +2,15 @@
 
 At an odd prime ell the level-n points of a d-dimensional split torus
 form ((Z/ell^n)^x)^d, a product of cyclic groups of order
-(ell-1) ell^(n-1).  The degree of the field cut out by a torsion
+M = (ell-1) ell^(n-1).  The degree of the field cut out by a torsion
 subgroup is the size of the image of evaluation at the active
-characters, computed exactly through Smith normal form.  Floats appear
-only in the display column of sweep rows.
+characters.  For mixed levels it is read off the Smith divisors of the
+bordered matrix [A | diag(m)].  For one uniform level, as in
+`exponent_sweep`, it has the closed form prod M / gcd(M, s_i) over the
+Smith divisors s_i of the active coordinate rows A, so a sweep takes one
+divisors-only Smith form whatever the number of primes.  Primality of
+ell is decided exactly by Miller-Rabin below `PRIME_TEST_LIMIT`.  Floats
+appear only in the display column of sweep rows.
 """
 
 from __future__ import annotations
@@ -16,18 +21,40 @@ from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
 from .cm_core import InvariantError
-from .exact_linalg import IntMatrix, IntSpanBasis, smith_normal_form
+from .exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors
 from .mt_torus import CharacterSystem
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); larger ell is refused.
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _require_odd_prime(ell: int):
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"need an odd prime, got {ell}")
-    f = 3
-    while f * f <= ell:
-        if ell % f == 0:
+    if ell >= PRIME_TEST_LIMIT:
+        raise ValueError(f"ell must be below {PRIME_TEST_LIMIT}, got {ell}")
+    d, s = ell - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        if a == ell:
+            continue
+        x = pow(a, d, ell)
+        if x == 1 or x == ell - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % ell
+            if x == ell - 1:
+                break
+        else:
             raise ValueError(f"need an odd prime, got {ell}")
-        f += 2
+
+
+def _unit_order(ell: int, n: int) -> int:
+    return (ell - 1) * ell ** (n - 1)
 
 
 def unit_group_order(ell: int, n: int) -> int:
@@ -35,7 +62,7 @@ def unit_group_order(ell: int, n: int) -> int:
     _require_odd_prime(ell)
     if n < 1:
         raise ValueError("level must be a positive integer")
-    return (ell - 1) * ell ** (n - 1)
+    return _unit_order(ell, n)
 
 
 def torus_point_count(dim: int, ell: int, n: int) -> int:
@@ -49,7 +76,8 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
     """Size of the image of Z^d -> prod Z/m_i, x -> (row_i . x mod m_i).
 
     Equals prod(m_i) divided by the index of the column span of the
-    block matrix [A | diag(m)] in Z^k, read off the Smith divisors.
+    block matrix [A | diag(m)] in Z^k, read off the Smith divisors.  That
+    span contains lcm(m) Z^k, so the elimination runs modulo lcm(m).
     """
     if not rows or len(rows) != len(moduli):
         raise ValueError("need matching nonempty rows and moduli")
@@ -58,7 +86,7 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
     k = len(rows)
     stacked = [list(r) + [moduli[i] if j == i else 0 for j in range(k)]
                for i, r in enumerate(rows)]
-    divisors = smith_normal_form(IntMatrix.from_rows(stacked)).diag
+    divisors = elementary_divisors(IntMatrix.from_rows(stacked), modulus=math.lcm(*moduli))
     total = math.prod(moduli)
     index = math.prod(divisors)
     size, rem = divmod(total, index)
@@ -88,8 +116,9 @@ def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int])
     constrained at level ell^(levels[i]).
     """
     pairs = _normalize_levels(cs, levels)
+    _require_odd_prime(ell)
     rows = [cs.char_coords[i] for i, _ in pairs]
-    moduli = [unit_group_order(ell, n) for _, n in pairs]
+    moduli = [_unit_order(ell, n) for _, n in pairs]
     return lattice_image_size(rows, moduli)
 
 
@@ -115,6 +144,16 @@ class StaircaseBounds:
         return self.lower <= self.saturation * degree and degree <= self.upper
 
 
+def _bounds(ell: int, exponent: int, span_dim: int, saturation: int) -> StaircaseBounds:
+    return StaircaseBounds(
+        exponent=exponent,
+        span_dim=span_dim,
+        saturation=saturation,
+        lower=(ell - 1) ** span_dim * ell ** (exponent - span_dim),
+        upper=ell ** exponent,
+    )
+
+
 def staircase_bounds(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> StaircaseBounds:
     pairs = _normalize_levels(cs, levels)
     _require_odd_prime(ell)
@@ -124,16 +163,8 @@ def staircase_bounds(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -
     for i, n in order:
         if basis.insert(cs.char_coords[i]):
             exponent += n
-    w = basis.dim
     rows = IntMatrix.from_rows([cs.char_coords[i] for i, _ in pairs])
-    saturation = math.prod(smith_normal_form(rows).diag)
-    return StaircaseBounds(
-        exponent=exponent,
-        span_dim=w,
-        saturation=saturation,
-        lower=(ell - 1) ** w * ell ** (exponent - w),
-        upper=ell ** exponent,
-    )
+    return _bounds(ell, exponent, basis.dim, math.prod(elementary_divisors(rows)))
 
 
 @dataclass(frozen=True)
@@ -155,25 +186,39 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     The subgroup puts uniform level `level` on every character inside
     the witness span of the exponent report, so its order is
     ell^(level * n_W) and log(order) / log(degree) approaches the
-    optimal exponent as ell grows.
+    optimal exponent as ell grows.  Raises ValueError before any row is
+    computed when `level` < 1 or some ell is not an odd prime below
+    `PRIME_TEST_LIMIT`.
     """
     if report is None:
         report = build_report(cs)
-    active = report.witness.generating_indices
-    levels = {i: level for i in active}
+    if level < 1:
+        raise ValueError("levels must be positive integers")
+    for ell in ells:
+        _require_odd_prime(ell)
+    witness = report.witness
+    # Uniform level: with A = U diag(s) V, U and V unimodular, the image
+    # of Z^d in (Z/M)^k is that of diag(s), of size prod M / gcd(M, s_i).
+    # The greedy staircase picks a basis of the span, r = len(s) rows at
+    # the one level, and its saturation defect is prod s_i.
+    divisors = elementary_divisors(
+        IntMatrix.from_rows([cs.char_coords[i] for i in witness.generating_indices]))
+    span_dim = len(divisors)
+    saturation = math.prod(divisors)
     rows = []
     for ell in ells:
-        degree = degree_of_subgroup(cs, ell, levels)
-        bounds = staircase_bounds(cs, ell, levels)
-        order = ell ** (level * report.witness.n)
+        m = _unit_order(ell, level)
+        degree = math.prod(m // math.gcd(m, s) for s in divisors)
+        bounds = _bounds(ell, level * span_dim, span_dim, saturation)
+        order = ell ** (level * witness.n)
         estimate = math.inf if degree == 1 else math.log(order) / math.log(degree)
         rows.append(SweepRow(
             ell=ell,
             n=level,
             subgroup_order=order,
             degree=degree,
-            dim_w=report.witness.dim,
-            n_w=report.witness.n,
+            dim_w=witness.dim,
+            n_w=witness.n,
             estimate_decimal=estimate,
             bound_ok=bounds.admits(degree),
         ))

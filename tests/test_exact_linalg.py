@@ -8,6 +8,7 @@ span membership), which are also run directly against randomized inputs.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -18,6 +19,7 @@ from cmtorsion.cm_core import CMDatum, enumerate_types
 from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
+    elementary_divisors,
     hermite_coordinates,
     hermite_normal_form,
     integer_kernel,
@@ -321,6 +323,86 @@ class TestSmithNormalForm:
                 [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)], cols=nc)
             snf = self.check(m)
             assert list(snf.diag) == gcd_minor_divisors_oracle(m)
+
+
+def bordered(a, moduli) -> IntMatrix:
+    """[A | diag(moduli)]."""
+    k = len(moduli)
+    return IntMatrix.from_rows([list(r) + [moduli[i] if j == i else 0 for j in range(k)]
+                                for i, r in enumerate(a)])
+
+
+class TestElementaryDivisors:
+    """The divisors-only Smith form against the full one and the oracle."""
+
+    def test_random_matrices(self):
+        rng = random.Random(1213)
+        for _ in range(40):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+            m = IntMatrix.from_rows(
+                [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)], cols=nc)
+            divisors = elementary_divisors(m)
+            assert divisors == smith_normal_form(m).diag
+            assert list(divisors) == gcd_minor_divisors_oracle(m)
+
+    def test_bordered_with_large_moduli(self):
+        # [A | diag(m)] with the moduli (ell - 1) ell^(n - 1) of mixed levels;
+        # its column lattice contains lcm(m) Z^k, so that may be the modulus
+        rng = random.Random(1217)
+        for _ in range(25):
+            k, d = rng.randint(1, 3), rng.randint(1, 3)
+            ell = rng.choice((3, 101, 59999))
+            moduli = [(ell - 1) * ell ** (rng.randint(1, 6) - 1) for _ in range(k)]
+            m = bordered([[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)], moduli)
+            divisors = elementary_divisors(m)
+            assert divisors == smith_normal_form(m).diag
+            assert list(divisors) == gcd_minor_divisors_oracle(m)
+            assert len(divisors) == k
+            assert elementary_divisors(m, modulus=lcm(*moduli)) == divisors
+
+    def test_modulus_agrees_with_plain_elimination(self):
+        rng = random.Random(1223)
+        for _ in range(40):
+            k, d = rng.randint(1, 6), rng.randint(1, 5)
+            ell = rng.choice((3, 5, 59))
+            moduli = [(ell - 1) * ell ** rng.randint(0, 5) for _ in range(k)]
+            m = bordered([[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)], moduli)
+            divisors = elementary_divisors(m)
+            assert elementary_divisors(m, modulus=lcm(*moduli)) == divisors
+            assert elementary_divisors(m, modulus=7 * lcm(*moduli)) == divisors
+
+    def test_modulus_bounds_entry_swell(self):
+        # Without a modulus the elimination of this bordered matrix swells
+        # to entries of about 126000 bits and takes seconds; the divisors
+        # below are the ones it gives.
+        moduli = [58, 11911982, 11911982, 702806938, 58, 11911982, 3422, 58,
+                  41465609342, 201898]
+        a = [[2, 2, 1, -2, -2, -1], [2, -2, 0, -1, 2, 2], [2, -1, 1, 1, 0, 2],
+             [-1, 1, -2, -2, 0, 1], [0, 0, -2, 2, 0, -1], [-2, -2, 1, 2, 2, 2],
+             [1, 1, -2, 1, 0, 1], [0, -2, 1, 1, 2, -1], [0, 0, -1, 0, 0, -1],
+             [0, -1, -1, -2, 1, -1]]
+        m = bordered(a, moduli)
+        start = time.perf_counter()
+        divisors = elementary_divisors(m, modulus=lcm(*moduli))
+        assert time.perf_counter() - start < 1.0
+        assert divisors == (1, 1, 1, 1, 1, 1, 58, 58, 58, 3422)
+
+    def test_rows_without_pivot_keep_the_modulus(self):
+        # the divisors are those of [m | D*I]
+        m = IntMatrix.from_rows([[2, 0, 0], [0, 0, 0]])
+        assert elementary_divisors(m, modulus=6) == (2, 6)
+        assert elementary_divisors(IntMatrix.zero(2, 1), modulus=4) == (4, 4)
+
+    def test_modulus_must_be_positive(self):
+        with pytest.raises(ValueError):
+            elementary_divisors(IntMatrix.identity(2), modulus=0)
+
+    def test_zero_matrix(self):
+        assert elementary_divisors(IntMatrix.zero(3, 2)) == ()
+
+    def test_no_rows(self):
+        m = IntMatrix.from_rows([], cols=3)
+        assert elementary_divisors(m) == smith_normal_form(m).diag == ()
 
 
 class TestHermite:

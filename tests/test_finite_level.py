@@ -1,11 +1,21 @@
-"""Finite-level degrees: frozen examples, grids, sandwich properties."""
+"""Finite-level degrees: frozen examples, grids, sandwich properties.
 
+The closed-form sweep and the divisors-only degrees are also compared
+with the bordered Smith-form computations they replaced, kept here as
+`lattice_image_size_reference`, `staircase_bounds_reference` and
+`exponent_sweep_reference`.
+"""
+
+import json
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from cmtorsion.alpha_engine import build_report
+from cmtorsion.cli import main
 from cmtorsion.cm_core import (
     CMDatum,
     CMType,
@@ -13,7 +23,11 @@ from cmtorsion.cm_core import (
     FiniteGroup,
     enumerate_types,
 )
+from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, smith_normal_form
 from cmtorsion.finite_level import (
+    PRIME_TEST_LIMIT,
+    StaircaseBounds,
+    SweepRow,
     degree_of_subgroup,
     exponent_sweep,
     lattice_image_size,
@@ -22,6 +36,7 @@ from cmtorsion.finite_level import (
     unit_group_order,
 )
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.verify import builtin_groups
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -200,3 +215,200 @@ class TestSweep:
     def test_sweep_is_deterministic(self):
         cs = quartic()
         assert exponent_sweep(cs, [5, 13], 1) == exponent_sweep(cs, [5, 13], 1)
+
+
+# ---------------------------------------------------------------------------
+# Primality
+
+def is_prime_reference(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        for n in range(-3, 5000):
+            expected = n % 2 == 1 and is_prime_reference(n)
+            try:
+                unit_group_order(n, 1)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == expected, n
+
+    def test_large_prime_accepted_quickly(self):
+        ell = 10 ** 18 + 3  # 19 digits, prime
+        start = time.perf_counter()
+        assert unit_group_order(ell, 2) == (ell - 1) * ell
+        rows = exponent_sweep(quartic(), [ell], 1)
+        assert time.perf_counter() - start < 1.0
+        assert rows[0].degree == (ell - 1) ** 3
+
+    @pytest.mark.parametrize("n", [
+        561, 41041,            # Carmichael numbers
+        3215031751,            # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,   # ... to every prime base up to 31
+        318665857834031151167461,  # ... up to 37, composite below the limit
+    ])
+    def test_pseudoprimes_rejected(self, n):
+        with pytest.raises(ValueError, match="odd prime"):
+            unit_group_order(n, 1)
+
+    def test_pseudoprime_factors(self):
+        assert 561 == 3 * 11 * 17
+        assert 41041 == 7 * 11 * 13 * 41
+        assert 3215031751 == 151 * 751 * 28351
+        assert 318665857834031151167461 == 399165290221 * 798330580441
+        assert 3825123056546413051 == 149491 * 747451 * 34233211
+        # the limit itself passes all 13 bases, which is why it is excluded
+        assert PRIME_TEST_LIMIT == 1287836182261 * 2575672364521
+
+    def test_limit_refused(self):
+        for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2, 10 ** 30 + 57):
+            with pytest.raises(ValueError, match="below"):
+                unit_group_order(n, 1)
+            with pytest.raises(ValueError):
+                exponent_sweep(quartic(), [n], 1)
+
+    def test_cli_refuses_ell_above_limit(self, tmp_path, capsys):
+        p = tmp_path / "quartic.json"
+        p.write_text(json.dumps({"group": {"kind": "abelian", "invariants": [4]},
+                                 "conj": 2, "factors": [{"phi": [0, 1]}]}))
+        assert main(["simulate", str(p), "--ell", f"5,{PRIME_TEST_LIMIT + 2}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "below" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# Validation that the closed form no longer meets on its way
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [1, 2, 9, 15, 91])
+    def test_sweep_rejects_non_prime_before_any_row(self, bad):
+        cs = quartic()
+        for ells in ([bad], [5, bad], [5, 13, bad]):
+            with pytest.raises(ValueError, match="odd prime"):
+                exponent_sweep(cs, ells, 1)
+
+    def test_sweep_rejects_level_zero(self):
+        with pytest.raises(ValueError):
+            exponent_sweep(quartic(), [5], 0)
+
+    def test_lattice_image_size_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            lattice_image_size([[1, 2], [3]], [4, 4])
+
+    def test_lattice_image_size_rejects_mismatched_moduli(self):
+        with pytest.raises(ValueError):
+            lattice_image_size([[1, 2], [3, 4]], [4])
+        with pytest.raises(ValueError):
+            lattice_image_size([], [])
+
+    def test_lattice_image_size_rejects_nonpositive_moduli(self):
+        for bad in (0, -6):
+            with pytest.raises(ValueError):
+                lattice_image_size([[1, 2], [3, 4]], [4, bad])
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the bordered Smith-form computations
+
+def lattice_image_size_reference(rows, moduli) -> int:
+    k = len(rows)
+    stacked = [list(r) + [moduli[i] if j == i else 0 for j in range(k)]
+               for i, r in enumerate(rows)]
+    index = math.prod(smith_normal_form(IntMatrix.from_rows(stacked)).diag)
+    size, rem = divmod(math.prod(moduli), index)
+    assert rem == 0
+    return size
+
+
+def degree_reference(cs, ell: int, levels) -> int:
+    pairs = sorted(levels.items())
+    return lattice_image_size_reference([cs.char_coords[i] for i, _ in pairs],
+                                        [unit_group_order(ell, n) for _, n in pairs])
+
+
+def staircase_bounds_reference(cs, ell: int, levels) -> StaircaseBounds:
+    pairs = sorted(levels.items())
+    basis = IntSpanBasis(cs.dim)
+    exponent = 0
+    for i, n in sorted(pairs, key=lambda p: (-p[1], p[0])):
+        if basis.insert(cs.char_coords[i]):
+            exponent += n
+    w = basis.dim
+    rows = IntMatrix.from_rows([cs.char_coords[i] for i, _ in pairs])
+    return StaircaseBounds(
+        exponent=exponent,
+        span_dim=w,
+        saturation=math.prod(smith_normal_form(rows).diag),
+        lower=(ell - 1) ** w * ell ** (exponent - w),
+        upper=ell ** exponent,
+    )
+
+
+def exponent_sweep_reference(cs, ells, level: int, report) -> list[SweepRow]:
+    """One bordered Smith form and one staircase per prime."""
+    levels = {i: level for i in report.witness.generating_indices}
+    rows = []
+    for ell in ells:
+        degree = degree_reference(cs, ell, levels)
+        bounds = staircase_bounds_reference(cs, ell, levels)
+        order = ell ** (level * report.witness.n)
+        estimate = math.inf if degree == 1 else math.log(order) / math.log(degree)
+        rows.append(SweepRow(ell=ell, n=level, subgroup_order=order, degree=degree,
+                             dim_w=report.witness.dim, n_w=report.witness.n,
+                             estimate_decimal=estimate, bound_ok=bounds.admits(degree)))
+    return rows
+
+
+REFERENCE_PRIMES = (3, 5, 7, 13, 101, 59999)
+
+
+@pytest.fixture(scope="module")
+def catalogue():
+    """Every buildable single-factor class up to order 12, the quaternion
+    example, and their exponent reports."""
+    systems = [quaternion()]
+    for group in builtin_groups(12):
+        for conj in group.central_involutions():
+            for t in enumerate_types(group, conj, up_to_translation=True):
+                try:
+                    systems.append(build_character_system(CMDatum(group, conj, (t,))))
+                except DuplicateCharactersError:
+                    continue
+    return [(cs, build_report(cs)) for cs in systems]
+
+
+class TestAgainstReference:
+    def test_catalogue_size(self, catalogue):
+        assert len(catalogue) == 45
+
+    @pytest.mark.parametrize("level", range(1, 7))
+    def test_sweep_rows(self, catalogue, level):
+        for cs, report in catalogue:
+            assert exponent_sweep(cs, REFERENCE_PRIMES, level, report) == \
+                exponent_sweep_reference(cs, REFERENCE_PRIMES, level, report)
+
+    def test_witness_degrees_and_bounds(self, catalogue):
+        for cs, report in catalogue:
+            for level in (1, 4):
+                levels = {i: level for i in report.witness.generating_indices}
+                for ell in REFERENCE_PRIMES:
+                    assert degree_of_subgroup(cs, ell, levels) == \
+                        degree_reference(cs, ell, levels)
+                    assert staircase_bounds(cs, ell, levels) == \
+                        staircase_bounds_reference(cs, ell, levels)
+
+    def test_mixed_levels(self, catalogue):
+        rng = random.Random(2017)
+        for cs, _ in catalogue:
+            m = 2 * cs.genus
+            for ell in REFERENCE_PRIMES:
+                for _ in range(4):
+                    active = rng.sample(range(m), rng.randint(1, m))
+                    levels = {i: rng.randint(1, 6) for i in active}
+                    assert degree_of_subgroup(cs, ell, levels) == \
+                        degree_reference(cs, ell, levels)
+                    assert staircase_bounds(cs, ell, levels) == \
+                        staircase_bounds_reference(cs, ell, levels)
