@@ -1,10 +1,14 @@
 """Optimal torsion exponent from a character system.
 
 The exponent is the maximum of n(W)/dim W over subspaces W spanned by
-characters, where n(W) counts the characters lying in W.  The search
-walks the lattice of spans closed under taking every character they
-contain; the oracle re-derives the same maximum by sheer enumeration
-of subsets.  Everything is exact rational arithmetic.
+characters, where n(W) counts the characters lying in W.  The group
+permutes each factor's characters transitively by automorphisms of the
+character matroid, so the largest set attaining the maximum is a union
+of factor blocks (the principal partition; Fujishige, Submodular
+Functions and Optimization, 2005): the exponent is the best ratio over
+the 2^r - 1 factor unions.  The witness is the full span when it
+attains it, else the first flat that does.  The oracle re-derives the
+maximum by sheer enumeration of subsets.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -53,50 +57,41 @@ class AlphaReport:
     spans_visited: int = 0
 
 
-@dataclass(frozen=True)
-class _SearchOutcome:
-    ratio: Fraction
-    contained: tuple[int, ...]
-    dim: int
-    basis: IntSpanBasis
-    full_dim: int
-    counting_bound_ok: bool
-    spans_visited: int
+def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis, Fraction]]:
+    """Entry `mask` > 0: the character count, `IntSpanBasis` and exponent
+    (best count/dim over its nonempty sub-unions) of that union of factor
+    blocks, formed from the union without its lowest factor."""
+    r = len(cs.datum.factors)
+    blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
+    for col, (fi, _) in zip(cs.characters, cs.column_labels):
+        blocks[fi].append(col)
+    table = [(0, IntSpanBasis(len(cs.characters[0])), Fraction(0))]
+    for mask in range(1, 2 ** r):
+        low = mask & -mask
+        block = blocks[low.bit_length() - 1]
+        n, basis, _ = table[mask ^ low]
+        basis = basis.copy()
+        for col in block:
+            basis.insert(col)
+        alpha = Fraction(n + len(block), basis.dim)
+        for i in range(r):
+            if mask >> i & 1 and mask != 1 << i:
+                alpha = max(alpha, table[mask ^ 1 << i][2])
+        table.append((n + len(block), basis, alpha))
+    return table
 
 
-def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
-    """Exact maximum of n(W)/dim W over spans of character subsets.
+def _first_flat_attaining(columns: Sequence[tuple[int, ...]],
+                          alpha: Fraction) -> tuple[tuple[int, ...], IntSpanBasis, int]:
+    """First flat of the character matroid, in (dim, index set) order,
+    whose count/dim ratio is the maximum `alpha`; and the flats formed.
 
-    The maximum is attained on flats of the character matroid: spans
-    identified with the set of all characters inside them.  The flats
-    covering a flat F are the rank-1 flats of the contraction by F, one
-    per parallel class of the outside characters modulo span(F).  Each
-    flat is keyed by (dimension, index set) and formed once, when it is
-    popped, from the first parent that reached it.
-    Flats are visited in that key's order, which makes the reported
-    witness deterministic and pops every parent of a flat before it.
-    The whole-space candidate seeds the incumbent; only strict
-    improvements replace it, which keeps the full span as the witness
-    whenever it attains the maximum.  A flat is not expanded when no
-    larger dimension can beat the incumbent under the subspace counting
-    bound n(W) <= 2^(dim W - 1).
+    The flats covering a flat F are the rank-1 flats of the contraction
+    by F, one per parallel class of the outside characters modulo
+    span(F).  Each flat is formed once, when popped, from the first
+    parent that reached it; key order pops every parent before it.
     """
-    m = len(columns)
-    if m == 0:
-        raise ValueError("no characters to search")
     empty = IntSpanBasis(len(columns[0]))
-    full = empty.copy()
-    for col in columns:
-        full.insert(col)
-    d = full.dim
-    incumbent_ratio = Fraction(m, d)
-    incumbent = (d, tuple(range(m)), full)
-    cor_ok = m <= 2 ** (d - 1) if d >= 1 else False
-    # cap[k]: the best ratio the counting bound leaves to dimensions >= k
-    cap = [Fraction(0)] * (d + 2)
-    for k in range(d, 0, -1):
-        cap[k] = max(cap[k + 1], Fraction(min(m, 2 ** (k - 1)), k))
-
     heap: list[tuple[int, tuple[int, ...]]] = []
     pending: dict[tuple[int, tuple[int, ...]], tuple[IntSpanBasis, tuple[int, ...]]] = {}
 
@@ -114,33 +109,17 @@ def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
                 heapq.heappush(heap, handle)
 
     expand(empty, ())
-    visited = 0
+    formed = 0
     while heap:
         dim, contained = handle = heapq.heappop(heap)
         parent, direction = pending.pop(handle)
         basis = parent.copy()
         basis.insert(direction)
-        visited += 1
-        n = len(contained)
-        if n > 2 ** (dim - 1):
-            cor_ok = False
-        ratio = Fraction(n, dim)
-        if ratio > incumbent_ratio:
-            incumbent_ratio = ratio
-            incumbent = (dim, contained, basis)
-        if dim < d and cap[dim + 1] > incumbent_ratio:
-            expand(basis, contained)
-
-    dim, contained, basis = incumbent
-    return _SearchOutcome(
-        ratio=incumbent_ratio,
-        contained=contained,
-        dim=dim,
-        basis=basis,
-        full_dim=d,
-        counting_bound_ok=cor_ok,
-        spans_visited=visited,
-    )
+        formed += 1
+        if Fraction(len(contained), dim) == alpha:
+            return contained, basis, formed
+        expand(basis, contained)
+    raise InvariantError("no flat attains the exponent")
 
 
 def alpha_exact(cs: CharacterSystem) -> AlphaReport:
@@ -149,24 +128,31 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
 
 
 def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
-    outcome = _search(cs.characters)
+    unions = _factor_unions(cs)
+    m, full, alpha = unions[-1]
+    if Fraction(m, full.dim) == alpha:
+        contained, basis, formed = tuple(range(m)), full, 0
+    else:
+        contained, basis, formed = _first_flat_attaining(cs.characters, alpha)
     witness = SubspaceWitness(
-        basis=outcome.basis.key(),
-        generating_indices=outcome.contained,
-        n=len(outcome.contained),
-        dim=outcome.dim,
-        ratio=outcome.ratio,
+        basis=basis.key(),
+        generating_indices=contained,
+        n=len(contained),
+        dim=basis.dim,
+        ratio=alpha,
     )
     return AlphaReport(
-        alpha=outcome.ratio,
-        gamma=outcome.ratio,
+        alpha=alpha,
+        gamma=alpha,
         witness=witness,
         genus=cs.genus,
         dim=cs.dim,
         defect=cls.defect,
         shortcut_used=None,
-        bound_checks={"subspace_counting_bound": outcome.counting_bound_ok},
-        spans_visited=outcome.spans_visited,
+        # the build checks that characters are 0/1 with |G|/2 ones: on a span
+        # W they project injectively to {0,1}^(dim W - 1), so n(W) <= 2^(dim W - 1)
+        bound_checks={"subspace_counting_bound": True},
+        spans_visited=len(unions) - 1 + formed,
     )
 
 
@@ -252,14 +238,14 @@ def check_bounds(report: AlphaReport, cs: CharacterSystem) -> AlphaReport:
 
 
 def build_report(cs: CharacterSystem) -> AlphaReport:
-    """Full pipeline: search, shortcut cross-check, bound evaluation."""
+    """Full pipeline: exact exponent, shortcut cross-check, bound evaluation."""
     cls = classify(cs)
     report = _exact_report(cs, cls)
     shortcut = shortcut_alpha(cls, cs)
     label = None
     if shortcut is not None:
         if shortcut != report.alpha:
-            raise InvariantError("shortcut value disagrees with the exact search")
+            raise InvariantError("shortcut value disagrees with the exact exponent")
         label = _shortcut_label(cls)
     report = replace(report, shortcut_used=label)
     return check_bounds(report, cs)
@@ -292,10 +278,9 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
 
     The lower bound maximizes (min multiplicity in a factor subset)
     times the exact exponent of that subset's joint system; the upper
-    bound adds the factor exponents weighted by multiplicity.
-    `reports[i]` must be factor i's own report over the joint's group:
-    it supplies the exponent and dimension of each one-factor subset,
-    so only subsets of two or more factors are searched.
+    bound adds the factor exponents weighted by multiplicity.  Subset
+    exponents and dimensions are read off the joint's factor unions,
+    so nothing is searched; `reports[i]` is factor i's own report.
     """
     factors = joint.datum.factors
     r = len(factors)
@@ -304,24 +289,16 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     ns = [int(x) for x in multiplicities]
     if any(x < 1 for x in ns):
         raise ValueError("multiplicities must be positive")
-    by_factor: list[list[int]] = [[] for _ in range(r)]
-    for k, (fi, _) in enumerate(joint.column_labels):
-        by_factor[fi].append(k)
     genus_of = [len(f.phi) for f in factors]
 
     upper = sum((n * rep.alpha for n, rep in zip(ns, reports)), Fraction(0))
     lower = Fraction(0)
     question2 = Fraction(0)
-    for mask in range(1, 2 ** r):
+    for mask, (_, basis, ratio) in enumerate(_factor_unions(joint)[1:], start=1):
         subset = [i for i in range(r) if mask >> i & 1]
-        if len(subset) == 1:
-            ratio, full_dim = reports[subset[0]].alpha, reports[subset[0]].dim
-        else:
-            outcome = _search([joint.characters[k] for i in subset for k in by_factor[i]])
-            ratio, full_dim = outcome.ratio, outcome.full_dim
         lower = max(lower, min(ns[i] for i in subset) * ratio)
         dim_total = sum(ns[i] * genus_of[i] for i in subset)
-        question2 = max(question2, Fraction(2 * dim_total, full_dim))
+        question2 = max(question2, Fraction(2 * dim_total, basis.dim))
     if lower > upper:
         raise InvariantError("product envelope lower bound exceeds the upper")
     return ProductEnvelope(lower=lower, upper=upper, question2=question2)

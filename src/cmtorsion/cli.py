@@ -8,6 +8,7 @@ is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_DUPLICATE = 3
+
+# `enumerate` lists at most 2^ENUMERATE_LOG2_CAP raw CM types per involution;
+# a group of order n has 2^(n/2), so every order up to 24 passes.
+ENUMERATE_LOG2_CAP = 12
 
 
 def _fail(message: str, code: int) -> int:
@@ -111,11 +116,16 @@ def cmd_enumerate(args) -> int:
             if big % small:
                 return _fail("invariant factors must form a divisor chain",
                              EXIT_INVALID)
-        groups = [FiniteGroup.abelian(invariants)]
+        order = math.prod(invariants)
     else:
         if args.max_order < 2:
             return _fail("--max-order must be at least 2", EXIT_INVALID)
-        groups = builtin_groups(args.max_order)
+        order = args.max_order
+    if order // 2 > ENUMERATE_LOG2_CAP:
+        return _fail(f"a group of order {order} has 2^{order // 2} raw CM types per "
+                     f"involution, over the cap of 2^{ENUMERATE_LOG2_CAP}", EXIT_INVALID)
+    groups = ([FiniteGroup.abelian(invariants)] if args.abelian is not None
+              else builtin_groups(order))
 
     entries = []
     for group in groups:

@@ -23,16 +23,37 @@ class InvariantError(RuntimeError):
     """A computed value broke a proved invariant: a fault, not bad input."""
 
 
+def _greedy_generators(tab: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Each element not reached from the identity by right products with
+    the earlier generators becomes one."""
+    gens: list[int] = []
+    reached = {0}
+    for a in range(1, len(tab)):
+        if a in reached:
+            continue
+        gens.append(a)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for y in (tab[x][h] for h in gens):
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return tuple(gens)
+
+
 class FiniteGroup:
     """Immutable finite group given by its multiplication table.
 
     table[a][b] is the product a*b.  Validation checks that index 0 is
     a two-sided identity, that every element has an inverse and that
-    the operation is associative.
+    the operation is associative, by Light's test: (x*a)*y = x*(a*y)
+    for a in `generators` only, exact because the elements a passing it
+    are closed under products and the generators reach every element.
     """
 
-    __slots__ = ("table", "order", "inverses", "name", "abelian_invariants",
-                 "_element_tuples")
+    __slots__ = ("table", "order", "inverses", "generators", "name",
+                 "abelian_invariants", "_element_tuples")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "",
                  abelian_invariants: Optional[tuple[int, ...]] = None,
@@ -56,15 +77,16 @@ class FiniteGroup:
                     inverses[a] = b
         if any(v is None for v in inverses):
             raise ValueError("element without inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = tab[a][b]
-                for c in range(n):
-                    if tab[ab][c] != tab[a][tab[b][c]]:
-                        raise ValueError("operation is not associative")
+        generators = _greedy_generators(tab)
+        for a in generators:
+            a_row = tab[a]
+            for x_row in tab:
+                if tab[x_row[a]] != tuple(x_row[ay] for ay in a_row):
+                    raise ValueError("operation is not associative")
         self.table = tab
         self.order = n
         self.inverses = tuple(inverses)
+        self.generators = generators
         self.name = name or f"order{n}"
         self.abelian_invariants = abelian_invariants
         self._element_tuples = _element_tuples
@@ -324,24 +346,7 @@ def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """
     n = group.order
     orders = [group.element_order(a) for a in range(n)]
-    # greedy generating sequence
-    gens: list[int] = []
-    span = {0}
-    for a in range(1, n):
-        if a in span:
-            continue
-        gens.append(a)
-        frontier = [0]
-        span = {0}
-        while frontier:
-            x = frontier.pop()
-            for h in gens:
-                for y in (group.mul(x, h), group.mul(h, x)):
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
-        if len(span) == n:
-            break
+    gens = group.generators
 
     results = []
 

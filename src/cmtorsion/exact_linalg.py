@@ -45,7 +45,7 @@ class IntMatrix:
             width = 0 if cols is None else cols
         if cols is not None and rows and width != cols:
             raise ValueError("explicit column count disagrees with rows")
-        flat = tuple(int(x) for r in rows for x in r)
+        flat = tuple(x for r in rows for x in r)
         return cls(len(rows), width, flat)
 
     @classmethod

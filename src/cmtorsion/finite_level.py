@@ -81,8 +81,8 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
     """
     if not rows or len(rows) != len(moduli):
         raise ValueError("need matching nonempty rows and moduli")
-    if any(m < 1 for m in moduli):
-        raise ValueError("moduli must be positive")
+    if any(not isinstance(m, int) or m < 1 for m in moduli):
+        raise ValueError("moduli must be positive integers")
     k = len(rows)
     stacked = [list(r) + [moduli[i] if j == i else 0 for j in range(k)]
                for i, r in enumerate(rows)]

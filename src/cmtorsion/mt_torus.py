@@ -9,14 +9,11 @@ exponent, finite-level degrees) is computed from this integer matrix.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import IntMatrix, hermite_coordinates, integer_kernel, saturate
-
-log = logging.getLogger(__name__)
 
 
 class DuplicateCharactersError(Exception):
@@ -95,6 +92,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
 
     Raises ValueError for invalid data, DuplicateCharactersError when
     two columns coincide, and InvariantError when a sanity check fails.
+    The column sums and the equivariance are the hypotheses under which
+    `alpha_engine` reads the exponent off the factor unions.
     """
     problems = validate(datum)
     if problems:
@@ -113,13 +112,17 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         if tuple(a + b for a, b in zip(columns[k], columns[pk])) != weight:
             raise InvariantError("conjugate characters must sum to the weight")
 
-    if all(len(f.space.subgroup) == 1 for f in datum.factors):
-        half = n // 2
-        for j, col in enumerate(columns):
-            if sum(col) != half:
-                raise InvariantError(f"column {j} does not pair half the orbit")
-    else:
-        log.debug("column sum check skipped over proper coset factors")
+    # |phi| |H| = |G|/2 ones per column, whatever the subgroup H
+    for j, col in enumerate(columns):
+        if sum(col) != n // 2:
+            raise InvariantError(f"column {j} does not pair half the orbit")
+    # column (i, h.s) is column (i, s) read at row h^-1 g in row g
+    for h in datum.group.generators:
+        rows_from = [datum.group.mul(datum.group.inv(h), g) for g in range(n)]
+        for col, (fi, s) in zip(columns, labels):
+            moved = columns[pos[(fi, datum.factors[fi].space.act(h, s))]]
+            if moved != tuple(col[x] for x in rows_from):
+                raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
     # the saturation of the row lattice has the rank of the matrix
     cochar_basis, sat_rows = saturate(matrix)

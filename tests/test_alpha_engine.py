@@ -8,7 +8,7 @@ import pytest
 
 from cmtorsion.alpha_engine import (
     AlphaReport,
-    _search,
+    _factor_unions,
     abel_inequality_check,
     alpha_exact,
     alpha_oracle,
@@ -285,8 +285,8 @@ class TestPowerAndProduct:
             assert env.lower <= env.question2 <= env.upper
 
     def test_product_envelope_c8_pair(self):
-        # the benchmark's warm-up product; each one-factor subset reads
-        # its factor report, which must equal a search of its joint columns
+        # the benchmark's warm-up product; each one-factor union of the
+        # joint must carry its factor report's exponent and dimension
         group = FiniteGroup.abelian([8])
         space = CosetSpace(group, [0])
         factors = (CMType(space, frozenset([0, 1, 2, 3])),
@@ -294,11 +294,10 @@ class TestPowerAndProduct:
         joint = build_character_system(CMDatum(group, 4, factors))
         systems = [build_character_system(CMDatum(group, 4, (f,))) for f in factors]
         reports = [build_report(cs) for cs in systems]
-        for i, (cs, report) in enumerate(zip(systems, reports)):
-            cols = [col for col, (fi, _) in zip(joint.characters, joint.column_labels)
-                    if fi == i]
-            outcome = _search(cols)
-            assert (outcome.ratio, outcome.full_dim) == (report.alpha, report.dim)
+        unions = _factor_unions(joint)
+        for i, report in enumerate(reports):
+            n, basis, ratio = unions[1 << i]
+            assert (n, ratio, basis.dim) == (2 * report.genus, report.alpha, report.dim)
         env = product_envelope(reports, [1, 1], joint)
         assert env.lower == env.upper == env.question2 == Fraction(16, 5)
 

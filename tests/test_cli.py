@@ -1,6 +1,7 @@
 """End-to-end command checks through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -54,7 +55,7 @@ class TestAnalyze:
         assert out.read_bytes() == first
         doc = json.loads(first)
         assert doc["alpha"] == {"num": "4", "den": "3"}
-        assert doc["spans_visited"] == 4
+        assert doc["spans_visited"] == 1
 
     def test_duplicate_exit_code(self, tmp_path, capsys):
         p = tmp_path / "biquad.json"
@@ -158,6 +159,15 @@ class TestEnumerate:
         assert main(["enumerate", "--abelian", "4,6"]) == 2
         assert main(["enumerate", "--abelian", "x"]) == 2
         capsys.readouterr()
+
+    def test_refuses_too_many_types_before_building(self, capsys):
+        # order 64 would list 2^32 raw types per involution
+        start = time.perf_counter()
+        assert main(["enumerate", "--abelian", "64"]) == 2
+        assert main(["enumerate", "--abelian", "2,2,4,4"]) == 2
+        assert main(["enumerate", "--max-order", "26"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "2^32 raw CM types" in capsys.readouterr().err
 
     def test_json_listing(self, tmp_path, capsys):
         out = tmp_path / "types.json"

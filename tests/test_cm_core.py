@@ -1,5 +1,8 @@
 """Group, coset space and CM type layer."""
 
+import random
+import time
+
 import pytest
 
 from cmtorsion.cm_core import (
@@ -22,6 +25,64 @@ def trivial_type(group: FiniteGroup, phi) -> CMType:
 
 def datum(group: FiniteGroup, conj: int, *phis) -> CMDatum:
     return CMDatum(group, conj, tuple(trivial_type(group, p) for p in phis))
+
+
+def associative_reference(table) -> bool:
+    """The cubic associativity check that Light's test replaced."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+class TestLightAssociativity:
+    def test_agrees_with_cubic_check_on_perturbed_tables(self):
+        rng = random.Random(20261018)
+        verdicts = []
+        for base in (FiniteGroup.abelian([2, 4]), FiniteGroup.abelian([2, 2, 2]),
+                     FiniteGroup.abelian([12]), FiniteGroup.dihedral(4),
+                     FiniteGroup.dicyclic(3)):
+            n = base.order
+            for _ in range(40):
+                if rng.random() < 0.25:
+                    # relabel by a permutation fixing 0: a group again
+                    perm = [0] + rng.sample(range(1, n), n - 1)
+                    back = {p: i for i, p in enumerate(perm)}
+                    tab = [[perm[base.mul(back[a], back[b])] for b in range(n)]
+                           for a in range(n)]
+                else:
+                    # swap two entries of a row, keeping the identity and the
+                    # inverses in place, so only associativity can fail
+                    tab = [list(r) for r in base.table]
+                    a = rng.randrange(1, n)
+                    b, c = rng.sample([y for y in range(1, n) if tab[a][y]], 2)
+                    tab[a][b], tab[a][c] = tab[a][c], tab[a][b]
+                try:
+                    FiniteGroup(tab)
+                    accepted = True
+                except ValueError as e:
+                    assert str(e) == "operation is not associative"
+                    accepted = False
+                assert accepted == associative_reference(tab)
+                verdicts.append(accepted)
+        assert 20 <= sum(verdicts) <= len(verdicts) - 100
+
+    def test_generators_reach_every_element(self):
+        for g in (FiniteGroup.abelian([2, 2, 4]), FiniteGroup.dihedral(6),
+                  FiniteGroup.dicyclic(4), FiniteGroup.abelian([2])):
+            reached, frontier = {0}, [0]
+            while frontier:
+                x = frontier.pop()
+                for h in g.generators:
+                    if g.mul(x, h) not in reached:
+                        reached.add(g.mul(x, h))
+                        frontier.append(g.mul(x, h))
+            assert reached == set(range(g.order))
+
+    def test_order_512_table_checked_quickly(self):
+        table = FiniteGroup.abelian([8, 64]).table
+        start = time.perf_counter()
+        FiniteGroup(table)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestFiniteGroup:

@@ -176,45 +176,45 @@ class TestEncoding:
 # to a report byte, the witness or spans_visited shows up here.
 PINNED_REPORTS = {
     ("C2", 1, (0,)):
-        "894f349aa17e17dc18021584986b20ea1a7d8a0bc79576a24c06e4e532c3f3c8",
+        "7352e7c0cb1dc2960eefa0a70dd45c2f54f54a4824e52a385c1c5c75d7c7e6f5",
     ("C4", 2, (0, 1)):
-        "48a215a7b384ba62f10883724c0d079c2bef4b78c0efedea2c51739e5d51a603",
+        "b8dfa2a3bad98c511b6f60ca26a5b499972c3d34850a8f86b92abe29eaffcc3b",
     ("C6", 3, (0, 1, 2)):
-        "371dbfb485fe8ac4bfb422b750808a319b88b214286ebfb20a201086a2e16c19",
+        "5bb17a0910cc314c12b733596aa007639730e8cd1c9452a681163d032d9f60d8",
     ("C2xC2xC2", 1, (0, 2, 4, 7)):
-        "3c6ee1c48b852231c27df366a68bd05b89cdf0636fc63dcb21ce4851d78c901a",
+        "5c3b3b58424837270d306210bf673e442a5747ca2e6c2f745e5b80875298768f",
     ("C2xC2xC2", 2, (0, 1, 4, 7)):
-        "10679baa267b3dbe86fb43549557f8fff7344d3f408a9ce8cc5d0d9b715fc56f",
+        "635ad7bb431494d6b5b600e3608f90c41e7968f8fd32164ebd776b22b22dd102",
     ("C2xC2xC2", 3, (0, 1, 4, 6)):
-        "b223ca9cb6a769e47bb4c4afb2472ace2fe38fc841087d29e0dc3d98bb89ca6e",
+        "cc0f894103f76fd843cfe8b40a2eadf5c554f935deff47015fe759a9167cc8d6",
     ("C2xC2xC2", 4, (0, 1, 2, 7)):
-        "7ba8ee0e9e70f337c259ba6bc6c347461a8309c35672c0b55853b93885f56f27",
+        "2bc9e7bd740344a0fa0296ac1d728b062c1d25f614de3b56efbdb7bca09d0375",
     ("C2xC2xC2", 5, (0, 1, 2, 6)):
-        "a1ddab1b174a500e54ae06327f4171f432f8656394fd5aa6d09adf282a8376a2",
+        "d733f3cc8392682d6141ab858d7e16f7e5ec8e31352ad79e0f07cd60621582e4",
     ("C2xC2xC2", 6, (0, 1, 2, 5)):
-        "b58e998e307251ddc25e1c0d2ca68b77e2a564e28165f8f7b57a498ca4e214f6",
+        "4fbae5393826e4304a5b66deab6d8106c63b777300e1131264ee34aa7ee320c1",
     ("C2xC2xC2", 7, (0, 1, 2, 4)):
-        "51c606ee858f7c846f9121fc96f70ee2a448878e74aa966bcb505e5331d14ff3",
+        "f5505bfbf94581cf565a8fd8f657782b34d393a86231b938bb086affade6fb2c",
     ("C2xC4", 2, (0, 1, 4, 7)):
-        "35ce92c92b48d39f6d77334d79dba50a6c8c0a444d9fd6fc808bcf98aaa19f74",
+        "db80cbea8e7497f279463bf29f64aaae927c80f8b9c14850f62680a90e25c453",
     ("C2xC4", 4, (0, 1, 2, 7)):
-        "70c1c7607db07df6da12a4f0fce992f15328000575635bb5cec6643a2485ca0a",
+        "78a7279a1bac55ae207de8a6a0789bafd6899699f5a9ebc4cbb3181f79d7e435",
     ("C2xC4", 6, (0, 1, 2, 5)):
-        "e9210f82f106db8921a569fbbef1c8758302e26d98ad3acb528f31f70bc1e360",
+        "aa1cdc5db4adbbd6991280a8eafe1268d6b41ff1d5da7837dfc576ee2adfce23",
     ("C8", 4, (0, 1, 2, 3)):
-        "8a0119e2fabd94b2bce1baf7727ecb1809f240f0b1e41cfaaa595cb37abeaaad",
+        "b1f96f72b8074479178c836576b59690b8e8e7380f30d31ed7ec06381fbf2e7a",
     ("C8", 4, (0, 1, 3, 6)):
-        "c02a3a672d803570c6e654febb998ff22278e269b4e94c69cfc2336e06d46dcb",
+        "dd1e05f91a294e83b31697e44c81d6f320c555d50a3248d249ed85c8f24bfeac",
     ("C10", 5, (0, 1, 2, 3, 4)):
-        "699b8ce06739e2921eaa81708d91e7da68afc9ba269d21c222d47df773f29625",
+        "7eae577039d4d1229a9fb948d740f1f9c8a101fb25a5c0ee1e3dd8e13f1e13d7",
     ("C10", 5, (0, 1, 2, 4, 8)):
-        "f8c59291e4d347141f04646521179727838ec8afb607297f6e84a1c83bf1262a",
+        "0fb2e6953d46faca06df4b1189083b415a4d1876bd95ca8f55aa4b603f4a61e4",
     ("C10", 5, (0, 1, 3, 4, 7)):
-        "26f1c4b5f52c420f9e1d2bcb847a0d542159d31330dfb0505862862102131442",
+        "cac68ced3547a393f582f312bc9b83b6046707a710c035acc7f1e03c8694864e",
     ("Q8", 2, (0, 1, 4, 5)):
-        "0c54797c36b1580708a1358816fd2082c561d8140c78401510775286ca91dfac",
+        "d1a22c33306fc3ba4f278571411f96c8c816bedcfe2476288bbb5df5ca82de32",
     ("Q8", 2, (0, 1, 4, 7)):
-        "08e73d5197ba55ba6586460b08a988922ad67e29366a279b348104e8fa314142",
+        "33d7ed3b32f128d648f7b3ad8a5e77e19ac94ba62f78a3f5f8bb1985f082e8a8",
 }
 
 

@@ -195,6 +195,13 @@ CYCLE4 = IntMatrix.from_rows([
 ])
 
 
+class TestIntMatrix:
+    @pytest.mark.parametrize("rows", [[[1.0]], [[1, Fraction(2)]]])
+    def test_from_rows_refuses_non_integers(self, rows):
+        with pytest.raises(ValueError, match="non-integer"):
+            IntMatrix.from_rows(rows)
+
+
 class TestRank:
     def test_identity(self):
         assert rank(IntMatrix.identity(4)) == 4

@@ -309,6 +309,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 lattice_image_size([[1, 2], [3, 4]], [4, bad])
 
+    @pytest.mark.parametrize("rows, moduli", [([[2.5]], [4]), ([[2]], [4.0])])
+    def test_lattice_image_size_rejects_non_integers(self, rows, moduli):
+        # int() would truncate 2.5 to 2 and answer for [[2]]
+        with pytest.raises(ValueError):
+            lattice_image_size(rows, moduli)
+
 
 # ---------------------------------------------------------------------------
 # Differential tests against the bordered Smith-form computations

@@ -253,3 +253,36 @@ class TestInvariantError:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == (
             "InvariantError: row and column saturation indices must agree optimized")
+
+    def test_equivariance_checked_with_asserts_stripped(self):
+        # swap the columns of cosets 0, 1 and of their conjugates 2, 3:
+        # the pairing, weights and column sums still hold, but no longer
+        # does column (h.s) = column (s) with rows moved by h
+        script = textwrap.dedent("""
+            import cmtorsion.mt_torus as mt
+            from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
+            from cmtorsion.cm_core import InvariantError
+            from cmtorsion.exact_linalg import IntMatrix
+
+            real = mt._orbit_matrix
+
+            def swapped(datum):
+                labels, matrix, columns = real(datum)
+                columns = tuple(columns[j] for j in (1, 0, 3, 2))
+                rows = [[col[g] for col in columns] for g in range(matrix.rows)]
+                return labels, IntMatrix.from_rows(rows), columns
+
+            mt._orbit_matrix = swapped
+            t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
+            try:
+                mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
+            except InvariantError as e:
+                print("InvariantError:", e, "debug" if __debug__ else "optimized")
+            else:
+                print("built")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "InvariantError: the orbit matrix is not equivariant under element 1 optimized")

@@ -1,23 +1,35 @@
-"""The flat search against the search it replaced.
+"""The exponent engine against the flat search it replaced.
 
-`search_reference` is the earlier `alpha_engine._search`: it expands a
-span by inserting each outside character into its own copy, closes the
-result by testing every character for membership, and deduplicates by
-basis key.  The shipped search must agree with it on every field of the
-outcome, the witness basis and the visit count included.
+`_search` below is the earlier `alpha_engine._search`, verbatim: a
+branch-and-bound over the flats of the character matroid, pruned by the
+subspace counting bound n(W) <= 2^(dim W - 1), whose witness is the
+full span unless a flat beats it strictly.  `report_reference` builds a
+report from it as the earlier `build_report` did.  The factor-union
+engine must give the same report in every field but `spans_visited`,
+which counts the spans each engine forms, and the same product
+envelope.
 """
 
 import heapq
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
-from cmtorsion.alpha_engine import _search, _SearchOutcome
+from cmtorsion.alpha_engine import (
+    AlphaReport,
+    SubspaceWitness,
+    _shortcut_label,
+    build_report,
+    check_bounds,
+    product_envelope,
+    shortcut_alpha,
+)
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types
 from cmtorsion.documents import load_datum
 from cmtorsion.exact_linalg import IntSpanBasis
-from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system, classify
 from cmtorsion.verify import builtin_groups
 
 # A two-factor datum over C8, the smallest product the benchmark warms up on.
@@ -25,52 +37,73 @@ C8_PRODUCT = ('{"conj":4,"factors":[{"phi":[0,1,2,3]},{"phi":[0,1,3,6]}],'
               '"group":{"kind":"abelian","invariants":[8]}}')
 
 
-def _closure(columns: Sequence[tuple[int, ...]], basis: IntSpanBasis) -> tuple[int, ...]:
-    return tuple(i for i, col in enumerate(columns) if basis.contains(col))
+@dataclass(frozen=True)
+class _SearchOutcome:
+    ratio: Fraction
+    contained: tuple[int, ...]
+    dim: int
+    basis: IntSpanBasis
+    full_dim: int
+    counting_bound_ok: bool
+    spans_visited: int
 
 
-def search_reference(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
+def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
+    """Exact maximum of n(W)/dim W over spans of character subsets.
+
+    The maximum is attained on flats of the character matroid: spans
+    identified with the set of all characters inside them.  The flats
+    covering a flat F are the rank-1 flats of the contraction by F, one
+    per parallel class of the outside characters modulo span(F).  Each
+    flat is keyed by (dimension, index set) and formed once, when it is
+    popped, from the first parent that reached it.
+    Flats are visited in that key's order, which makes the reported
+    witness deterministic and pops every parent of a flat before it.
+    The whole-space candidate seeds the incumbent; only strict
+    improvements replace it, which keeps the full span as the witness
+    whenever it attains the maximum.  A flat is not expanded when no
+    larger dimension can beat the incumbent under the subspace counting
+    bound n(W) <= 2^(dim W - 1).
+    """
     m = len(columns)
     if m == 0:
         raise ValueError("no characters to search")
-    width = len(columns[0])
-
-    full = IntSpanBasis(width)
+    empty = IntSpanBasis(len(columns[0]))
+    full = empty.copy()
     for col in columns:
         full.insert(col)
     d = full.dim
-    all_indices = tuple(range(m))
     incumbent_ratio = Fraction(m, d)
-    incumbent = (d, all_indices, full)
+    incumbent = (d, tuple(range(m)), full)
     cor_ok = m <= 2 ** (d - 1) if d >= 1 else False
-
-    def future_cap(dim_from: int) -> Fraction:
-        best = Fraction(0)
-        for mp in range(dim_from, d + 1):
-            cap = min(m, 2 ** (mp - 1))
-            best = max(best, Fraction(cap, mp))
-        return best
+    # cap[k]: the best ratio the counting bound leaves to dimensions >= k
+    cap = [Fraction(0)] * (d + 2)
+    for k in range(d, 0, -1):
+        cap[k] = max(cap[k + 1], Fraction(min(m, 2 ** (k - 1)), k))
 
     heap: list[tuple[int, tuple[int, ...]]] = []
-    seen_keys = set()
-    by_handle: dict[tuple[int, tuple[int, ...]], IntSpanBasis] = {}
-    for i in range(m):
-        basis = IntSpanBasis(width)
-        basis.insert(columns[i])
-        key = basis.key()
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        contained = _closure(columns, basis)
-        handle = (basis.dim, contained)
-        if handle not in by_handle:
-            by_handle[handle] = basis
-            heapq.heappush(heap, handle)
+    pending: dict[tuple[int, tuple[int, ...]], tuple[IntSpanBasis, tuple[int, ...]]] = {}
 
+    def expand(parent: IntSpanBasis, contained: tuple[int, ...]):
+        # one child per parallel class of the outside columns modulo the span
+        inside = set(contained)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for j, col in enumerate(columns):
+            if j not in inside:
+                classes.setdefault(parent.direction(col), []).append(j)
+        for direction, members in classes.items():
+            handle = (parent.dim + 1, tuple(sorted(contained + tuple(members))))
+            if handle not in pending:
+                pending[handle] = (parent, direction)
+                heapq.heappush(heap, handle)
+
+    expand(empty, ())
     visited = 0
     while heap:
-        dim, contained = heapq.heappop(heap)
-        basis = by_handle.pop((dim, contained))
+        dim, contained = handle = heapq.heappop(heap)
+        parent, direction = pending.pop(handle)
+        basis = parent.copy()
+        basis.insert(direction)
         visited += 1
         n = len(contained)
         if n > 2 ** (dim - 1):
@@ -79,25 +112,8 @@ def search_reference(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
         if ratio > incumbent_ratio:
             incumbent_ratio = ratio
             incumbent = (dim, contained, basis)
-        if dim >= d:
-            continue
-        if future_cap(dim + 1) <= incumbent_ratio:
-            continue
-        inside = set(contained)
-        for j in range(m):
-            if j in inside:
-                continue
-            child = basis.copy()
-            child.insert(columns[j])
-            key = child.key()
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            child_contained = _closure(columns, child)
-            handle = (child.dim, child_contained)
-            if handle not in by_handle:
-                by_handle[handle] = child
-                heapq.heappush(heap, handle)
+        if dim < d and cap[dim + 1] > incumbent_ratio:
+            expand(basis, contained)
 
     dim, contained, basis = incumbent
     return _SearchOutcome(
@@ -111,9 +127,55 @@ def search_reference(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
     )
 
 
-def _fields(outcome: _SearchOutcome) -> tuple:
-    return (outcome.ratio, outcome.contained, outcome.dim, outcome.basis.key(),
-            outcome.full_dim, outcome.counting_bound_ok, outcome.spans_visited)
+def report_reference(cs) -> AlphaReport:
+    outcome = _search(cs.characters)
+    cls = classify(cs)
+    report = AlphaReport(
+        alpha=outcome.ratio,
+        gamma=outcome.ratio,
+        witness=SubspaceWitness(
+            basis=outcome.basis.key(),
+            generating_indices=outcome.contained,
+            n=len(outcome.contained),
+            dim=outcome.dim,
+            ratio=outcome.ratio,
+        ),
+        genus=cs.genus,
+        dim=cs.dim,
+        defect=cls.defect,
+        bound_checks={"subspace_counting_bound": outcome.counting_bound_ok},
+        spans_visited=outcome.spans_visited,
+    )
+    shortcut = shortcut_alpha(cls, cs)
+    if shortcut is not None:
+        assert shortcut == report.alpha
+        report = replace(report, shortcut_used=_shortcut_label(cls))
+    return check_bounds(report, cs)
+
+
+def envelope_reference(reports, joint):
+    # lower and question2 of the earlier envelope, one search per subset
+    r = len(reports)
+    lower = question2 = Fraction(0)
+    for mask in range(1, 2 ** r):
+        subset = [i for i in range(r) if mask >> i & 1]
+        outcome = _search([col for col, (fi, _) in zip(joint.characters, joint.column_labels)
+                           if fi in subset])
+        lower = max(lower, outcome.ratio)
+        genus = sum(len(joint.datum.factors[i].phi) for i in subset)
+        question2 = max(question2, Fraction(2 * genus, outcome.full_dim))
+    return lower, question2
+
+
+def span_of(columns) -> IntSpanBasis:
+    basis = IntSpanBasis(len(columns[0]))
+    for col in columns:
+        basis.insert(col)
+    return basis
+
+
+def _without_visits(report: AlphaReport) -> AlphaReport:
+    return replace(report, spans_visited=0)
 
 
 def catalogue_systems(max_order: int):
@@ -134,20 +196,60 @@ def quadratic_pair():
     return build_character_system(CMDatum(group, 3, (f1, f2)))
 
 
+def fallback_joint():
+    # a genus-8 defect-2 factor (alpha 16/7) times a genus-1 factor over
+    # an index-2 subgroup: the whole set has ratio 18/8 < 16/7, so the
+    # witness comes from the flat search
+    group = FiniteGroup.abelian([2, 2, 4])
+    f1 = CMType(CosetSpace(group, [0]), frozenset([0, 1, 2, 3, 4, 5, 14, 15]))
+    f2 = CMType(CosetSpace(group, [0, 2, 4, 6, 9, 11, 13, 15]), frozenset([0]))
+    return build_character_system(CMDatum(group, 8, (f1, f2)))
+
+
 class TestAgainstReference:
     def test_catalogue_up_to_order_12(self):
         count = 0
         for cs in catalogue_systems(12):
-            assert _fields(_search(cs.characters)) == \
-                _fields(search_reference(cs.characters)), cs.datum
+            report = build_report(cs)
+            assert _without_visits(report) == _without_visits(report_reference(cs)), cs.datum
+            assert report.spans_visited == 1
             count += 1
         assert count == 44
 
-    @pytest.mark.parametrize("make", [
-        quadratic_pair,
-        lambda: build_character_system(load_datum(C8_PRODUCT)),
-    ], ids=["C2xC2", "C8"])
-    def test_two_factor_joints(self, make):
-        cs = make()
-        assert len(cs.datum.factors) == 2
-        assert _fields(_search(cs.characters)) == _fields(search_reference(cs.characters))
+    @pytest.mark.parametrize("make, full", [
+        (quadratic_pair, True),
+        (lambda: build_character_system(load_datum(C8_PRODUCT)), True),
+        (fallback_joint, False),
+    ], ids=["C2xC2", "C8", "fallback"])
+    def test_two_factor_joints(self, make, full):
+        joint = make()
+        factors = joint.datum.factors
+        assert len(factors) == 2
+        report = build_report(joint)
+        assert _without_visits(report) == _without_visits(report_reference(joint))
+        # three factor unions, plus the flats the fallback forms
+        assert (report.witness.generating_indices == tuple(range(2 * joint.genus))) == full
+        assert (report.spans_visited == 3) == full
+        reports = [build_report(build_character_system(CMDatum(joint.datum.group,
+                                                                joint.datum.conj, (f,))))
+                   for f in factors]
+        env = product_envelope(reports, [1, 1], joint)
+        assert (env.lower, env.question2) == envelope_reference(reports, joint)
+
+
+class TestSingleFactorTheorem:
+    def test_alpha_is_2g_over_d_up_to_order_16(self):
+        # one factor: G acts transitively on the characters, so the
+        # full span is densest and the witness
+        count = 0
+        for cs in catalogue_systems(16):
+            report = build_report(cs)
+            assert report.alpha == Fraction(2 * cs.genus, cs.dim), cs.datum
+            w = report.witness
+            assert w.generating_indices == tuple(range(2 * cs.genus))
+            assert (w.n, w.dim, w.ratio) == (2 * cs.genus, cs.dim, report.alpha)
+            assert w.basis == span_of(cs.characters).key()
+            assert report.bound_checks["subspace_counting_bound"]
+            assert report.spans_visited == 1
+            count += 1
+        assert count == 381

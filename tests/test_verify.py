@@ -43,3 +43,10 @@ class TestSweep:
         # prime genus occurs twice below order 9: the quartic and the
         # sextic cyclic data, both primitive, both forced nondegenerate
         assert s.checks["prime_genus_nondegenerate"] == 2
+
+    def test_order_16_summary(self):
+        s = run_verify(16)
+        assert s.class_reps_checked == 381
+        assert s.translates_checked == 5435
+        assert s.duplicates_skipped == 2898
+        assert s.failures == []
