@@ -24,6 +24,14 @@ from .mt_torus import CharacterSystem, Classification, check_mod2_distinct, clas
 
 # Largest character count the brute-force oracle accepts.
 ORACLE_CAP = 12
+# Flats the witness search may form before it gives up: ten times the
+# 6508 of the largest fallback known (an order-16 joint of 18 characters).
+FLAT_BUDGET = 2 ** 16
+
+
+class FlatBudgetError(ValueError):
+    """The witness search formed `FLAT_BUDGET` flats without attaining
+    the exponent: the datum is too large for the fallback."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,7 @@ def _first_flat_attaining(columns: Sequence[tuple[int, ...]],
     by F, one per parallel class of the outside characters modulo
     span(F).  Each flat is formed once, when popped, from the first
     parent that reached it; key order pops every parent before it.
+    Raises FlatBudgetError once `FLAT_BUDGET` flats are formed.
     """
     empty = IntSpanBasis(len(columns[0]))
     heap: list[tuple[int, tuple[int, ...]]] = []
@@ -118,6 +127,10 @@ def _first_flat_attaining(columns: Sequence[tuple[int, ...]],
         formed += 1
         if Fraction(len(contained), dim) == alpha:
             return contained, basis, formed
+        if formed == FLAT_BUDGET:
+            raise FlatBudgetError(
+                f"the witness search formed {formed} flats without attaining "
+                f"the exponent {alpha}")
         expand(basis, contained)
     raise InvariantError("no flat attains the exponent")
 

@@ -13,8 +13,11 @@ coordinates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
 from typing import Optional, Sequence
+
+from .cm_core import InvariantError
 
 
 @dataclass(frozen=True)
@@ -30,13 +33,13 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise ValueError("integer matrix with non-integer entry")
+        # isinstance(e, int) per entry, asked once per distinct type
+        if not all(issubclass(t, int) for t in set(map(type, self.entries))):
+            raise ValueError("integer matrix with non-integer entry")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        rows = list(rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -45,8 +48,7 @@ class IntMatrix:
             width = 0 if cols is None else cols
         if cols is not None and rows and width != cols:
             raise ValueError("explicit column count disagrees with rows")
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -64,7 +66,8 @@ class IntMatrix:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        e, c = self.entries, self.cols
+        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -205,8 +208,9 @@ def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
     nr, nc = m.rows, m.cols
     a = m.row_lists()
     if transforms:
-        a = ([row + [int(i == j) for j in range(nr)] for i, row in enumerate(a)]
-             + [[int(i == j) for j in range(nc)] + [0] * nr for i in range(nc)])
+        for i, row in enumerate(a):
+            row.extend(int(i == j) for j in range(nr))
+        a.extend([int(i == j) for j in range(nc)] + [0] * nr for i in range(nc))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -373,44 +377,81 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
         [snf.right.column(j) for j in range(len(snf.diag), m.cols)], cols=m.cols))
 
 
+def saturated_basis(products: Sequence[Sequence[int]], diag: Sequence[int],
+                    width: int) -> IntMatrix:
+    """Hermite basis of the lattice spanned by products[i] / diag[i].
+
+    For a Smith form left @ m @ right = diag, row i of left @ m is d_i
+    times row i of the unimodular right^-1, and column i of m @ right is
+    d_i times column i of the unimodular left^-1; for i below the rank
+    these quotients span the saturated row (column) lattice of `m`.
+    Every division must be exact: a remainder means the Smith form is
+    wrong and raises InvariantError.
+    """
+    rows = []
+    for i, (vec, d) in enumerate(zip(products, diag)):
+        if d == 1:
+            rows.append(vec)
+            continue
+        row = []
+        for x in vec:
+            q, rem = divmod(x, d)
+            if rem:
+                raise InvariantError(
+                    f"Smith product {i} is not divisible by its divisor {d}")
+            row.append(q)
+        rows.append(row)
+    return hermite_normal_form(IntMatrix.from_rows(rows, cols=width))
+
+
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Saturation of the row lattice: (rational row span) meet Z^cols.
 
     Returns the Hermite basis of the saturation together with the index
     of the input lattice inside it, which equals the product of the
     nonzero elementary divisors of the input matrix.  Both come from one
-    Smith form: left @ m = diag @ right^-1, so row i of left @ m is d_i
-    times row i of the unimodular right^-1, and those first rank-many
-    rows of right^-1 span the saturation.
+    Smith form, through `saturated_basis` on the rows of left @ m.
     """
     snf = smith_normal_form(m)
     cols = list(zip(*m.row_lists()))
-    sat = IntMatrix.from_rows(
-        [[sum(a * b for a, b in zip(snf.left.row(i), col)) // d for col in cols]
-         for i, d in enumerate(snf.diag)], cols=m.cols)
-    return hermite_normal_form(sat), prod(snf.diag)
+    products = [[sum(a * b for a, b in zip(snf.left.row(i), col)) for col in cols]
+                for i in range(len(snf.diag))]
+    return saturated_basis(products, snf.diag, m.cols), prod(snf.diag)
+
+
+def lattice_coordinates(basis: IntMatrix,
+                        vectors: Sequence[Sequence[int]]) -> list[Optional[list[int]]]:
+    """For each vector, integer x with x @ basis = vector, or None outside.
+
+    `basis` must be in row echelon form with nonzero pivots, as
+    `hermite_normal_form` returns it; its pivots are found once.  The
+    coordinates are read off by back-substitution in pivot order, one
+    exact division per row; a vector of the rational span with
+    non-integral coordinates also gives None.
+    """
+    rows = [basis.row(i) for i in range(basis.rows)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    out: list[Optional[list[int]]] = []
+    for vector in vectors:
+        if len(vector) != basis.cols:
+            raise ValueError("vector width mismatch")
+        v = list(vector)
+        coords: Optional[list[int]] = []
+        for p, row in zip(pivots, rows):
+            q, rem = divmod(v[p], row[p])
+            if rem:
+                coords = None
+                break
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+            coords.append(q)
+        out.append(None if coords is None or any(v) else coords)
+    return out
 
 
 def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[int]]:
     """Integer x with x @ basis = vector; None when the vector is outside.
 
-    `basis` must be in row echelon form with nonzero pivots, as
-    `hermite_normal_form` returns it.  The coordinates are read off by
-    back-substitution in pivot order, one exact division per row; a
-    vector of the rational span with non-integral coordinates also
-    gives None.
+    One vector of `lattice_coordinates`.
     """
-    if len(vector) != basis.cols:
-        raise ValueError("vector width mismatch")
-    v = list(vector)
-    coords = []
-    for i in range(basis.rows):
-        row = basis.row(i)
-        p = next(j for j, x in enumerate(row) if x)
-        q, rem = divmod(v[p], row[p])
-        if rem:
-            return None
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-        coords.append(q)
-    return None if any(v) else coords
+    return lattice_coordinates(basis, [vector])[0]

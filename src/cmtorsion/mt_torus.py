@@ -5,15 +5,29 @@ group orbit of the distinguished cocharacter: row g, column (factor,
 coset s) holds 1 exactly when s lies in g translated across the
 factor's chosen half.  Everything downstream (rank, defect, optimal
 exponent, finite-level degrees) is computed from this integer matrix.
+The build runs one Smith elimination L M R = D of it (Cohen, A Course
+in Computational Algebraic Number Theory, 2.4.4): D gives the rank and
+the saturation index, the rows of L M divided by the divisors span the
+saturated cocharacter lattice, and the columns of M R divided by them
+the saturated character lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import prod
 from typing import Optional, Sequence
 
 from .cm_core import CMDatum, InvariantError, validate
-from .exact_linalg import IntMatrix, hermite_coordinates, integer_kernel, saturate
+from .exact_linalg import (
+    IntMatrix,
+    integer_kernel,
+    lattice_coordinates,
+    saturate,
+    saturated_basis,
+    smith_normal_form,
+)
 
 
 class DuplicateCharactersError(Exception):
@@ -59,31 +73,37 @@ class Classification:
 def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
     """Column labels, orbit matrix and its columns (the characters).
 
-    Raises DuplicateCharactersError when two columns coincide.
+    Row g marks the translated halves g.phi_i: column (i, s) holds 1
+    exactly when g^-1 s lies in phi_i.  Raises DuplicateCharactersError
+    for the first pair i < j of equal columns.
     """
     group = datum.group
     labels = []
+    offsets = []
     for fi, factor in enumerate(datum.factors):
         # phi and its conjugate partition the cosets, so the columns of
         # a factor are indexed by the whole coset space
-        for s in range(factor.space.size):
-            labels.append((fi, s))
+        offsets.append(len(labels))
+        labels.extend((fi, s) for s in range(factor.space.size))
     two_g = len(labels)
     rows = []
     for g in range(group.order):
-        ginv = group.inv(g)
-        row = []
-        for fi, s in labels:
-            factor = datum.factors[fi]
-            row.append(1 if factor.space.act(ginv, s) in factor.phi else 0)
+        row = [0] * two_g
+        for off, factor in zip(offsets, datum.factors):
+            for t in factor.phi:
+                row[off + factor.space.act(g, t)] = 1
         rows.append(row)
     matrix = IntMatrix.from_rows(rows, cols=two_g)
 
-    columns = tuple(matrix.column(j) for j in range(two_g))
-    for i in range(two_g):
-        for j in range(i + 1, two_g):
-            if columns[i] == columns[j]:
-                raise DuplicateCharactersError(i, j)
+    columns = tuple(zip(*rows))
+    copies: dict[tuple[int, ...], list[int]] = {}
+    for j, col in enumerate(columns):
+        copies.setdefault(col, []).append(j)
+    # classes in order of their first column: the first repeated one
+    # holds the pair (i, j) with i, then j, least
+    repeated = next((js for js in copies.values() if len(js) > 1), None)
+    if repeated:
+        raise DuplicateCharactersError(repeated[0], repeated[1])
     return tuple(labels), matrix, columns
 
 
@@ -121,22 +141,27 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         rows_from = [datum.group.mul(datum.group.inv(h), g) for g in range(n)]
         for col, (fi, s) in zip(columns, labels):
             moved = columns[pos[(fi, datum.factors[fi].space.act(h, s))]]
-            if moved != tuple(col[x] for x in rows_from):
+            if moved != tuple(map(col.__getitem__, rows_from)):
                 raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
-    # the saturation of the row lattice has the rank of the matrix
-    cochar_basis, sat_rows = saturate(matrix)
-    d = cochar_basis.rows
+    # one Smith form left @ M @ right = D gives both saturations; the
+    # products with the 0/1 matrix M are sums over its supports
+    snf = smith_normal_form(matrix)
+    d = len(snf.diag)
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
-
-    col_matrix = IntMatrix.from_rows(columns, cols=n)
-    char_lattice, sat_cols = saturate(col_matrix)
-    if sat_rows != sat_cols:
-        raise InvariantError("row and column saturation indices must agree")
+    col_supports = [list(compress(range(n), col)) for col in columns]
+    row_supports = [list(compress(range(len(labels)), matrix.row(g))) for g in range(n)]
+    left_rows = [snf.left.row(i) for i in range(d)]
+    right_cols = [snf.right.column(i) for i in range(d)]
+    cochar_basis = saturated_basis(
+        [[sum(map(li.__getitem__, supp)) for supp in col_supports] for li in left_rows],
+        snf.diag, len(labels))
+    char_lattice = saturated_basis(
+        [[sum(map(ri.__getitem__, supp)) for supp in row_supports] for ri in right_cols],
+        snf.diag, n)
     coords = []
-    for col in columns:
-        sol = hermite_coordinates(char_lattice, col)
+    for sol in lattice_coordinates(char_lattice, columns):
         if sol is None:
             raise InvariantError("a character lies outside the character lattice")
         coords.append(tuple(sol))
@@ -153,7 +178,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         cochar_basis=cochar_basis,
         char_lattice=char_lattice,
         char_coords=tuple(coords),
-        saturation_index=sat_rows,
+        saturation_index=prod(snf.diag),
     )
 
 

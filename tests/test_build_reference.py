@@ -1,0 +1,194 @@
+"""The one-Smith-form build against the two-saturation build it replaced.
+
+`_orbit_matrix_reference` and `saturation_reference` below are the
+earlier orbit matrix and saturation step of `build_character_system`,
+verbatim, with the earlier `saturate` and `hermite_coordinates`: one
+Smith form of the orbit matrix for the cocharacter lattice, a second
+one of its transpose for the character lattice, and one back-substitution
+per character.  The build must give the same orbit matrix, characters,
+rank, lattices, coordinates and saturation index, and name the same
+pair of duplicate characters.
+"""
+
+from itertools import product
+from math import prod
+from typing import Optional, Sequence
+
+import pytest
+
+import cmtorsion.exact_linalg as el
+from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, InvariantError, enumerate_types
+from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.verify import builtin_groups
+
+
+def _orbit_matrix_reference(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
+    group = datum.group
+    labels = []
+    for fi, factor in enumerate(datum.factors):
+        # phi and its conjugate partition the cosets, so the columns of
+        # a factor are indexed by the whole coset space
+        for s in range(factor.space.size):
+            labels.append((fi, s))
+    two_g = len(labels)
+    rows = []
+    for g in range(group.order):
+        ginv = group.inv(g)
+        row = []
+        for fi, s in labels:
+            factor = datum.factors[fi]
+            row.append(1 if factor.space.act(ginv, s) in factor.phi else 0)
+        rows.append(row)
+    matrix = IntMatrix.from_rows(rows, cols=two_g)
+
+    columns = tuple(matrix.column(j) for j in range(two_g))
+    for i in range(two_g):
+        for j in range(i + 1, two_g):
+            if columns[i] == columns[j]:
+                raise DuplicateCharactersError(i, j)
+    return tuple(labels), matrix, columns
+
+
+def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
+    snf = smith_normal_form(m)
+    cols = list(zip(*m.row_lists()))
+    sat = IntMatrix.from_rows(
+        [[sum(a * b for a, b in zip(snf.left.row(i), col)) // d for col in cols]
+         for i, d in enumerate(snf.diag)], cols=m.cols)
+    return hermite_normal_form(sat), prod(snf.diag)
+
+
+def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[int]]:
+    if len(vector) != basis.cols:
+        raise ValueError("vector width mismatch")
+    v = list(vector)
+    coords = []
+    for i in range(basis.rows):
+        row = basis.row(i)
+        p = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[p], row[p])
+        if rem:
+            return None
+        if q:
+            v = [x - q * y for x, y in zip(v, row)]
+        coords.append(q)
+    return None if any(v) else coords
+
+
+def saturation_reference(matrix: IntMatrix, columns: tuple, genus: int, n: int):
+    # the saturation of the row lattice has the rank of the matrix
+    cochar_basis, sat_rows = saturate(matrix)
+    d = cochar_basis.rows
+    if not 2 <= d <= genus + 1:
+        raise InvariantError("torus rank out of the admissible range")
+
+    col_matrix = IntMatrix.from_rows(columns, cols=n)
+    char_lattice, sat_cols = saturate(col_matrix)
+    if sat_rows != sat_cols:
+        raise InvariantError("row and column saturation indices must agree")
+    coords = []
+    for col in columns:
+        sol = hermite_coordinates(char_lattice, col)
+        if sol is None:
+            raise InvariantError("a character lies outside the character lattice")
+        coords.append(tuple(sol))
+    return d, cochar_basis, char_lattice, tuple(coords), sat_rows
+
+
+def build_reference(datum: CMDatum) -> dict:
+    labels, matrix, columns = _orbit_matrix_reference(datum)
+    d, cochar_basis, char_lattice, coords, index = saturation_reference(
+        matrix, columns, len(labels) // 2, datum.group.order)
+    return {"orbit_matrix": matrix, "characters": columns, "dim": d,
+            "cochar_basis": cochar_basis,
+            "char_lattice": char_lattice, "char_coords": coords,
+            "saturation_index": index}
+
+
+def outcome(build, datum: CMDatum):
+    """The compared fields of a build, or the duplicate pair it names."""
+    try:
+        out = build(datum)
+    except DuplicateCharactersError as e:
+        return ("duplicate", e.indices)
+    if isinstance(out, dict):
+        return out
+    return {key: getattr(out, key) for key in (
+        "orbit_matrix", "characters", "dim", "cochar_basis", "char_lattice", "char_coords",
+        "saturation_index")}
+
+
+def single_factor_data(max_order: int):
+    """One datum per single-factor translation class, duplicates included."""
+    for group in builtin_groups(max_order):
+        for conj in group.central_involutions():
+            for t in enumerate_types(group, conj, up_to_translation=True):
+                yield CMDatum(group, conj, (t,))
+
+
+def two_factor_data(max_order: int):
+    """Every pair t1 <= t2 of translation-class representatives."""
+    for group in builtin_groups(max_order):
+        for conj in group.central_involutions():
+            types = list(enumerate_types(group, conj, up_to_translation=True))
+            for i, t1 in enumerate(types):
+                for t2 in types[i:]:
+                    yield CMDatum(group, conj, (t1, t2))
+
+
+def subgroup_joint_data(max_order: int):
+    """Every class representative times every CM type over a subgroup
+    {0, h} of order 2, h not the conjugation."""
+    for group in builtin_groups(max_order):
+        for conj in group.central_involutions():
+            halves = []
+            for h in range(1, group.order):
+                if h == conj or group.mul(h, h) != 0:
+                    continue
+                space = CosetSpace(group, [0, h])
+                pairs = sorted({tuple(sorted((c, space.act(conj, c))))
+                                for c in range(space.size)})
+                halves += [CMType(space, frozenset(p)) for p in product(*pairs)]
+            for t1 in enumerate_types(group, conj, up_to_translation=True):
+                for t2 in halves:
+                    yield CMDatum(group, conj, (t1, t2))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("data, systems, duplicates", [
+        (lambda: single_factor_data(16), 914, 533),
+        (lambda: two_factor_data(12), 376, 332),
+        (lambda: subgroup_joint_data(12), 1880, 1648),
+    ], ids=["single-factor-order-16", "two-factor-order-12", "subgroup-joints-order-12"])
+    def test_every_field_matches(self, data, systems, duplicates):
+        count = dup = 0
+        for datum in data():
+            got = outcome(build_character_system, datum)
+            assert got == outcome(build_reference, datum), datum
+            count += 1
+            dup += isinstance(got, tuple)
+        assert (count, dup) == (systems, duplicates)
+
+
+class TestOneElimination:
+    def test_build_runs_one_smith_elimination(self, monkeypatch):
+        calls = []
+        real = el._smith
+
+        def counting(m, *args, **kwargs):
+            calls.append((m.rows, m.cols))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(el, "_smith", counting)
+        built = 0
+        for datum in subgroup_joint_data(8):
+            calls.clear()
+            try:
+                cs = build_character_system(datum)
+            except DuplicateCharactersError:
+                assert calls == []
+                continue
+            assert calls == [(cs.orbit_matrix.rows, cs.orbit_matrix.cols)]
+            built += 1
+        assert built > 10

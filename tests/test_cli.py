@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import cmtorsion.alpha_engine as alpha_engine
 from cmtorsion.cli import main
 
 QUARTIC = """\
@@ -20,6 +21,17 @@ BIQUADRATIC = """\
   "group": {"kind": "abelian", "invariants": [2, 2]},
   "conj": 3,
   "factors": [{"phi": [0, 2]}]
+}
+"""
+
+# the fallback joint of tests/test_search_reference.py: its witness comes
+# from the flat search, which forms 6508 flats
+FALLBACK = """\
+{
+  "group": {"kind": "abelian", "invariants": [2, 2, 4]},
+  "conj": 8,
+  "factors": [{"phi": [0, 1, 2, 3, 4, 5, 14, 15]},
+              {"subgroup": [0, 2, 4, 6, 9, 11, 13, 15], "phi": [0]}]
 }
 """
 
@@ -56,6 +68,19 @@ class TestAnalyze:
         doc = json.loads(first)
         assert doc["alpha"] == {"num": "4", "den": "3"}
         assert doc["spans_visited"] == 1
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["simulate", "--ell", "3"]], ids=["analyze", "simulate"])
+    def test_flat_budget_exit_code(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(alpha_engine, "FLAT_BUDGET", 100)
+        p = tmp_path / "fallback.json"
+        p.write_text(FALLBACK, encoding="utf-8")
+        assert main([command[0], str(p)] + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the witness search formed 100 flats without attaining "
+            "the exponent 16/7\n")
 
     def test_duplicate_exit_code(self, tmp_path, capsys):
         p = tmp_path / "biquad.json"

@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 import pytest
 
-from cmtorsion.cm_core import CMDatum, enumerate_types
+from cmtorsion.cm_core import CMDatum, InvariantError, enumerate_types
 from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
@@ -23,8 +23,10 @@ from cmtorsion.exact_linalg import (
     hermite_coordinates,
     hermite_normal_form,
     integer_kernel,
+    lattice_coordinates,
     rank,
     saturate,
+    saturated_basis,
     smith_normal_form,
 )
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
@@ -514,6 +516,27 @@ class TestSaturate:
             assert idx == 1
 
 
+    def test_column_side_from_the_same_smith_form(self):
+        # columns of m @ right over the divisors span the saturated column
+        # lattice: the saturation of the rows of the transpose
+        rng = random.Random(2718)
+        for _ in range(30):
+            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+            m = IntMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)], cols=nc)
+            snf = smith_normal_form(m)
+            products = [[sum(m.row(g)[j] * snf.right.column(i)[j] for j in range(nc))
+                         for g in range(nr)] for i in range(len(snf.diag))]
+            transpose = IntMatrix.from_rows([m.column(j) for j in range(nc)], cols=nr)
+            assert saturated_basis(products, snf.diag, nr) == saturate(transpose)[0]
+
+    def test_inexact_quotient_raises(self):
+        # (2, 2) / 4 leaves a remainder: the divisors do not fit the products
+        assert saturated_basis([[2, 2]], [2], 2).row_lists() == [[1, 1]]
+        with pytest.raises(InvariantError, match="product 0 is not divisible by its divisor 4"):
+            saturated_basis([[2, 2]], [4], 2)
+
+
 class TestIntSpanBasis:
     def test_matches_canonical_span(self):
         rng = random.Random(909)
@@ -616,6 +639,13 @@ class TestHermiteCoordinates:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             hermite_coordinates(IntMatrix.identity(2), [1, 2, 3])
+
+    def test_batch_matches_single(self):
+        basis = hermite_normal_form(IntMatrix.from_rows([[2, 2, 0], [0, 4, 2]]))
+        vectors = [[2, 2, 0], [1, 1, 0], [2, 6, 2], [0, 0, 1], [0, 0, 0]]
+        assert lattice_coordinates(basis, vectors) == [
+            hermite_coordinates(basis, v) for v in vectors]
+        assert lattice_coordinates(basis, vectors) == [[1, 0], None, [1, 1], None, [0, 0]]
 
     def test_against_reference_randomized(self):
         rng = random.Random(4242)

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+import cmtorsion.mt_torus as mt
 from cmtorsion.cm_core import (
     CMDatum,
     CMType,
@@ -16,7 +17,7 @@ from cmtorsion.cm_core import (
     enumerate_types,
     is_primitive,
 )
-from cmtorsion.exact_linalg import IntMatrix, integer_kernel, rank
+from cmtorsion.exact_linalg import IntMatrix, SmithForm, integer_kernel, rank
 from cmtorsion.mt_torus import (
     DuplicateCharactersError,
     build_character_system,
@@ -226,20 +227,22 @@ class TestInvariantError:
         assert not issubclass(InvariantError, ValueError)
 
     def test_raised_with_asserts_stripped(self):
+        # double the first divisor of the build's one Smith form: row 0
+        # of left @ M is 1 times a row of the unimodular right^-1, which
+        # is primitive, so its division by 2 leaves a remainder
         script = textwrap.dedent("""
             import cmtorsion.mt_torus as mt
             from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
             from cmtorsion.cm_core import InvariantError
+            from cmtorsion.exact_linalg import SmithForm
 
-            real = mt.saturate
-            calls = []
+            real = mt.smith_normal_form
 
-            def mismatched(m):
-                basis, index = real(m)
-                calls.append(m)
-                return basis, index + len(calls) - 1
+            def doubled(m):
+                snf = real(m)
+                return SmithForm((2 * snf.diag[0],) + snf.diag[1:], snf.left, snf.right)
 
-            mt.saturate = mismatched
+            mt.smith_normal_form = doubled
             t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
             try:
                 mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
@@ -252,7 +255,25 @@ class TestInvariantError:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == (
-            "InvariantError: row and column saturation indices must agree optimized")
+            "InvariantError: Smith product 0 is not divisible by its divisor 2 optimized")
+
+    def test_inexact_column_quotient_raises(self, monkeypatch):
+        # divisors (1, 1, 1, 1, 2): with columns 3 and 4 of `right`
+        # swapped, column 4 of M @ right is the primitive column 3 of
+        # left^-1, not divisible by 2, while left @ M is untouched
+        real = mt.smith_normal_form
+
+        def swapped(m):
+            snf = real(m)
+            assert snf.diag == (1, 1, 1, 1, 2)
+            cols = [snf.right.column(j) for j in range(m.cols)]
+            cols[3], cols[4] = cols[4], cols[3]
+            return SmithForm(snf.diag, snf.left, IntMatrix.from_rows(list(zip(*cols))))
+
+        monkeypatch.setattr(mt, "smith_normal_form", swapped)
+        datum = single_factor(FiniteGroup.abelian([2, 2, 2]), 1, [0, 2, 4, 7])
+        with pytest.raises(InvariantError, match="product 4 is not divisible by its divisor 2"):
+            build_character_system(datum)
 
     def test_equivariance_checked_with_asserts_stripped(self):
         # swap the columns of cosets 0, 1 and of their conjugates 2, 3:

@@ -17,8 +17,11 @@ from typing import Sequence
 
 import pytest
 
+import cmtorsion.alpha_engine as alpha_engine
 from cmtorsion.alpha_engine import (
+    FLAT_BUDGET,
     AlphaReport,
+    FlatBudgetError,
     SubspaceWitness,
     _shortcut_label,
     build_report,
@@ -253,3 +256,17 @@ class TestSingleFactorTheorem:
             assert report.spans_visited == 1
             count += 1
         assert count == 381
+
+
+class TestFlatBudget:
+    def test_budget_stops_the_fallback(self, monkeypatch):
+        # the fallback joint forms 6508 flats before its witness
+        assert FLAT_BUDGET >= 10 * 6508
+        monkeypatch.setattr(alpha_engine, "FLAT_BUDGET", 100)
+        joint = fallback_joint()
+        with pytest.raises(FlatBudgetError, match="formed 100 flats"):
+            build_report(joint)
+        assert issubclass(FlatBudgetError, ValueError)
+        # a single factor never searches, whatever the budget
+        monkeypatch.setattr(alpha_engine, "FLAT_BUDGET", 0)
+        assert build_report(quadratic_pair()).spans_visited == 3
