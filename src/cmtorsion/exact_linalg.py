@@ -6,8 +6,7 @@ the handful of lattice operations the rest of the package is built on,
 one elimination per job: the fraction-free echelon basis of a rational
 span (rank, membership and its canonical key), Smith normal form (the
 divisors alone, or with the unimodular transforms that kernels and
-saturation read) and Hermite normal form (lattices and their
-coordinates).
+saturation read) and Hermite normal form (canonical lattice bases).
 """
 
 from __future__ import annotations
@@ -382,11 +381,11 @@ def saturated_basis(products: Sequence[Sequence[int]], diag: Sequence[int],
     """Hermite basis of the lattice spanned by products[i] / diag[i].
 
     For a Smith form left @ m @ right = diag, row i of left @ m is d_i
-    times row i of the unimodular right^-1, and column i of m @ right is
-    d_i times column i of the unimodular left^-1; for i below the rank
-    these quotients span the saturated row (column) lattice of `m`.
-    Every division must be exact: a remainder means the Smith form is
-    wrong and raises InvariantError.
+    times row i of the unimodular right^-1, so for i below the rank
+    these quotients span the saturated row lattice of `m` (of its
+    transpose, the saturated column lattice, from the columns of
+    m @ right).  Every division must be exact: a remainder means the
+    Smith form is wrong and raises InvariantError.
     """
     rows = []
     for i, (vec, d) in enumerate(zip(products, diag)):
@@ -417,41 +416,3 @@ def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     products = [[sum(a * b for a, b in zip(snf.left.row(i), col)) for col in cols]
                 for i in range(len(snf.diag))]
     return saturated_basis(products, snf.diag, m.cols), prod(snf.diag)
-
-
-def lattice_coordinates(basis: IntMatrix,
-                        vectors: Sequence[Sequence[int]]) -> list[Optional[list[int]]]:
-    """For each vector, integer x with x @ basis = vector, or None outside.
-
-    `basis` must be in row echelon form with nonzero pivots, as
-    `hermite_normal_form` returns it; its pivots are found once.  The
-    coordinates are read off by back-substitution in pivot order, one
-    exact division per row; a vector of the rational span with
-    non-integral coordinates also gives None.
-    """
-    rows = [basis.row(i) for i in range(basis.rows)]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-    out: list[Optional[list[int]]] = []
-    for vector in vectors:
-        if len(vector) != basis.cols:
-            raise ValueError("vector width mismatch")
-        v = list(vector)
-        coords: Optional[list[int]] = []
-        for p, row in zip(pivots, rows):
-            q, rem = divmod(v[p], row[p])
-            if rem:
-                coords = None
-                break
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-            coords.append(q)
-        out.append(None if coords is None or any(v) else coords)
-    return out
-
-
-def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[int]]:
-    """Integer x with x @ basis = vector; None when the vector is outside.
-
-    One vector of `lattice_coordinates`.
-    """
-    return lattice_coordinates(basis, [vector])[0]

@@ -190,12 +190,12 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     computed when `level` < 1 or some ell is not an odd prime below
     `PRIME_TEST_LIMIT`.
     """
-    if report is None:
-        report = build_report(cs)
     if level < 1:
         raise ValueError("levels must be positive integers")
     for ell in ells:
         _require_odd_prime(ell)
+    if report is None:
+        report = build_report(cs)
     witness = report.witness
     # Uniform level: with A = U diag(s) V, U and V unimodular, the image
     # of Z^d in (Z/M)^k is that of diag(s), of size prod M / gcd(M, s_i).

@@ -8,8 +8,9 @@ exponent, finite-level degrees) is computed from this integer matrix.
 The build runs one Smith elimination L M R = D of it (Cohen, A Course
 in Computational Algebraic Number Theory, 2.4.4): D gives the rank and
 the saturation index, the rows of L M divided by the divisors span the
-saturated cocharacter lattice, and the columns of M R divided by them
-the saturated character lattice.
+saturated cocharacter lattice, and column j of the first rank rows of
+L M holds the coordinates of character j in the saturated character
+lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import (
     IntMatrix,
     integer_kernel,
-    lattice_coordinates,
     saturate,
     saturated_basis,
     smith_normal_form,
@@ -45,7 +45,13 @@ class DuplicateCharactersError(Exception):
 
 @dataclass(frozen=True)
 class CharacterSystem:
-    """Orbit matrix plus the derived lattice data of a CM datum."""
+    """Orbit matrix plus the derived lattice data of a CM datum.
+
+    `char_coords` gives each character in the basis of the saturated
+    character lattice formed by the first `dim` columns of L^-1, for the
+    build's Smith form L M R = D; callers may read only quantities that
+    do not depend on the choice of that basis.
+    """
 
     datum: CMDatum
     genus: int
@@ -56,7 +62,6 @@ class CharacterSystem:
     weight: tuple[int, ...]
     column_labels: tuple[tuple[int, int], ...]
     cochar_basis: IntMatrix
-    char_lattice: IntMatrix
     char_coords: tuple[tuple[int, ...], ...]
     saturation_index: int
 
@@ -144,27 +149,21 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
             if moved != tuple(map(col.__getitem__, rows_from)):
                 raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
-    # one Smith form left @ M @ right = D gives both saturations; the
-    # products with the 0/1 matrix M are sums over its supports
+    # one Smith form left @ M @ right = D: since M = left^-1 D right^-1,
+    # character j is the sum of (left @ M)[i][j] times column i of
+    # left^-1; the products with the 0/1 matrix M are sums over its
+    # supports
     snf = smith_normal_form(matrix)
     d = len(snf.diag)
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
     col_supports = [list(compress(range(n), col)) for col in columns]
-    row_supports = [list(compress(range(len(labels)), matrix.row(g))) for g in range(n)]
-    left_rows = [snf.left.row(i) for i in range(d)]
-    right_cols = [snf.right.column(i) for i in range(d)]
-    cochar_basis = saturated_basis(
-        [[sum(map(li.__getitem__, supp)) for supp in col_supports] for li in left_rows],
-        snf.diag, len(labels))
-    char_lattice = saturated_basis(
-        [[sum(map(ri.__getitem__, supp)) for supp in row_supports] for ri in right_cols],
-        snf.diag, n)
-    coords = []
-    for sol in lattice_coordinates(char_lattice, columns):
-        if sol is None:
-            raise InvariantError("a character lies outside the character lattice")
-        coords.append(tuple(sol))
+    products = [[sum(map(li.__getitem__, supp)) for supp in col_supports]
+                for li in map(snf.left.row, range(n))]
+    # rows d.. of left @ M = D right^-1 lie past the rank of D
+    if any(map(any, products[d:])):
+        raise InvariantError("a row of left @ M past the rank is nonzero")
+    cochar_basis = saturated_basis(products[:d], snf.diag, len(labels))
 
     return CharacterSystem(
         datum=datum,
@@ -176,8 +175,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         weight=weight,
         column_labels=labels,
         cochar_basis=cochar_basis,
-        char_lattice=char_lattice,
-        char_coords=tuple(coords),
+        char_coords=tuple(zip(*products[:d])),
         saturation_index=prod(snf.diag),
     )
 
@@ -205,28 +203,33 @@ def check_mod2_distinct(cs: CharacterSystem) -> tuple[bool, Optional[tuple[int, 
     return True, None
 
 
-def perp_lattice(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
-    """Cocharacters annihilating the selected characters.
-
-    Returns a Hermite basis of the saturated kernel inside the rank-dim
-    cocharacter lattice; characters are the columns of `cochar_basis`
-    in these coordinates.
-    """
+def _selected_characters(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
+    """The `cochar_basis` columns of the selected characters, as rows."""
     idx = sorted(set(indices))
     if not idx:
         raise ValueError("empty character selection")
     if any(not 0 <= i < 2 * cs.genus for i in idx):
         raise ValueError("character index out of range")
     b = cs.cochar_basis
-    selected = IntMatrix.from_rows(
-        [[b.row(r)[i] for r in range(b.rows)] for i in idx], cols=b.rows)
-    return integer_kernel(selected)
+    return IntMatrix.from_rows(map(b.column, idx), cols=b.rows)
+
+
+def perp_lattice(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
+    """Cocharacters annihilating the selected characters.
+
+    Returns a Hermite basis of the saturated kernel inside the rank-dim
+    cocharacter lattice.  A character enters through its column of
+    `cochar_basis`, its pairings with that basis, not through
+    `char_coords`.  Raises ValueError for an empty selection or an
+    index outside the characters.
+    """
+    return integer_kernel(_selected_characters(cs, indices))
 
 
 def character_span_saturation(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
-    """Saturated span of the selected characters in lattice coordinates."""
-    idx = sorted(set(indices))
-    b = cs.cochar_basis
-    rows = [[b.row(r)[i] for r in range(b.rows)] for i in idx]
-    sat, _ = saturate(IntMatrix.from_rows(rows, cols=b.rows))
+    """Saturated span of the selected characters in lattice coordinates.
+
+    Takes the coordinates and the selection checks of `perp_lattice`.
+    """
+    sat, _ = saturate(_selected_characters(cs, indices))
     return sat

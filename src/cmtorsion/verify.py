@@ -1,10 +1,10 @@
 """Sweep the built-in group catalogue and check every known invariant.
 
 One representative per translation class gets the full treatment
-(exact report, one span per single-factor datum, shortcut agreement,
-bound checks, oracle comparison); the remaining translates only need
-their orbit matrices to be row permutations of the representative's,
-which transports every checked statement to them.
+(exact report, shortcut agreement, bound checks, oracle comparison,
+the double dual of a fixed character selection); the remaining
+translates only need their orbit matrices to be row permutations of the
+representative's, which transports every checked statement to them.
 """
 
 from __future__ import annotations

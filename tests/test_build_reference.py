@@ -6,10 +6,15 @@ verbatim, with the earlier `saturate` and `hermite_coordinates`: one
 Smith form of the orbit matrix for the cocharacter lattice, a second
 one of its transpose for the character lattice, and one back-substitution
 per character.  The build must give the same orbit matrix, characters,
-rank, lattices, coordinates and saturation index, and name the same
-pair of duplicate characters.
+rank, cocharacter lattice and saturation index, and name the same pair
+of duplicate characters.  Its character coordinates are read in another
+basis of the same character lattice, so they must agree with the
+reference ones up to GL_d(Z), and every finite-level query must give the
+same answer on either set of coordinates.
 """
 
+import random
+from dataclasses import replace
 from itertools import product
 from math import prod
 from typing import Optional, Sequence
@@ -17,8 +22,10 @@ from typing import Optional, Sequence
 import pytest
 
 import cmtorsion.exact_linalg as el
+from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, InvariantError, enumerate_types
 from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
+from cmtorsion.finite_level import degree_of_subgroup, exponent_sweep, staircase_bounds
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
 
@@ -106,17 +113,26 @@ def build_reference(datum: CMDatum) -> dict:
             "saturation_index": index}
 
 
+def coordinate_lattice(coords) -> IntMatrix:
+    """Hermite form of the d x 2g transpose of the coordinates: equal
+    for two rank-d coordinate sets exactly when they differ by an
+    element of GL_d(Z)."""
+    return hermite_normal_form(IntMatrix.from_rows(list(zip(*coords))))
+
+
 def outcome(build, datum: CMDatum):
     """The compared fields of a build, or the duplicate pair it names."""
     try:
         out = build(datum)
     except DuplicateCharactersError as e:
         return ("duplicate", e.indices)
-    if isinstance(out, dict):
-        return out
-    return {key: getattr(out, key) for key in (
-        "orbit_matrix", "characters", "dim", "cochar_basis", "char_lattice", "char_coords",
-        "saturation_index")}
+    if not isinstance(out, dict):
+        out = {key: getattr(out, key) for key in (
+            "orbit_matrix", "characters", "dim", "cochar_basis", "char_coords",
+            "saturation_index")}
+    out.pop("char_lattice", None)
+    out["char_coords"] = coordinate_lattice(out["char_coords"])
+    return out
 
 
 def single_factor_data(max_order: int):
@@ -155,12 +171,16 @@ def subgroup_joint_data(max_order: int):
                     yield CMDatum(group, conj, (t1, t2))
 
 
+CATALOGUES = [
+    (lambda: single_factor_data(16), 914, 533),
+    (lambda: two_factor_data(12), 376, 332),
+    (lambda: subgroup_joint_data(12), 1880, 1648),
+]
+CATALOGUE_IDS = ["single-factor-order-16", "two-factor-order-12", "subgroup-joints-order-12"]
+
+
 class TestAgainstReference:
-    @pytest.mark.parametrize("data, systems, duplicates", [
-        (lambda: single_factor_data(16), 914, 533),
-        (lambda: two_factor_data(12), 376, 332),
-        (lambda: subgroup_joint_data(12), 1880, 1648),
-    ], ids=["single-factor-order-16", "two-factor-order-12", "subgroup-joints-order-12"])
+    @pytest.mark.parametrize("data, systems, duplicates", CATALOGUES, ids=CATALOGUE_IDS)
     def test_every_field_matches(self, data, systems, duplicates):
         count = dup = 0
         for datum in data():
@@ -169,6 +189,34 @@ class TestAgainstReference:
             count += 1
             dup += isinstance(got, tuple)
         assert (count, dup) == (systems, duplicates)
+
+    @pytest.mark.parametrize("data", [c[0] for c in CATALOGUES], ids=CATALOGUE_IDS)
+    def test_queries_ignore_the_coordinate_basis(self, data):
+        rng = random.Random(8)
+        ells = [3, 5, 7, 13, 101]
+        built = changed = 0
+        for datum in data():
+            try:
+                cs = build_character_system(datum)
+            except DuplicateCharactersError:
+                continue
+            ref = replace(cs, char_coords=build_reference(datum)["char_coords"])
+            changed += ref.char_coords != cs.char_coords
+            report = build_report(cs)
+            for level in (1, 2, 3):
+                assert (exponent_sweep(cs, ells, level, report)
+                        == exponent_sweep(ref, ells, level, report))
+            for _ in range(3):
+                chars = rng.sample(range(2 * cs.genus), rng.randint(1, 2 * cs.genus))
+                levels = {i: rng.randint(1, 3) for i in chars}
+                ell = rng.choice(ells)
+                assert (degree_of_subgroup(cs, ell, levels)
+                        == degree_of_subgroup(ref, ell, levels)), (datum, levels)
+                assert (staircase_bounds(cs, ell, levels)
+                        == staircase_bounds(ref, ell, levels)), (datum, levels)
+            built += 1
+        # the two bases differ on most systems, so the queries see both
+        assert 2 * changed > built
 
 
 class TestOneElimination:

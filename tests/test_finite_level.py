@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import cmtorsion.finite_level as fl
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cli import main
 from cmtorsion.cm_core import (
@@ -293,6 +294,16 @@ class TestValidation:
     def test_sweep_rejects_level_zero(self):
         with pytest.raises(ValueError):
             exponent_sweep(quartic(), [5], 0)
+
+    @pytest.mark.parametrize("ells, level", [([4], 1), ([5], 0)])
+    def test_sweep_validates_before_the_report(self, monkeypatch, ells, level):
+        # a bad prime or level is refused before the witness search runs
+        def no_report(cs):
+            raise AssertionError("build_report called before validation")
+
+        monkeypatch.setattr(fl, "build_report", no_report)
+        with pytest.raises(ValueError):
+            exponent_sweep(quartic(), ells, level)
 
     def test_lattice_image_size_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

@@ -137,7 +137,6 @@ class TestMod2:
             weight=cs.weight,
             column_labels=cs.column_labels,
             cochar_basis=cs.cochar_basis,
-            char_lattice=cs.char_lattice,
             char_coords=cs.char_coords,
             saturation_index=cs.saturation_index,
         )
@@ -164,6 +163,15 @@ class TestPerp:
         cs = build_character_system(elliptic())
         with pytest.raises(ValueError):
             perp_lattice(cs, [])
+
+    @pytest.mark.parametrize("query", [perp_lattice, character_span_saturation])
+    @pytest.mark.parametrize("indices", [[], [-1], [4], [0, 4]])
+    def test_bad_selection_rejected(self, query, indices):
+        # four characters: a negative index does not wrap round to the
+        # last one, and an index past them is not an IndexError
+        cs = build_character_system(quartic())
+        with pytest.raises(ValueError, match="empty character selection|out of range"):
+            query(cs, indices)
 
     def test_double_perp_is_saturated_span(self):
         rng = random.Random(2024)
@@ -257,22 +265,22 @@ class TestInvariantError:
         assert proc.stdout.strip() == (
             "InvariantError: Smith product 0 is not divisible by its divisor 2 optimized")
 
-    def test_inexact_column_quotient_raises(self, monkeypatch):
-        # divisors (1, 1, 1, 1, 2): with columns 3 and 4 of `right`
-        # swapped, column 4 of M @ right is the primitive column 3 of
-        # left^-1, not divisible by 2, while left @ M is untouched
+    def test_nonzero_row_past_the_rank_raises(self, monkeypatch):
+        # adding row 0 of `left` to its last row keeps `left` unimodular,
+        # but row n-1 of left @ M, past the rank 5 < 8, becomes row 0 of
+        # D right^-1, which is not zero
         real = mt.smith_normal_form
 
-        def swapped(m):
+        def sheared(m):
             snf = real(m)
-            assert snf.diag == (1, 1, 1, 1, 2)
-            cols = [snf.right.column(j) for j in range(m.cols)]
-            cols[3], cols[4] = cols[4], cols[3]
-            return SmithForm(snf.diag, snf.left, IntMatrix.from_rows(list(zip(*cols))))
+            assert len(snf.diag) < m.rows
+            rows = snf.left.row_lists()
+            rows[-1] = [x + y for x, y in zip(rows[-1], rows[0])]
+            return SmithForm(snf.diag, IntMatrix.from_rows(rows), snf.right)
 
-        monkeypatch.setattr(mt, "smith_normal_form", swapped)
+        monkeypatch.setattr(mt, "smith_normal_form", sheared)
         datum = single_factor(FiniteGroup.abelian([2, 2, 2]), 1, [0, 2, 4, 7])
-        with pytest.raises(InvariantError, match="product 4 is not divisible by its divisor 2"):
+        with pytest.raises(InvariantError, match="past the rank is nonzero"):
             build_character_system(datum)
 
     def test_equivariance_checked_with_asserts_stripped(self):
