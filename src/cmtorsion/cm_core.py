@@ -395,15 +395,13 @@ def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def enumerate_types(group: FiniteGroup, conj: int, *,
-                    up_to_translation: bool = False,
-                    automorphism_classes: bool = False) -> list[CMType]:
+                    up_to_translation: bool = False) -> list[CMType]:
     """All CM types over the trivial subgroup, in a deterministic order.
 
     Raw enumeration picks one element from each pair {x, conj*x}, which
     yields 2^(order/2) types.  With `up_to_translation` only the
     lexicographically smallest member of each translation orbit is
-    kept; `automorphism_classes` additionally folds conjugation-fixing
-    automorphisms into the equivalence.
+    kept.
     """
     if not (0 < conj < group.order) or group.mul(conj, conj) != 0:
         raise ValueError("conjugation must be a nontrivial involution")
@@ -423,21 +421,11 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
     for picks in iter_product(*pairs):
         raw.append(CMType(space, frozenset(picks)))
     raw.sort(key=_type_key)
-    if not (up_to_translation or automorphism_classes):
+    if not up_to_translation:
         return raw
-    auts: list[tuple[int, ...]] = []
-    if automorphism_classes:
-        auts = [a for a in automorphisms(group) if a[conj] == conj]
     reps = []
     for t in raw:
-        candidates = _translation_orbit(space, t.phi)
-        if auts:
-            extra = []
-            for a in auts:
-                mapped = frozenset(a[s] for s in t.phi)
-                extra.extend(_translation_orbit(space, mapped))
-            candidates.extend(extra)
-        best = min(tuple(sorted(s)) for s in candidates)
+        best = min(tuple(sorted(s)) for s in _translation_orbit(space, t.phi))
         if best == t.phi_sorted():
             reps.append(t)
     return reps

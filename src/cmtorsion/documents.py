@@ -36,6 +36,11 @@ class DatumParseError(ValueError):
         self.path = path
 
 
+def _ints(values: list) -> bool:
+    # no bools, which JSON true and false parse to; each type asked once
+    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
+
+
 def _expect(condition: bool, path: str, message: str):
     if not condition:
         raise DatumParseError(path, message)
@@ -51,7 +56,7 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
         _expect(isinstance(inv, list) and inv, f"{path}.invariants",
                 "must be a nonempty list")
         for i, x in enumerate(inv):
-            _expect(isinstance(x, int) and x >= 2, f"{path}.invariants[{i}]",
+            _expect(_ints([x]) and x >= 2, f"{path}.invariants[{i}]",
                     "must be an integer >= 2")
         _expect(math.prod(inv) <= MAX_GROUP_ORDER, f"{path}.invariants",
                 f"group order exceeds {MAX_GROUP_ORDER}")
@@ -62,7 +67,7 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
     _expect(len(table) <= MAX_GROUP_ORDER, f"{path}.table",
             f"group order exceeds {MAX_GROUP_ORDER}")
     for i, row in enumerate(table):
-        _expect(isinstance(row, list) and all(isinstance(x, int) for x in row),
+        _expect(isinstance(row, list) and _ints(row),
                 f"{path}.table[{i}]", "must be a list of integers")
     try:
         return FiniteGroup.from_table(table, name=node.get("name", "custom"))
@@ -71,12 +76,12 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
 
 
 def _parse_element(node: Any, group: FiniteGroup, path: str) -> int:
-    if isinstance(node, int):
+    if _ints([node]):
         _expect(0 <= node < group.order, path,
                 f"element index out of range 0..{group.order - 1}")
         return node
     if isinstance(node, list):
-        _expect(all(isinstance(x, int) for x in node), path,
+        _expect(_ints(node), path,
                 "coordinates must be integers")
         try:
             return group.index_of_tuple(tuple(node))
@@ -112,7 +117,7 @@ def parse_datum(doc: Any) -> CMDatum:
                 "must be a nonempty list of coset indices")
         phi = []
         for j, x in enumerate(phi_node):
-            _expect(isinstance(x, int) and 0 <= x < space.size,
+            _expect(_ints([x]) and 0 <= x < space.size,
                     f"{fpath}.phi[{j}]",
                     f"coset index out of range 0..{space.size - 1}")
             phi.append(x)

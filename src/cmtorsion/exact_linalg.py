@@ -312,12 +312,11 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
     """The nonzero elementary divisors of `m`, as `smith_normal_form(m).diag`.
 
     Runs the same elimination without building either transform, for
-    callers that read only the diagonal.  A caller that knows a D > 0
-    with D*Z^rows inside the column lattice of `m` may pass it as
-    `modulus`.  Then [m | D*I] has the same divisors as `m`, all of them
-    dividing D, and the elimination keeps its entries below D; without
-    that bound, eliminating a bordered matrix [A | diag(moduli)] can
-    swell its entries to many thousands of bits.
+    callers that read only the diagonal.  With a `modulus` D > 0 it
+    returns the divisors of [m | D*I] instead: gcd(s_i, D) for each
+    divisor s_i of `m`, then D once for each row past the rank, and the
+    elimination keeps its entries below D.  When D*Z^rows already lies
+    in the column lattice of `m` these are the divisors of `m`.
     """
     if modulus is not None and modulus < 1:
         raise ValueError("modulus must be positive")

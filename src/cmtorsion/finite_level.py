@@ -1,16 +1,16 @@
-"""Split-prime finite-level degree simulation.
+"""Split-prime finite-level degrees.
 
 At an odd prime ell the level-n points of a d-dimensional split torus
 form ((Z/ell^n)^x)^d, a product of cyclic groups of order
-M = (ell-1) ell^(n-1).  The degree of the field cut out by a torsion
-subgroup is the size of the image of evaluation at the active
-characters.  For mixed levels it is read off the Smith divisors of the
-bordered matrix [A | diag(m)].  For one uniform level, as in
-`exponent_sweep`, it has the closed form prod M / gcd(M, s_i) over the
-Smith divisors s_i of the active coordinate rows A, so a sweep takes one
-divisors-only Smith form whatever the number of primes.  Primality of
-ell is decided exactly by Miller-Rabin below `PRIME_TEST_LIMIT`.  Floats
-appear only in the display column of sweep rows.
+(ell-1) ell^(n-1).  The degree of the field cut out by a torsion
+subgroup is the size of the image of Z^d -> prod Z/m_i under the active
+characters.  It has one closed form: Z/m_i embeds in Z/M, M = lcm(m),
+by x -> (M/m_i) x, so the size is prod M / gcd(M, s_j) over the Smith
+divisors s_j of the rows scaled by M/m_i.  A sweep at one level takes
+one Smith form whatever the number of primes, a mixed-level query one
+modulo M.  Primality of ell is decided exactly by Miller-Rabin below
+`PRIME_TEST_LIMIT`.  Floats appear only in the display column of sweep
+rows.
 """
 
 from __future__ import annotations
@@ -30,7 +30,16 @@ PRIME_TEST_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
+def _require_int(value, what: str, low: Optional[int] = None):
+    # refuse bools too, though isinstance(True, int) holds
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be at least {low}, got {value}")
+
+
 def _require_odd_prime(ell: int):
+    _require_int(ell, "ell")
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"need an odd prime, got {ell}")
     if ell >= PRIME_TEST_LIMIT:
@@ -60,53 +69,51 @@ def _unit_order(ell: int, n: int) -> int:
 def unit_group_order(ell: int, n: int) -> int:
     """Order of (Z/ell^n)^x for odd prime ell; the group is cyclic."""
     _require_odd_prime(ell)
-    if n < 1:
-        raise ValueError("level must be a positive integer")
+    _require_int(n, "level", 1)
     return _unit_order(ell, n)
 
 
 def torus_point_count(dim: int, ell: int, n: int) -> int:
     """Number of level-n points of a split torus of the given rank."""
-    if dim < 1:
-        raise ValueError("dimension must be positive")
+    _require_int(dim, "dimension", 1)
     return unit_group_order(ell, n) ** dim
+
+
+def _image_size(divisors: Sequence[int], m: int) -> int:
+    # A = U diag(s) V, U and V unimodular, has the image of diag(s) in
+    # (Z/m)^k; a row past the rank (no divisor, or m) adds a factor 1
+    return math.prod(m // math.gcd(m, s) for s in divisors)
 
 
 def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
     """Size of the image of Z^d -> prod Z/m_i, x -> (row_i . x mod m_i).
 
-    Equals prod(m_i) divided by the index of the column span of the
-    block matrix [A | diag(m)] in Z^k, read off the Smith divisors.  That
-    span contains lcm(m) Z^k, so the elimination runs modulo lcm(m).
+    Multiplication by M/m_i embeds Z/m_i in Z/M, M = lcm(m), so this is
+    the `_image_size` of the rows scaled by M/m_i, from one elimination
+    modulo M.  The image is a subgroup of prod Z/m_i: a size that does
+    not divide prod m_i raises InvariantError.
     """
     if not rows or len(rows) != len(moduli):
         raise ValueError("need matching nonempty rows and moduli")
-    if any(not isinstance(m, int) or m < 1 for m in moduli):
-        raise ValueError("moduli must be positive integers")
-    k = len(rows)
-    stacked = [list(r) + [moduli[i] if j == i else 0 for j in range(k)]
-               for i, r in enumerate(rows)]
-    divisors = elementary_divisors(IntMatrix.from_rows(stacked), modulus=math.lcm(*moduli))
-    total = math.prod(moduli)
-    index = math.prod(divisors)
-    size, rem = divmod(total, index)
-    if rem:
-        raise InvariantError("the image index does not divide the group order")
+    for m in moduli:
+        _require_int(m, "modulus", 1)
+    big = math.lcm(*moduli)
+    scaled = IntMatrix.from_rows([[big // m * x for x in row] for row, m in zip(rows, moduli)])
+    size = _image_size(elementary_divisors(scaled, modulus=big), big)
+    if math.prod(moduli) % size:
+        raise InvariantError("the image size does not divide the group order")
     return size
 
 
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:
     if not levels:
         raise ValueError("at least one character must carry a level")
-    out = []
-    for i in sorted(levels):
-        n = levels[i]
+    for i, n in levels.items():
+        _require_int(i, "character index")
         if not 0 <= i < 2 * cs.genus:
             raise ValueError(f"character index {i} out of range")
-        if n < 1:
-            raise ValueError("levels must be positive integers")
-        out.append((i, n))
-    return out
+        _require_int(n, "level", 1)
+    return sorted(levels.items())
 
 
 def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> int:
@@ -187,20 +194,19 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     the witness span of the exponent report, so its order is
     ell^(level * n_W) and log(order) / log(degree) approaches the
     optimal exponent as ell grows.  Raises ValueError before any row is
-    computed when `level` < 1 or some ell is not an odd prime below
-    `PRIME_TEST_LIMIT`.
+    computed when `level` is not a positive int or some ell is not an
+    odd prime below `PRIME_TEST_LIMIT`.
     """
-    if level < 1:
-        raise ValueError("levels must be positive integers")
+    _require_int(level, "level", 1)
     for ell in ells:
         _require_odd_prime(ell)
     if report is None:
         report = build_report(cs)
     witness = report.witness
-    # Uniform level: with A = U diag(s) V, U and V unimodular, the image
-    # of Z^d in (Z/M)^k is that of diag(s), of size prod M / gcd(M, s_i).
-    # The greedy staircase picks a basis of the span, r = len(s) rows at
-    # the one level, and its saturation defect is prod s_i.
+    # Uniform level: the degree is `_image_size` of the divisors s_i of
+    # the active rows.  The greedy staircase picks a basis of the span,
+    # r = len(s) rows at the one level, and its saturation defect is
+    # prod s_i.
     divisors = elementary_divisors(
         IntMatrix.from_rows([cs.char_coords[i] for i in witness.generating_indices]))
     span_dim = len(divisors)
@@ -208,7 +214,7 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     rows = []
     for ell in ells:
         m = _unit_order(ell, level)
-        degree = math.prod(m // math.gcd(m, s) for s in divisors)
+        degree = _image_size(divisors, m)
         bounds = _bounds(ell, level * span_dim, span_dim, saturation)
         order = ell ** (level * witness.n)
         estimate = math.inf if degree == 1 else math.log(order) / math.log(degree)

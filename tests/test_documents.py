@@ -6,6 +6,7 @@ import json
 import pytest
 
 from cmtorsion.alpha_engine import build_report
+from cmtorsion.cli import main
 from cmtorsion.cm_core import CMDatum, FiniteGroup, enumerate_types
 from cmtorsion.documents import (
     CSV_HEADER,
@@ -90,6 +91,30 @@ class TestParsing:
         with pytest.raises(DatumParseError) as err:
             parse_datum(doc)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("doc,path", [
+        # each document parsed, with True read as 1 and False as 0,
+        # before booleans were refused
+        ({"group": {"kind": "abelian", "invariants": [2]},
+          "conj": True, "factors": [{"phi": [False]}]}, "$.conj"),
+        ({"group": {"kind": "abelian", "invariants": [2, 4]},
+          "conj": [True, False], "factors": [{"phi": [0, 1, 2, 3]}]}, "$.conj"),
+        (dict(QUARTIC_DOC, factors=[{"subgroup": [False], "phi": [0, 1]}]),
+         "$.factors[0].subgroup[0]"),
+        (dict(QUARTIC_DOC, factors=[{"phi": [0, True]}]), "$.factors[0].phi[1]"),
+        ({"group": {"kind": "table", "table": [[0, 1], [1, False]]},
+          "conj": 1, "factors": [{"phi": [0]}]}, "$.group.table[1]"),
+    ], ids=["conj", "coordinates", "subgroup", "phi", "table"])
+    def test_booleans_are_not_integers(self, doc, path, tmp_path, capsys):
+        with pytest.raises(DatumParseError) as err:
+            parse_datum(doc)
+        assert err.value.path == path
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["analyze", str(p), "--json", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert path in captured.err
 
     def test_partition_failure_reports_validation(self):
         doc = json.loads(json.dumps(QUARTIC_DOC))

@@ -376,6 +376,25 @@ class TestElementaryDivisors:
             assert elementary_divisors(m, modulus=lcm(*moduli)) == divisors
             assert elementary_divisors(m, modulus=7 * lcm(*moduli)) == divisors
 
+    def test_modulus_gives_the_divisors_of_the_bordered_matrix(self):
+        # for any D the divisors of [m | D*I]: gcd(s_i, D) for the divisors
+        # s_i of m, then D once for each row past the rank
+        rng = random.Random(1229)
+        for _ in range(300):
+            nr, nc = rng.randint(0, 7), rng.randint(0, 7)
+            rows = [[rng.randint(-9, 9) for _ in range(nc)] if rng.random() < 0.8
+                    else [0] * nc for _ in range(nr)]
+            if nr > 1 and rng.random() < 0.3:
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+            m = IntMatrix.from_rows(rows, cols=nc)
+            modulus = rng.choice((1, 2, 12, 30, 97, 360, rng.randint(1, 10 ** 6)))
+            divisors = elementary_divisors(m)
+            expected = tuple(gcd(s, modulus) for s in divisors) + \
+                (modulus,) * (nr - len(divisors))
+            assert elementary_divisors(m, modulus=modulus) == expected
+            if nr:
+                assert expected == smith_normal_form(bordered(rows, [modulus] * nr)).diag
+
     def test_modulus_bounds_entry_swell(self):
         # Without a modulus the elimination of this bordered matrix swells
         # to entries of about 126000 bits and takes seconds; the divisors

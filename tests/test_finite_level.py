@@ -22,6 +22,7 @@ from cmtorsion.cm_core import (
     CMType,
     CosetSpace,
     FiniteGroup,
+    InvariantError,
     enumerate_types,
 )
 from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, smith_normal_form
@@ -305,6 +306,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             exponent_sweep(quartic(), ells, level)
 
+    @pytest.mark.parametrize("call", [
+        lambda cs: staircase_bounds(cs, 5, {0: 2.0}),
+        lambda cs: staircase_bounds(cs, 5, {0: 1.5, 1: 2}),
+        lambda cs: staircase_bounds(cs, 5, {0: True}),
+        lambda cs: degree_of_subgroup(cs, 5.0, {0: 1}),
+        lambda cs: degree_of_subgroup(cs, 5, {0.0: 1}),
+        lambda cs: degree_of_subgroup(cs, 5, {False: 1}),
+        lambda cs: degree_of_subgroup(cs, 5, {"0": 1}),
+        lambda cs: exponent_sweep(cs, [5], level=2.0),
+        lambda cs: exponent_sweep(cs, [5.0], level=1),
+        lambda cs: exponent_sweep(cs, [5], level=True),
+        lambda cs: unit_group_order(5, 1.5),
+        lambda cs: unit_group_order(5, True),
+        lambda cs: torus_point_count(2.5, 5, 1),
+        lambda cs: torus_point_count(True, 5, 1),
+    ], ids=["staircase-float-level", "staircase-fractional-level", "staircase-bool-level",
+            "degree-float-ell", "degree-float-index", "degree-bool-index",
+            "degree-str-index", "sweep-float-level", "sweep-float-ell", "sweep-bool-level",
+            "unit-float-level", "unit-bool-level", "torus-float-dim", "torus-bool-dim"])
+    def test_non_integer_arguments(self, call):
+        # each gave a float answer or a TypeError before
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(quartic())
+
     def test_lattice_image_size_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             lattice_image_size([[1, 2], [3]], [4, 4])
@@ -320,7 +345,7 @@ class TestValidation:
             with pytest.raises(ValueError):
                 lattice_image_size([[1, 2], [3, 4]], [4, bad])
 
-    @pytest.mark.parametrize("rows, moduli", [([[2.5]], [4]), ([[2]], [4.0])])
+    @pytest.mark.parametrize("rows, moduli", [([[2.5]], [4]), ([[2]], [4.0]), ([[2]], [True])])
     def test_lattice_image_size_rejects_non_integers(self, rows, moduli):
         # int() would truncate 2.5 to 2 and answer for [[2]]
         with pytest.raises(ValueError):
@@ -429,3 +454,83 @@ class TestAgainstReference:
                         degree_reference(cs, ell, levels)
                     assert staircase_bounds(cs, ell, levels) == \
                         staircase_bounds_reference(cs, ell, levels)
+
+
+def random_rows(rng, k: int, d: int) -> list[list[int]]:
+    """k rows of width d, some zero and some combinations of earlier rows."""
+    rows = []
+    for _ in range(k):
+        kind = rng.random()
+        if kind < 0.2:
+            rows.append([0] * d)
+        elif kind < 0.4 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([p * x + q * y for x, y in zip(a, b)])
+        else:
+            rows.append([rng.randint(-9, 9) for _ in range(d)])
+    return rows
+
+
+def random_moduli(rng, k: int) -> list[int]:
+    kind = rng.choice(("coprime", "common", "mixed", "ones", "levels"))
+    if kind == "coprime":
+        return rng.sample([1, 2, 3, 5, 7, 11, 13, 17, 19, 23], k)
+    if kind == "common":
+        g = rng.choice((2, 6, 12))
+        return [g * rng.randint(1, 12) for _ in range(k)]
+    if kind == "mixed":
+        return [rng.randint(1, 60) for _ in range(k)]
+    if kind == "ones":
+        return [1] * k
+    ell = rng.choice((3, 5, 101))
+    return [unit_group_order(ell, rng.randint(1, 5)) for _ in range(k)]
+
+
+class TestScaledImage:
+    """The image size from the scaled rows modulo lcm(m), against the
+    bordered Smith form [A | diag(m)]."""
+
+    def test_random_rows_arbitrary_moduli(self):
+        rng = random.Random(3313)
+        for _ in range(400):
+            k, d = rng.randint(1, 5), rng.randint(1, 4)
+            rows, moduli = random_rows(rng, k, d), random_moduli(rng, k)
+            assert lattice_image_size(rows, moduli) == \
+                lattice_image_size_reference(rows, moduli), (rows, moduli)
+
+    @pytest.mark.parametrize("rows, moduli, size", [
+        ([[0, 0], [0, 0]], [6, 10], 1),
+        ([[1, 2], [2, 4]], [6, 10], 30),
+        ([[1, 2], [2, 4]], [6, 6], 6),
+        ([[3, 5]], [1], 1),
+        ([[1], [1]], [4, 6], 12),
+        ([[1], [1]], [3, 5], 15),
+        ([[2], [3]], [4, 9], 6),
+    ])
+    def test_small_cases(self, rows, moduli, size):
+        assert lattice_image_size(rows, moduli) == size
+        assert lattice_image_size_reference(rows, moduli) == size
+
+    def test_one_elimination_on_the_active_rows(self, monkeypatch):
+        # a k-character query eliminates its k x d rows once, modulo
+        # lcm(m), and builds no bordered k x (d + k) matrix
+        calls = []
+        real = fl.elementary_divisors
+
+        def recording(m, modulus=None):
+            calls.append((m.rows, m.cols, modulus))
+            return real(m, modulus=modulus)
+
+        monkeypatch.setattr(fl, "elementary_divisors", recording)
+        cs = quaternion()
+        levels = {0: 1, 2: 3, 5: 2}
+        assert degree_of_subgroup(cs, 7, levels) == degree_reference(cs, 7, levels)
+        assert calls == [(3, cs.dim, unit_group_order(7, 3))]
+
+    def test_size_must_divide_the_group_order(self, monkeypatch):
+        # the image lies in Z/4 x Z/6, so a wrong elimination giving a
+        # size of 144 is caught
+        monkeypatch.setattr(fl, "elementary_divisors", lambda m, modulus=None: (1,) * m.rows)
+        with pytest.raises(InvariantError, match="does not divide the group order"):
+            lattice_image_size([[1], [1]], [4, 6])

@@ -1,4 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Static checks on the package modules.
+
+Every name a module imports is used in it, and no module holds an
+`assert`: `python -O` strips asserts, so invariants raise typed errors.
+"""
 
 import ast
 from pathlib import Path
@@ -28,6 +32,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def asserts(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_asserts(path):
+    assert asserts(path.read_text(encoding="utf-8")) == []
+
+
 def test_detects_an_unused_import():
     source = "from typing import Iterable, Sequence\nx: Sequence = ()\n"
     assert unused_imports(source) == ["Iterable"]
+
+
+def test_detects_an_assert():
+    source = "def f(x):\n    assert x, 'why'\n    return x\n"
+    assert asserts(source) == [2]
