@@ -147,13 +147,17 @@ class FiniteGroup:
         inv = tuple(int(k) for k in invariants)
         if not inv or any(k < 2 for k in inv):
             raise ValueError("cyclic orders must all be at least 2")
-        elems = list(iter_product(*[range(k) for k in inv]))
-        pos = {e: i for i, e in enumerate(elems)}
-        table = [[pos[tuple((x + y) % k for x, y, k in zip(a, b, inv))]
-                  for b in elems] for a in elems]
+        # mixed radix, first coordinate most significant: prepend one
+        # cyclic factor at a time to the table of the ones after it
+        table, size = [[0]], 1
+        for k in reversed(inv):
+            table = [[(x + y) % k * size + z for y in range(k) for z in row]
+                     for x in range(k) for row in table]
+            size *= k
+        elems = tuple(iter_product(*[range(k) for k in inv]))
         name = "x".join(f"C{k}" for k in inv)
         return cls(table, name=name, abelian_invariants=inv,
-                   _element_tuples=tuple(elems))
+                   _element_tuples=elems)
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroup":

@@ -4,6 +4,11 @@ A datum document is a small JSON object naming a group, the central
 involution and the coset factors.  Serialization keeps every value
 exact: integers beyond 2^53 and all rational parts are emitted as
 strings so consumers never round-trip through floats.
+
+The canonical text is the one `json.dumps(doc, indent=2,
+ensure_ascii=False)` writes, plus a trailing newline.  `dumps_document`
+writes it with its own emitter: `json` uses its C encoder only when
+`indent` is None and otherwise walks every token in pure Python.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any
 
 from .alpha_engine import AlphaReport
@@ -166,12 +172,18 @@ def encode_fraction(v: Fraction) -> dict:
     return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
+def _reduced_cells(row: tuple[int, ...]) -> list[dict]:
+    # x / pivot in lowest terms; the pivot is positive (SubspaceWitness)
+    pivot = next(x for x in row if x)
+    cells = []
+    for x in row:
+        g = math.gcd(x, pivot)
+        cells.append({"num": str(x // g), "den": str(pivot // g)})
+    return cells
+
+
 def report_to_dict(report: AlphaReport, cs: CharacterSystem) -> dict:
     witness = report.witness
-    basis_rows = []
-    for row in witness.basis:
-        pivot = next(x for x in row if x)
-        basis_rows.append([encode_fraction(Fraction(x, pivot)) for x in row])
     return {
         "datum": datum_to_dict(cs.datum),
         "genus": report.genus,
@@ -185,7 +197,7 @@ def report_to_dict(report: AlphaReport, cs: CharacterSystem) -> dict:
             "n": witness.n,
             "ratio": encode_fraction(witness.ratio),
             "character_indices": list(witness.generating_indices),
-            "basis": basis_rows,
+            "basis": [_reduced_cells(row) for row in witness.basis],
         },
         "bound_checks": dict(report.bound_checks),
         "saturation_index": cs.saturation_index,
@@ -193,9 +205,58 @@ def report_to_dict(report: AlphaReport, cs: CharacterSystem) -> dict:
     }
 
 
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+# Scalar texts as `json` writes them with ensure_ascii=False
+_SCALAR_TEXT = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _emit(value, newline: str) -> str:
+    # `newline` is "\n" plus the indent of the line holding `value`
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    inner = newline + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # encode_basestring raises TypeError on a key that is no str
+        parts = [f"{encode_basestring(k)}: {_emit(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        parts = map(text, value) if text is not None else [_emit(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"{type(value).__name__} is not a document value")
+
+
 def dumps_document(doc: dict) -> str:
-    """Canonical text form: two-space indent, LF, trailing newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Canonical text form: two-space indent, LF, trailing newline.
+
+    Byte for byte `json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`
+    for documents of str-keyed dicts, lists, tuples, str, int, float,
+    bool and None, each of exactly that type; anything else raises
+    TypeError.  `json` reaches its C encoder only without `indent`, so
+    its indented form would cost a Python generator step per token.
+    """
+    return _emit(doc, "\n") + "\n"
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:

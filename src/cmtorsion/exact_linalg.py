@@ -32,8 +32,10 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        # isinstance(e, int) per entry, asked once per distinct type
-        if not all(issubclass(t, int) for t in set(map(type, self.entries))):
+        # isinstance(e, int) per entry, bools refused, asked once per
+        # distinct type
+        if not all(issubclass(t, int) and t is not bool
+                   for t in set(map(type, self.entries))):
             raise ValueError("integer matrix with non-integer entry")
 
     @classmethod

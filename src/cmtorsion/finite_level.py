@@ -16,6 +16,7 @@ rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -28,6 +29,17 @@ from .mt_torus import CharacterSystem
 # (Sorenson and Webster, Math. Comp. 86, 2017); larger ell is refused.
 PRIME_TEST_LIMIT = 3317044064679887385961981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (bound, k): the first k bases are exact below the bound, the least
+# strong pseudoprime to all of them (Pomerance, Selfridge and Wagstaff,
+# Math. Comp. 35, 1980; Jaeschke, Math. Comp. 61, 1993; Sorenson and
+# Webster 2017).  The bounds for 8, 10 and 11 bases equal the ones
+# for 7 and 9.
+_BASE_COUNTS = (
+    (2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+    (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+    (3825123056546413051, 9), (318665857834031151167461, 12),
+    (PRIME_TEST_LIMIT, 13),
+)
 
 
 def _require_int(value, what: str, low: Optional[int] = None):
@@ -48,9 +60,9 @@ def _require_odd_prime(ell: int):
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _PRIME_BASES:
-        if a == ell:
-            continue
+    # every base is below ell: past base 2, ell >= 2047
+    count = next(k for bound, k in _BASE_COUNTS if ell < bound)
+    for a in _PRIME_BASES[:count]:
         x = pow(a, d, ell)
         if x == 1 or x == ell - 1:
             continue
@@ -60,6 +72,19 @@ def _require_odd_prime(ell: int):
                 break
         else:
             raise ValueError(f"need an odd prime, got {ell}")
+
+
+def _require_decimal_power(ell: int, exponent: int):
+    # ell^exponent must be writable under the interpreter's limit of D
+    # decimal digits (0, or before Python 3.10.7: none).  2^(3D) < 10^D
+    # < 2^(4D) decides it from bit lengths; only between the two is the
+    # power formed, and then it has fewer than 8D bits.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bits = ell.bit_length()
+    if digits and exponent * bits > 3 * digits and (
+            exponent * (bits - 1) >= 4 * digits or ell ** exponent >= 10 ** digits):
+        raise ValueError(f"subgroup order {ell}^{exponent} has more than "
+                         f"{digits} decimal digits")
 
 
 def _unit_order(ell: int, n: int) -> int:
@@ -97,8 +122,10 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
         raise ValueError("need matching nonempty rows and moduli")
     for m in moduli:
         _require_int(m, "modulus", 1)
+    matrix = IntMatrix.from_rows(rows)  # refuses non-integer and bool entries
     big = math.lcm(*moduli)
-    scaled = IntMatrix.from_rows([[big // m * x for x in row] for row, m in zip(rows, moduli)])
+    scaled = IntMatrix.from_rows([[big // m * x for x in matrix.row(i)]
+                                  for i, m in enumerate(moduli)])
     size = _image_size(elementary_divisors(scaled, modulus=big), big)
     if math.prod(moduli) % size:
         raise InvariantError("the image size does not divide the group order")
@@ -195,7 +222,9 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     ell^(level * n_W) and log(order) / log(degree) approaches the
     optimal exponent as ell grows.  Raises ValueError before any row is
     computed when `level` is not a positive int or some ell is not an
-    odd prime below `PRIME_TEST_LIMIT`.
+    odd prime below `PRIME_TEST_LIMIT`, and, once the report gives n_W,
+    when some order has more decimal digits than `str` may write
+    (`sys.get_int_max_str_digits`).
     """
     _require_int(level, "level", 1)
     for ell in ells:
@@ -203,6 +232,8 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     if report is None:
         report = build_report(cs)
     witness = report.witness
+    for ell in ells:
+        _require_decimal_power(ell, level * witness.n)
     # Uniform level: the degree is `_image_size` of the divisors s_i of
     # the active rows.  The greedy staircase picks a basis of the span,
     # r = len(s) rows at the one level, and its saturation defect is

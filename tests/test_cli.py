@@ -1,6 +1,8 @@
 """End-to-end command checks through main(argv)."""
 
+import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -34,6 +36,15 @@ FALLBACK = """\
               {"subgroup": [0, 2, 4, 6, 9, 11, 13, 15], "phi": [0]}]
 }
 """
+
+
+@pytest.fixture
+def default_str_digits():
+    # the interpreter's default limit on the digits str() writes of an int
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture
@@ -141,6 +152,37 @@ class TestSimulate:
     def test_rejects_bad_level(self, quartic_file, capsys):
         assert main(["simulate", quartic_file, "--ell", "5",
                      "--level", "0"]) == 2
+
+    # SHA-256 of the output with --ell 3,101: 101^(4 * 536) is the
+    # largest order with at most 4300 digits, str's default limit
+    @pytest.mark.parametrize("level, form, digest", [
+        ("500", [], "73e05eed57ae55a94190029565f85f3fb65414154efd101a40382563ec591575"),
+        ("536", [], "4e3c0372ff3ecdfef051f72817f3c48b55eb3ce6cf36ddfaa98cc6f57f38f509"),
+        ("500", ["--json", "-"],
+         "a2b70d2da42c2da8a04d7e310edffc43bef89e284062bc3ac24c6b4b9b9e86f4"),
+        ("536", ["--json", "-"],
+         "3772301a56dcbb99218de75a314fdfd6aa0b9f92a8e91b68befa9f090414d36c"),
+    ])
+    def test_large_level_written(self, quartic_file, capsys, default_str_digits,
+                                 level, form, digest):
+        assert main(["simulate", quartic_file, "--ell", "3,101", "--level", level] + form) == 0
+        out = capsys.readouterr().out
+        assert str(101 ** (4 * int(level))) in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("level", ["537", "600", "1000000"])
+    @pytest.mark.parametrize("form", [[], ["--json", "-"]], ids=["csv", "json"])
+    def test_unwritable_order_refused(self, quartic_file, capsys, default_str_digits,
+                                      level, form):
+        # ended in a traceback from str(101 ** (4 * level)); level 10^6
+        # first spent about 30 s on the powers
+        start = time.perf_counter()
+        assert main(["simulate", quartic_file, "--ell", "101,3", "--level", level] + form) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: subgroup order 101^{4 * int(level)} has more "
+                                "than 4300 decimal digits\n")
 
 
 class TestOracle:

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import product as iter_product
 
 import pytest
 
@@ -25,6 +26,27 @@ def trivial_type(group: FiniteGroup, phi) -> CMType:
 
 def datum(group: FiniteGroup, conj: int, *phis) -> CMDatum:
     return CMDatum(group, conj, tuple(trivial_type(group, p) for p in phis))
+
+
+def invariant_lists(limit: int) -> list[tuple[int, ...]]:
+    """Every list of cyclic orders >= 2 whose product is at most `limit`."""
+    out = []
+
+    def extend(prefix, order):
+        for k in range(2, limit // order + 1):
+            out.append(prefix + (k,))
+            extend(prefix + (k,), order * k)
+
+    extend((), 1)
+    return out
+
+
+def abelian_table_reference(inv) -> list[list[int]]:
+    """The Cayley table by adding coordinate tuples and looking them up."""
+    elems = list(iter_product(*[range(k) for k in inv]))
+    pos = {e: i for i, e in enumerate(elems)}
+    return [[pos[tuple((x + y) % k for x, y, k in zip(a, b, inv))] for b in elems]
+            for a in elems]
 
 
 def associative_reference(table) -> bool:
@@ -93,6 +115,16 @@ class TestFiniteGroup:
         assert g.index_of_tuple([1, 1]) == 3
         assert g.mul(1, 2) == 3
         assert g.inv(3) == 3
+
+    def test_abelian_table_matches_tuple_addition(self):
+        lists = invariant_lists(64)
+        assert len(lists) == 440
+        for inv in lists:
+            g = FiniteGroup.abelian(inv)
+            assert g.table == tuple(map(tuple, abelian_table_reference(inv))), inv
+            for i, e in enumerate(iter_product(*[range(k) for k in inv])):
+                assert g.element_tuple(i) == e
+                assert g.index_of_tuple(e) == i
 
     def test_identity_must_be_element_zero(self):
         # swap the roles of 0 and 1 in Z/2 x Z/2 style table

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
+from itertools import product as iter_product
 
 import pytest
 
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cli import main
-from cmtorsion.cm_core import CMDatum, FiniteGroup, enumerate_types
+from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types
 from cmtorsion.documents import (
     CSV_HEADER,
     MAX_GROUP_ORDER,
@@ -22,10 +24,11 @@ from cmtorsion.documents import (
     sweep_rows_to_csv,
     sweep_rows_to_json,
 )
-from cmtorsion.finite_level import exponent_sweep
+from cmtorsion.finite_level import SweepRow, exponent_sweep
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
 from fractions import Fraction
+from test_acceptance import c2_times_alternating4
 
 QUARTIC_DOC = {
     "group": {"kind": "abelian", "invariants": [4]},
@@ -256,3 +259,86 @@ def test_report_bytes_pinned_up_to_order_10():
                 found[(group.name, conj, t.phi_sorted())] = hashlib.sha256(
                     text.encode("utf-8")).hexdigest()
     assert found == PINNED_REPORTS
+
+
+def reference_text(doc) -> str:
+    """The canonical text as `json` writes it, the emitter's reference."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.fixture(scope="module")
+def catalogue():
+    """(report, system) for every buildable raw type of builtin_groups(12)
+    and of the C2xA4 coset space, whose group a document sends as a table."""
+    data = [(group, conj, t) for group in builtin_groups(12)
+            for conj in group.central_involutions()
+            for t in enumerate_types(group, conj)]
+    group, conj, sub = c2_times_alternating4()
+    space = CosetSpace(group, sub)
+    pairs = {frozenset((i, space.act(conj, i))) for i in range(space.size)}
+    data += [(group, conj, CMType(space, frozenset(picks)))
+             for picks in iter_product(*map(sorted, pairs))]
+    out = []
+    for group, conj, t in data:
+        try:
+            cs = build_character_system(CMDatum(group, conj, (t,)))
+        except DuplicateCharactersError:
+            continue
+        out.append((build_report(cs), cs))
+    assert len(out) == 456
+    return out
+
+
+class TestEmitter:
+    """`dumps_document` writes what `json.dumps(indent=2)` writes."""
+
+    def test_reports(self, catalogue):
+        for report, cs in catalogue:
+            doc = report_to_dict(report, cs)
+            assert dumps_document(doc) == reference_text(doc)
+
+    def test_witness_cells_in_lowest_terms(self, catalogue):
+        for report, cs in catalogue:
+            cells = report_to_dict(report, cs)["witness"]["basis"]
+            expected = []
+            for row in report.witness.basis:
+                pivot = next(x for x in row if x)
+                expected.append([encode_fraction(Fraction(x, pivot)) for x in row])
+            assert cells == expected
+
+    def test_sweep_rows(self, catalogue):
+        for report, cs in catalogue[::20]:
+            doc = sweep_rows_to_json(exponent_sweep(cs, [3, 101, 10 ** 18 + 3], 2, report))
+            assert dumps_document(doc) == reference_text(doc)
+        rows = [SweepRow(3, 1, 2 ** 60, 1, 1, 2, math.inf, True),
+                SweepRow(5, 3, 2 ** 53, 2 ** 53 - 1, 2, 3, 1.5, False)]
+        doc = sweep_rows_to_json(rows)
+        assert doc["rows"][0]["estimate_decimal"] == math.inf
+        assert dumps_document(doc) == reference_text(doc)
+
+    def test_enumerate_listing(self, tmp_path, capsys):
+        out = tmp_path / "types.json"
+        assert main(["enumerate", "--max-order", "8", "--json", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == reference_text(json.loads(text))
+
+    @pytest.mark.parametrize("doc", [
+        {"name": "C2×A4 — ü", "x": "\u00e9\u4e2d\U0001F600"},
+        {"quote\"back\\slash": "tab\tnl\ncr\r\x00\x1f\x7f/"},
+        {}, [], [[]], [{}], {"a": {}, "b": [], "c": [[], {}]}, [[[]], [{}, []]],
+        {"t": (1, 2), "nested": ((), ((3,),)), "empty": ()},
+        [1, True, 0, False], [True, False], [None, None], [None, 1, "x", 1.5],
+        {"neg": [-1, -(2 ** 70), -0.0, -2.5], "big": 2 ** 70, "f": [0.1, 1e300, 1e-7]},
+        {"inf": [math.inf, -math.inf, math.nan], "one": math.inf},
+        ["", "a"], "bare", 7, None, True,
+    ])
+    def test_hand_cases(self, doc):
+        assert dumps_document(doc) == reference_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"alpha": Fraction(4, 3)}, [Fraction(1)], {"s": {1, 2}}, {1: "int key"},
+        {"deep": [{"x": [1, {2: 3}]}]},
+    ], ids=["fraction", "fraction-in-list", "set", "int-key", "nested-int-key"])
+    def test_refuses_other_types(self, doc):
+        with pytest.raises(TypeError):
+            dumps_document(doc)

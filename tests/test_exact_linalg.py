@@ -194,8 +194,9 @@ CYCLE4 = IntMatrix.from_rows([
 
 
 class TestIntMatrix:
-    @pytest.mark.parametrize("rows", [[[1.0]], [[1, Fraction(2)]]])
+    @pytest.mark.parametrize("rows", [[[1.0]], [[1, Fraction(2)]], [[True, False]], [[2, True]]])
     def test_from_rows_refuses_non_integers(self, rows):
+        # [[True, False]] had the Smith divisors (True,) before
         with pytest.raises(ValueError, match="non-integer"):
             IntMatrix.from_rows(rows)
 

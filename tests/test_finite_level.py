@@ -226,7 +226,57 @@ def is_prime_reference(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+# factors of each bound of finite_level._BASE_COUNTS
+BASE_COUNT_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
 class TestPrimality:
+    def test_agrees_with_a_sieve_below_a_million(self):
+        n = 10 ** 6
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+        accepted = []
+        for ell in range(3, n, 2):
+            try:
+                fl._require_odd_prime(ell)
+                accepted.append(ell)
+            except ValueError:
+                pass
+        assert accepted == [ell for ell in range(3, n, 2) if sieve[ell]]
+
+    @pytest.mark.parametrize("bound, count", fl._BASE_COUNTS)
+    def test_each_base_count_bound_is_refused(self, bound, count):
+        # the bound is a composite that the first `count` bases let
+        # through; it falls in the next band, whose bases refuse it
+        factors = BASE_COUNT_FACTORS[bound]
+        assert math.prod(factors) == bound and min(factors) > 1
+        assert all(strong_probable_prime(bound, a) for a in fl._PRIME_BASES[:count])
+        with pytest.raises(ValueError):
+            unit_group_order(bound, 1)
+
     def test_agrees_with_trial_division(self):
         for n in range(-3, 5000):
             expected = n % 2 == 1 and is_prime_reference(n)
@@ -345,9 +395,12 @@ class TestValidation:
             with pytest.raises(ValueError):
                 lattice_image_size([[1, 2], [3, 4]], [4, bad])
 
-    @pytest.mark.parametrize("rows, moduli", [([[2.5]], [4]), ([[2]], [4.0]), ([[2]], [True])])
+    @pytest.mark.parametrize("rows, moduli", [
+        ([[2.5]], [4]), ([[2]], [4.0]), ([[2]], [True]), ([[True]], [4]), ([[1, False]], [6]),
+    ])
     def test_lattice_image_size_rejects_non_integers(self, rows, moduli):
-        # int() would truncate 2.5 to 2 and answer for [[2]]
+        # int() would truncate 2.5 to 2 and answer for [[2]]; [[True]]
+        # was read as [[1]] and gave 4
         with pytest.raises(ValueError):
             lattice_image_size(rows, moduli)
 
