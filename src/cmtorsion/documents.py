@@ -75,8 +75,10 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
     for i, row in enumerate(table):
         _expect(isinstance(row, list) and _ints(row),
                 f"{path}.table[{i}]", "must be a list of integers")
+    name = node.get("name", "custom")
+    _expect(isinstance(name, str), f"{path}.name", "must be a string")
     try:
-        return FiniteGroup.from_table(table, name=node.get("name", "custom"))
+        return FiniteGroup.from_table(table, name=name)
     except ValueError as e:
         raise DatumParseError(f"{path}.table", str(e))
 

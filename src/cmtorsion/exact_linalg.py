@@ -377,43 +377,30 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
         [snf.right.column(j) for j in range(len(snf.diag), m.cols)], cols=m.cols))
 
 
-def saturated_basis(products: Sequence[Sequence[int]], diag: Sequence[int],
-                    width: int) -> IntMatrix:
-    """Hermite basis of the lattice spanned by products[i] / diag[i].
-
-    For a Smith form left @ m @ right = diag, row i of left @ m is d_i
-    times row i of the unimodular right^-1, so for i below the rank
-    these quotients span the saturated row lattice of `m` (of its
-    transpose, the saturated column lattice, from the columns of
-    m @ right).  Every division must be exact: a remainder means the
-    Smith form is wrong and raises InvariantError.
-    """
-    rows = []
-    for i, (vec, d) in enumerate(zip(products, diag)):
-        if d == 1:
-            rows.append(vec)
-            continue
-        row = []
-        for x in vec:
-            q, rem = divmod(x, d)
-            if rem:
-                raise InvariantError(
-                    f"Smith product {i} is not divisible by its divisor {d}")
-            row.append(q)
-        rows.append(row)
-    return hermite_normal_form(IntMatrix.from_rows(rows, cols=width))
-
-
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Saturation of the row lattice: (rational row span) meet Z^cols.
 
     Returns the Hermite basis of the saturation together with the index
     of the input lattice inside it, which equals the product of the
     nonzero elementary divisors of the input matrix.  Both come from one
-    Smith form, through `saturated_basis` on the rows of left @ m.
+    Smith form left @ m @ right = diag: row i of left @ m is d_i times
+    row i of the unimodular right^-1, so for i below the rank these
+    quotients span the saturation.  Every division must be exact: a
+    remainder means the Smith form is wrong and raises InvariantError.
     """
+    # the Hermite form has the row lattice of m in rank-many rows
+    m = hermite_normal_form(m)
     snf = smith_normal_form(m)
     cols = list(zip(*m.row_lists()))
-    products = [[sum(a * b for a, b in zip(snf.left.row(i), col)) for col in cols]
-                for i in range(len(snf.diag))]
-    return saturated_basis(products, snf.diag, m.cols), prod(snf.diag)
+    rows = []
+    for i, d in enumerate(snf.diag):
+        li = snf.left.row(i)
+        row = []
+        for col in cols:
+            q, rem = divmod(sum(a * b for a, b in zip(li, col)), d)
+            if rem:
+                raise InvariantError(
+                    f"Smith product {i} is not divisible by its divisor {d}")
+            row.append(q)
+        rows.append(row)
+    return hermite_normal_form(IntMatrix.from_rows(rows, cols=m.cols)), prod(snf.diag)

@@ -5,28 +5,29 @@ group orbit of the distinguished cocharacter: row g, column (factor,
 coset s) holds 1 exactly when s lies in g translated across the
 factor's chosen half.  Everything downstream (rank, defect, optimal
 exponent, finite-level degrees) is computed from this integer matrix.
-The build runs one Smith elimination L M R = D of it (Cohen, A Course
-in Computational Algebraic Number Theory, 2.4.4): D gives the rank and
-the saturation index, the rows of L M divided by the divisors span the
-saturated cocharacter lattice, and column j of the first rank rows of
-L M holds the coordinates of character j in the saturated character
-lattice.
+The build runs one Hermite elimination H = U M of it, U unimodular
+(Cohen, A Course in Computational Algebraic Number Theory, 2.4): the
+rows of H are a basis of the row lattice, so their number is the rank,
+column j of H holds the coordinates of character j in the saturated
+character lattice, and the divisors of H give the saturation index.
+The saturated cocharacter lattice is computed from the rows of H on
+first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
 from math import prod
 from typing import Optional, Sequence
 
 from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import (
     IntMatrix,
+    elementary_divisors,
+    hermite_normal_form,
     integer_kernel,
     saturate,
-    saturated_basis,
-    smith_normal_form,
 )
 
 
@@ -47,10 +48,11 @@ class DuplicateCharactersError(Exception):
 class CharacterSystem:
     """Orbit matrix plus the derived lattice data of a CM datum.
 
-    `char_coords` gives each character in the basis of the saturated
-    character lattice formed by the first `dim` columns of L^-1, for the
-    build's Smith form L M R = D; callers may read only quantities that
-    do not depend on the choice of that basis.
+    `char_coords` are the columns of the Hermite form H = U M of the
+    orbit matrix: each character in the basis of the saturated character
+    lattice formed by the first `dim` columns of U^-1.  Callers may read
+    only quantities that do not depend on the choice of that basis.
+    `cochar_basis` is computed on first read.
     """
 
     datum: CMDatum
@@ -61,9 +63,23 @@ class CharacterSystem:
     conj_pairing: tuple[int, ...]
     weight: tuple[int, ...]
     column_labels: tuple[tuple[int, int], ...]
-    cochar_basis: IntMatrix
     char_coords: tuple[tuple[int, ...], ...]
     saturation_index: int
+
+    @cached_property
+    def cochar_basis(self) -> IntMatrix:
+        """Hermite basis of the saturated cocharacter lattice.
+
+        Saturates the rows of the build's Hermite form; raises
+        InvariantError when the index of that saturation is not the
+        build's `saturation_index`.
+        """
+        basis, index = saturate(
+            IntMatrix.from_rows(zip(*self.char_coords), cols=2 * self.genus))
+        if index != self.saturation_index:
+            raise InvariantError(
+                f"saturation index {index} disagrees with the build's {self.saturation_index}")
+        return basis
 
 
 @dataclass(frozen=True)
@@ -149,21 +165,12 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
             if moved != tuple(map(col.__getitem__, rows_from)):
                 raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
-    # one Smith form left @ M @ right = D: since M = left^-1 D right^-1,
-    # character j is the sum of (left @ M)[i][j] times column i of
-    # left^-1; the products with the 0/1 matrix M are sums over its
-    # supports
-    snf = smith_normal_form(matrix)
-    d = len(snf.diag)
+    # one Hermite form H = U M: since M = U^-1 H, character j is the sum
+    # of H[i][j] times column i of U^-1
+    hermite = hermite_normal_form(matrix)
+    d = hermite.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
-    col_supports = [list(compress(range(n), col)) for col in columns]
-    products = [[sum(map(li.__getitem__, supp)) for supp in col_supports]
-                for li in map(snf.left.row, range(n))]
-    # rows d.. of left @ M = D right^-1 lie past the rank of D
-    if any(map(any, products[d:])):
-        raise InvariantError("a row of left @ M past the rank is nonzero")
-    cochar_basis = saturated_basis(products[:d], snf.diag, len(labels))
 
     return CharacterSystem(
         datum=datum,
@@ -174,9 +181,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         conj_pairing=pairing,
         weight=weight,
         column_labels=labels,
-        cochar_basis=cochar_basis,
-        char_coords=tuple(zip(*products[:d])),
-        saturation_index=prod(snf.diag),
+        char_coords=tuple(zip(*map(hermite.row, range(d)))),
+        saturation_index=prod(elementary_divisors(hermite)),
     )
 
 

@@ -1,4 +1,4 @@
-"""The one-Smith-form build against the two-saturation build it replaced.
+"""The Hermite-form build against the two-saturation build it replaced.
 
 `_orbit_matrix_reference` and `saturation_reference` below are the
 earlier orbit matrix and saturation step of `build_character_system`,
@@ -221,12 +221,14 @@ class TestAgainstReference:
 
 class TestOneElimination:
     def test_build_runs_one_smith_elimination(self, monkeypatch):
+        # the build takes the divisors of its Hermite form alone; the
+        # transforms wait for the first read of `cochar_basis`
         calls = []
         real = el._smith
 
-        def counting(m, *args, **kwargs):
-            calls.append((m.rows, m.cols))
-            return real(m, *args, **kwargs)
+        def counting(m, transforms, modulus=None):
+            calls.append((m.rows, m.cols, transforms))
+            return real(m, transforms, modulus)
 
         monkeypatch.setattr(el, "_smith", counting)
         built = 0
@@ -237,6 +239,10 @@ class TestOneElimination:
             except DuplicateCharactersError:
                 assert calls == []
                 continue
-            assert calls == [(cs.orbit_matrix.rows, cs.orbit_matrix.cols)]
+            shape = (cs.dim, 2 * cs.genus)
+            assert calls == [shape + (False,)]
+            cs.cochar_basis
+            cs.cochar_basis
+            assert calls == [shape + (False,), shape + (True,)]
             built += 1
         assert built > 10

@@ -112,6 +112,16 @@ class TestAnalyze:
         assert main(["analyze", str(p)]) == 2
         assert "$.group.invariants" in capsys.readouterr().err
 
+    def test_non_string_group_name_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "named.json"
+        p.write_text('{"group": {"kind": "table", "name": {"x": [1, 2]},'
+                     ' "table": [[0, 1], [1, 0]]}, "conj": 1,'
+                     ' "factors": [{"phi": [0]}]}', encoding="utf-8")
+        assert main(["analyze", str(p), "--json", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "$.group.name" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err

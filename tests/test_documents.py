@@ -140,6 +140,17 @@ class TestParsing:
             parse_datum(doc)
         assert err.value.path == "$.group.table"
 
+    @pytest.mark.parametrize("name", [{"x": [1, 2]}, 7, None, ["C2"]])
+    def test_table_name_must_be_a_string(self, name):
+        doc = {
+            "group": {"kind": "table", "name": name, "table": [[0, 1], [1, 0]]},
+            "conj": 1,
+            "factors": [{"phi": [0]}],
+        }
+        with pytest.raises(DatumParseError, match="must be a string") as err:
+            parse_datum(doc)
+        assert err.value.path == "$.group.name"
+
     @pytest.mark.parametrize("group,path", [
         ({"kind": "abelian", "invariants": [100000]}, "$.group.invariants"),
         ({"kind": "abelian", "invariants": [2] * 10}, "$.group.invariants"),

@@ -15,6 +15,7 @@ from math import gcd, lcm
 
 import pytest
 
+import cmtorsion.exact_linalg as el
 from cmtorsion.cm_core import InvariantError
 from cmtorsion.exact_linalg import (
     IntMatrix,
@@ -23,8 +24,8 @@ from cmtorsion.exact_linalg import (
     hermite_normal_form,
     integer_kernel,
     rank,
+    SmithForm,
     saturate,
-    saturated_basis,
     smith_normal_form,
 )
 
@@ -544,13 +545,22 @@ class TestSaturate:
             products = [[sum(m.row(g)[j] * snf.right.column(i)[j] for j in range(nc))
                          for g in range(nr)] for i in range(len(snf.diag))]
             transpose = IntMatrix.from_rows([m.column(j) for j in range(nc)], cols=nr)
-            assert saturated_basis(products, snf.diag, nr) == saturate(transpose)[0]
+            quotients = [[x // d for x in row] for row, d in zip(products, snf.diag)]
+            assert (hermite_normal_form(IntMatrix.from_rows(quotients, cols=nr))
+                    == saturate(transpose)[0])
 
-    def test_inexact_quotient_raises(self):
+    def test_inexact_quotient_raises(self, monkeypatch):
         # (2, 2) / 4 leaves a remainder: the divisors do not fit the products
-        assert saturated_basis([[2, 2]], [2], 2).row_lists() == [[1, 1]]
+        assert saturate(IntMatrix.from_rows([[2, 2]])) == (IntMatrix.from_rows([[1, 1]]), 2)
+        real = el.smith_normal_form
+
+        def doubled(m):
+            snf = real(m)
+            return SmithForm(tuple(2 * d for d in snf.diag), snf.left, snf.right)
+
+        monkeypatch.setattr(el, "smith_normal_form", doubled)
         with pytest.raises(InvariantError, match="product 0 is not divisible by its divisor 4"):
-            saturated_basis([[2, 2]], [4], 2)
+            saturate(IntMatrix.from_rows([[2, 2]]))
 
 
 class TestIntSpanBasis:

@@ -4,9 +4,12 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
+from math import prod
 
 import pytest
 
+import cmtorsion.exact_linalg as el
 import cmtorsion.mt_torus as mt
 from cmtorsion.cm_core import (
     CMDatum,
@@ -17,7 +20,15 @@ from cmtorsion.cm_core import (
     enumerate_types,
     is_primitive,
 )
-from cmtorsion.exact_linalg import IntMatrix, SmithForm, integer_kernel, rank
+from cmtorsion.exact_linalg import (
+    IntMatrix,
+    IntSpanBasis,
+    SmithForm,
+    elementary_divisors,
+    integer_kernel,
+    rank,
+    saturate,
+)
 from cmtorsion.mt_torus import (
     DuplicateCharactersError,
     build_character_system,
@@ -26,6 +37,7 @@ from cmtorsion.mt_torus import (
     classify,
     perp_lattice,
 )
+from test_exact_linalg import determinant
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -136,7 +148,6 @@ class TestMod2:
             conj_pairing=cs.conj_pairing,
             weight=cs.weight,
             column_labels=cs.column_labels,
-            cochar_basis=cs.cochar_basis,
             char_coords=cs.char_coords,
             saturation_index=cs.saturation_index,
         )
@@ -227,6 +238,58 @@ class TestRankBounds:
         assert seen_primitive > 50
 
 
+def random_type(group: FiniteGroup, conj: int, seed: int) -> CMDatum:
+    """A single factor with one coset of each conjugate pair, at random."""
+    rng = random.Random(seed)
+    pairs = sorted({tuple(sorted((s, group.mul(conj, s)))) for s in range(group.order)})
+    return single_factor(group, conj, [rng.choice(p) for p in pairs])
+
+
+def orbit_divisors(m: IntMatrix) -> tuple[int, ...]:
+    """The nonzero divisors of `m`, from an elimination modulo one of
+    its nonzero rank x rank minors, whose entries stay below that minor
+    (the plain elimination swells on the order-64 orbit matrices)."""
+    row_span = IntSpanBasis(m.cols)
+    rows = [m.row(i) for i in range(m.rows) if row_span.insert(m.row(i))]
+    col_span = IntSpanBasis(len(rows))
+    cols = [col for col in zip(*rows) if col_span.insert(col)]
+    minor = abs(determinant(IntMatrix.from_rows(cols)))
+    return elementary_divisors(m, modulus=minor)[:len(rows)]
+
+
+SWELLING = [
+    single_factor(FiniteGroup.abelian([2, 16]), 8,
+                  [0, 1, 2, 3, 4, 5, 7, 14, 16, 17, 18, 23, 27, 28, 29, 30]),
+] + [random_type(FiniteGroup.abelian([n]), n // 2, seed)
+     for n in (32, 64) for seed in (1, 2, 3)]
+
+
+class TestNoSwell:
+    """Orbit matrices whose Smith form with transforms took seconds to
+    minutes (C2 x C16, C32, C64) build from their Hermite form at once."""
+
+    @pytest.mark.parametrize("datum", SWELLING, ids=[
+        "c2xc16-class", "c32-seed1", "c32-seed2", "c32-seed3",
+        "c64-seed1", "c64-seed2", "c64-seed3"])
+    def test_builds_within_a_time_limit(self, datum):
+        start = time.perf_counter()
+        cs = build_character_system(datum)
+        assert time.perf_counter() - start < 5
+        divisors = orbit_divisors(cs.orbit_matrix)
+        assert len(divisors) == cs.dim
+        assert cs.saturation_index == prod(divisors)
+        if datum is SWELLING[0]:
+            assert divisors[-3:] == (1, 23, 46)
+        assert cs.cochar_basis == saturate(cs.orbit_matrix)[0]
+        # a saturated lattice of the same rational span: all its
+        # divisors are 1, and it holds the rows of M in its span
+        assert elementary_divisors(cs.cochar_basis) == (1,) * cs.dim
+        span = IntSpanBasis(cs.orbit_matrix.cols)
+        for i in range(cs.dim):
+            span.insert(cs.cochar_basis.row(i))
+        assert all(map(span.contains, map(cs.orbit_matrix.row, range(cs.orbit_matrix.rows))))
+
+
 class TestInvariantError:
     def test_not_an_input_error(self):
         # the CLI maps ValueError to "invalid input"; a broken invariant
@@ -235,25 +298,28 @@ class TestInvariantError:
         assert not issubclass(InvariantError, ValueError)
 
     def test_raised_with_asserts_stripped(self):
-        # double the first divisor of the build's one Smith form: row 0
-        # of left @ M is 1 times a row of the unimodular right^-1, which
-        # is primitive, so its division by 2 leaves a remainder
+        # double the first divisor of the Smith form that saturates the
+        # rows of the build's Hermite form H: row 0 of left @ H is 1 times
+        # a row of the unimodular right^-1, which is primitive, so its
+        # division by 2 leaves a remainder
         script = textwrap.dedent("""
+            import cmtorsion.exact_linalg as el
             import cmtorsion.mt_torus as mt
             from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
             from cmtorsion.cm_core import InvariantError
             from cmtorsion.exact_linalg import SmithForm
 
-            real = mt.smith_normal_form
+            real = el.smith_normal_form
 
             def doubled(m):
                 snf = real(m)
                 return SmithForm((2 * snf.diag[0],) + snf.diag[1:], snf.left, snf.right)
 
-            mt.smith_normal_form = doubled
+            el.smith_normal_form = doubled
             t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
+            cs = mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
             try:
-                mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
+                cs.cochar_basis
             except InvariantError as e:
                 print("InvariantError:", e, "debug" if __debug__ else "optimized")
             else:
@@ -266,22 +332,41 @@ class TestInvariantError:
             "InvariantError: Smith product 0 is not divisible by its divisor 2 optimized")
 
     def test_nonzero_row_past_the_rank_raises(self, monkeypatch):
-        # adding row 0 of `left` to its last row keeps `left` unimodular,
-        # but row n-1 of left @ M, past the rank 5 < 8, becomes row 0 of
-        # D right^-1, which is not zero
-        real = mt.smith_normal_form
+        # the rows of H saturate with divisors (1, 1, 1, 1, 2), so H has
+        # no row past its rank 5 < 8; adding row 0 of `left` to its last
+        # row keeps `left` unimodular, but row 4 of left @ H becomes
+        # 2 r_4 + r_0 for rows r_i of the unimodular right^-1, and r_0 is
+        # primitive, so its halving leaves a remainder
+        real = el.smith_normal_form
 
         def sheared(m):
             snf = real(m)
-            assert len(snf.diag) < m.rows
             rows = snf.left.row_lists()
             rows[-1] = [x + y for x, y in zip(rows[-1], rows[0])]
             return SmithForm(snf.diag, IntMatrix.from_rows(rows), snf.right)
 
-        monkeypatch.setattr(mt, "smith_normal_form", sheared)
         datum = single_factor(FiniteGroup.abelian([2, 2, 2]), 1, [0, 2, 4, 7])
-        with pytest.raises(InvariantError, match="past the rank is nonzero"):
-            build_character_system(datum)
+        cs = build_character_system(datum)
+        assert (cs.dim, cs.saturation_index) == (5, 2)
+        monkeypatch.setattr(el, "smith_normal_form", sheared)
+        with pytest.raises(InvariantError, match="product 4 is not divisible by its divisor 2"):
+            cs.cochar_basis
+
+    def test_saturation_index_disagreement_raises(self, monkeypatch):
+        # the build's divisors-only elimination of H claims index 2, the
+        # Smith form with transforms that saturates H finds 1
+        real = mt.elementary_divisors
+
+        def doubled(m):
+            diag = real(m)
+            return (2 * diag[0],) + diag[1:]
+
+        monkeypatch.setattr(mt, "elementary_divisors", doubled)
+        cs = build_character_system(quartic())
+        assert cs.saturation_index == 2
+        with pytest.raises(InvariantError,
+                           match="saturation index 1 disagrees with the build's 2"):
+            cs.cochar_basis
 
     def test_equivariance_checked_with_asserts_stripped(self):
         # swap the columns of cosets 0, 1 and of their conjugates 2, 3:
