@@ -264,13 +264,6 @@ def build_report(cs: CharacterSystem) -> AlphaReport:
     return check_bounds(report, cs)
 
 
-def alpha_power(alpha: Fraction, n: int) -> Fraction:
-    """Exponent of the n-th power: scales linearly."""
-    if n < 1:
-        raise ValueError("power must be a positive integer")
-    return n * alpha
-
-
 @dataclass(frozen=True)
 class ProductEnvelope:
     """Exponent bounds for a product with multiplicities.
@@ -315,28 +308,3 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     if lower > upper:
         raise InvariantError("product envelope lower bound exceeds the upper")
     return ProductEnvelope(lower=lower, upper=upper, question2=question2)
-
-
-def abel_inequality_check(ns: Sequence[int], bs: Sequence[int], ws: Sequence[int]) -> bool:
-    """Weighted-average comparison against the best prefix ratio.
-
-    For weakly decreasing positive weights n, checks exactly that
-    (sum n_i b_i)/(sum n_i w_i) <= max over prefixes of
-    (sum b_i)/(sum w_i).
-    """
-    if not (len(ns) == len(bs) == len(ws)) or not ns:
-        raise ValueError("three equal-length nonempty sequences required")
-    if any(x <= 0 for x in ns) or any(x <= 0 for x in bs) or any(x <= 0 for x in ws):
-        raise ValueError("all entries must be positive")
-    if any(a < b for a, b in zip(ns, ns[1:])):
-        raise ValueError("multiplicities must be weakly decreasing")
-    lhs = Fraction(sum(n * b for n, b in zip(ns, bs)),
-                   sum(n * w for n, w in zip(ns, ws)))
-    acc_b = 0
-    acc_w = 0
-    rhs = Fraction(0)
-    for b, w in zip(bs, ws):
-        acc_b += b
-        acc_w += w
-        rhs = max(rhs, Fraction(acc_b, acc_w))
-    return lhs <= rhs

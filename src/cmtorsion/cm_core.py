@@ -53,7 +53,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("table", "order", "inverses", "generators", "name",
-                 "abelian_invariants", "_element_tuples")
+                 "abelian_invariants", "_element_tuples", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "",
                  abelian_invariants: Optional[tuple[int, ...]] = None,
@@ -90,6 +90,7 @@ class FiniteGroup:
         self.name = name or f"order{n}"
         self.abelian_invariants = abelian_invariants
         self._element_tuples = _element_tuples
+        self._hash = hash(tab)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -132,7 +133,7 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self.table == other.table
 
     def __hash__(self):
-        return hash(self.table)
+        return self._hash
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -340,62 +341,6 @@ def _type_key(t: CMType) -> tuple[int, ...]:
 
 def _translation_orbit(space: CosetSpace, phi: frozenset[int]) -> list[frozenset[int]]:
     return [frozenset(space.act(g, s) for s in phi) for g in range(space.group.order)]
-
-
-def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms, as permutation tuples; backtracking search.
-
-    Intended for the small groups handled here; images are pruned by
-    element order.
-    """
-    n = group.order
-    orders = [group.element_order(a) for a in range(n)]
-    gens = group.generators
-
-    results = []
-
-    def close(partial: dict[int, int]) -> Optional[dict[int, int]]:
-        # close the partial map under products; None on inconsistency
-        mapped = dict(partial)
-        changed = True
-        while changed:
-            changed = False
-            items = list(mapped.items())
-            for a, fa in items:
-                for b, fb in items:
-                    ab = group.mul(a, b)
-                    fab = group.mul(fa, fb)
-                    if ab in mapped:
-                        if mapped[ab] != fab:
-                            return None
-                    else:
-                        mapped[ab] = fab
-                        changed = True
-        return mapped
-
-    def extend(i: int, partial: dict[int, int]):
-        if i == len(gens):
-            if len(partial) == n and len(set(partial.values())) == n:
-                results.append(tuple(partial[a] for a in range(n)))
-            return
-        g = gens[i]
-        if g in partial:
-            extend(i + 1, partial)
-            return
-        for img in range(n):
-            if orders[img] != orders[g]:
-                continue
-            trial = dict(partial)
-            trial[g] = img
-            closed = close(trial)
-            if closed is None:
-                continue
-            if len(set(closed.values())) != len(closed):
-                continue
-            extend(i + 1, closed)
-
-    extend(0, {0: 0})
-    return sorted(set(results))
 
 
 def enumerate_types(group: FiniteGroup, conj: int, *,

@@ -5,6 +5,16 @@ involution and the coset factors.  Serialization keeps every value
 exact: integers beyond 2^53 and all rational parts are emitted as
 strings so consumers never round-trip through floats.
 
+Parsing keeps, per process, the checked group of each group node and
+the coset space of each (group, subgroup), so a stream of documents
+naming the same few groups builds and checks each of them once.  Every
+field of every document is still checked before the lookup, a group or
+space is built and checked in full on every miss, and a refusal is never
+kept.  The memo takes groups of order at most `MEMO_MAX_ORDER` (64) and
+keeps the `MEMO_GROUPS` (32) groups and `MEMO_SPACES` (64) coset spaces
+used last: under 5 MB, the size of 64 spaces over order-64 tables of as
+many names.  Larger groups are built for every document.
+
 The canonical text is the one `json.dumps(doc, indent=2,
 ensure_ascii=False)` writes, plus a trailing newline.  `dumps_document`
 writes it with its own emitter: `json` uses its C encoder only when
@@ -16,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -27,9 +38,19 @@ from .mt_torus import CharacterSystem
 SAFE_INT = 2 ** 53
 
 # Largest group a document may name.  Building a group checks its table
-# in cubic time, so a tiny document must not ask for a huge one; 512
-# admits the order-384 Galois group of a generic quartic CM field.
+# in cubic time, once per process for the orders the memo keeps, so a
+# tiny document must not ask for a huge one; 512 admits the order-384
+# Galois group of a generic quartic CM field.
 MAX_GROUP_ORDER = 512
+# Most factors a document may list: the exponent is read off all
+# 2^r - 1 unions of factor blocks, which doubles in time per factor.
+MAX_FACTORS = 12
+
+# The memo's bound.  Past order 64 a build costs more than ten times
+# the parse, so keeping the group would save little.
+MEMO_MAX_ORDER = 64
+MEMO_GROUPS = 32
+MEMO_SPACES = 64
 
 CSV_HEADER = "ell,n,subgroup_order,degree,dim_W,n_W,estimate_decimal,bound_ok"
 
@@ -52,6 +73,26 @@ def _expect(condition: bool, path: str, message: str):
         raise DatumParseError(path, message)
 
 
+def _build_group(kind: str, key: tuple) -> FiniteGroup:
+    # key: the invariants, or the table rows and the name
+    if kind == "abelian":
+        return FiniteGroup.abelian(key)
+    table, name = key
+    return FiniteGroup.from_table(table, name=name)
+
+
+_memo_group = lru_cache(maxsize=MEMO_GROUPS)(_build_group)
+
+
+def _build_space(group: FiniteGroup, name: str, subgroup: tuple[int, ...]) -> CosetSpace:
+    # groups are equal by table; the name in the memo's key keeps each
+    # space over a group of its own document's name
+    return CosetSpace(group, subgroup)
+
+
+_memo_space = lru_cache(maxsize=MEMO_SPACES)(_build_space)
+
+
 def _parse_group(node: Any, path: str) -> FiniteGroup:
     _expect(isinstance(node, dict), path, "must be an object")
     kind = node.get("kind")
@@ -64,21 +105,26 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
         for i, x in enumerate(inv):
             _expect(_ints([x]) and x >= 2, f"{path}.invariants[{i}]",
                     "must be an integer >= 2")
-        _expect(math.prod(inv) <= MAX_GROUP_ORDER, f"{path}.invariants",
+        order = math.prod(inv)
+        _expect(order <= MAX_GROUP_ORDER, f"{path}.invariants",
                 f"group order exceeds {MAX_GROUP_ORDER}")
-        return FiniteGroup.abelian(inv)
-    table = node.get("table")
-    _expect(isinstance(table, list) and table, f"{path}.table",
-            "must be a nonempty list of rows")
-    _expect(len(table) <= MAX_GROUP_ORDER, f"{path}.table",
-            f"group order exceeds {MAX_GROUP_ORDER}")
-    for i, row in enumerate(table):
-        _expect(isinstance(row, list) and _ints(row),
-                f"{path}.table[{i}]", "must be a list of integers")
-    name = node.get("name", "custom")
-    _expect(isinstance(name, str), f"{path}.name", "must be a string")
+        key = tuple(inv)
+    else:
+        table = node.get("table")
+        _expect(isinstance(table, list) and table, f"{path}.table",
+                "must be a nonempty list of rows")
+        order = len(table)
+        _expect(order <= MAX_GROUP_ORDER, f"{path}.table",
+                f"group order exceeds {MAX_GROUP_ORDER}")
+        for i, row in enumerate(table):
+            _expect(isinstance(row, list) and _ints(row),
+                    f"{path}.table[{i}]", "must be a list of integers")
+        name = node.get("name", "custom")
+        _expect(isinstance(name, str), f"{path}.name", "must be a string")
+        key = (tuple(map(tuple, table)), name)
+    build = _memo_group if order <= MEMO_MAX_ORDER else _build_group
     try:
-        return FiniteGroup.from_table(table, name=name)
+        return build(kind, key)
     except ValueError as e:
         raise DatumParseError(f"{path}.table", str(e))
 
@@ -107,6 +153,9 @@ def parse_datum(doc: Any) -> CMDatum:
     factors_node = doc.get("factors")
     _expect(isinstance(factors_node, list) and factors_node, "$.factors",
             "must be a nonempty list")
+    _expect(len(factors_node) <= MAX_FACTORS, "$.factors",
+            f"more than {MAX_FACTORS} factors")
+    build_space = _memo_space if group.order <= MEMO_MAX_ORDER else _build_space
     factors = []
     for i, fnode in enumerate(factors_node):
         fpath = f"$.factors[{i}]"
@@ -117,7 +166,7 @@ def parse_datum(doc: Any) -> CMDatum:
         subgroup = [_parse_element(x, group, f"{fpath}.subgroup[{j}]")
                     for j, x in enumerate(sub_node)]
         try:
-            space = CosetSpace(group, subgroup)
+            space = build_space(group, group.name, tuple(sorted(set(subgroup))))
         except ValueError as e:
             raise DatumParseError(f"{fpath}.subgroup", str(e))
         phi_node = fnode.get("phi")

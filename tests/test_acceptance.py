@@ -19,7 +19,6 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from cmtorsion.alpha_engine import (
-    abel_inequality_check,
     alpha_exact,
     alpha_oracle,
     build_report,
@@ -29,7 +28,6 @@ from cmtorsion.cm_core import (
     CMType,
     CosetSpace,
     FiniteGroup,
-    automorphisms,
     enumerate_types,
     is_primitive,
 )
@@ -47,6 +45,8 @@ from cmtorsion.mt_torus import (
     classify,
 )
 from cmtorsion.verify import builtin_groups
+from test_alpha_engine import abel_inequality_check
+from test_cm_core import automorphisms
 
 QUARTIC_DOC = """{
   "group": {"kind": "abelian", "invariants": [4]},

@@ -3,16 +3,15 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from cmtorsion.alpha_engine import (
     AlphaReport,
     _factor_unions,
-    abel_inequality_check,
     alpha_exact,
     alpha_oracle,
-    alpha_power,
     build_report,
     check_bounds,
     product_envelope,
@@ -33,6 +32,31 @@ from cmtorsion.mt_torus import (
     build_character_system,
     classify,
 )
+
+
+def abel_inequality_check(ns: Sequence[int], bs: Sequence[int], ws: Sequence[int]) -> bool:
+    """Weighted-average comparison against the best prefix ratio.
+
+    For weakly decreasing positive weights n, checks exactly that
+    (sum n_i b_i)/(sum n_i w_i) <= max over prefixes of
+    (sum b_i)/(sum w_i).
+    """
+    if not (len(ns) == len(bs) == len(ws)) or not ns:
+        raise ValueError("three equal-length nonempty sequences required")
+    if any(x <= 0 for x in ns) or any(x <= 0 for x in bs) or any(x <= 0 for x in ws):
+        raise ValueError("all entries must be positive")
+    if any(a < b for a, b in zip(ns, ns[1:])):
+        raise ValueError("multiplicities must be weakly decreasing")
+    lhs = Fraction(sum(n * b for n, b in zip(ns, bs)),
+                   sum(n * w for n, w in zip(ns, ws)))
+    acc_b = 0
+    acc_w = 0
+    rhs = Fraction(0)
+    for b, w in zip(bs, ws):
+        acc_b += b
+        acc_w += w
+        rhs = max(rhs, Fraction(acc_b, acc_w))
+    return lhs <= rhs
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -257,11 +281,6 @@ class TestBoundChecks:
 
 
 class TestPowerAndProduct:
-    def test_alpha_power(self):
-        assert alpha_power(Fraction(4, 3), 3) == 4
-        with pytest.raises(ValueError):
-            alpha_power(Fraction(1), 0)
-
     def test_product_envelope_two_quadratics(self):
         group = FiniteGroup.abelian([2, 2])
         f1 = CMType(CosetSpace(group, [0, 1]), frozenset([0]))

@@ -3,6 +3,7 @@
 import random
 import time
 from itertools import product as iter_product
+from typing import Optional
 
 import pytest
 
@@ -12,12 +13,67 @@ from cmtorsion.cm_core import (
     CosetSpace,
     FiniteGroup,
     UnsupportedInputError,
-    automorphisms,
     enumerate_types,
     is_primitive,
     product,
     validate,
 )
+
+
+def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """All automorphisms, as permutation tuples; backtracking search.
+
+    Intended for the small groups handled here; images are pruned by
+    element order.
+    """
+    n = group.order
+    orders = [group.element_order(a) for a in range(n)]
+    gens = group.generators
+
+    results = []
+
+    def close(partial: dict[int, int]) -> Optional[dict[int, int]]:
+        # close the partial map under products; None on inconsistency
+        mapped = dict(partial)
+        changed = True
+        while changed:
+            changed = False
+            items = list(mapped.items())
+            for a, fa in items:
+                for b, fb in items:
+                    ab = group.mul(a, b)
+                    fab = group.mul(fa, fb)
+                    if ab in mapped:
+                        if mapped[ab] != fab:
+                            return None
+                    else:
+                        mapped[ab] = fab
+                        changed = True
+        return mapped
+
+    def extend(i: int, partial: dict[int, int]):
+        if i == len(gens):
+            if len(partial) == n and len(set(partial.values())) == n:
+                results.append(tuple(partial[a] for a in range(n)))
+            return
+        g = gens[i]
+        if g in partial:
+            extend(i + 1, partial)
+            return
+        for img in range(n):
+            if orders[img] != orders[g]:
+                continue
+            trial = dict(partial)
+            trial[g] = img
+            closed = close(trial)
+            if closed is None:
+                continue
+            if len(set(closed.values())) != len(closed):
+                continue
+            extend(i + 1, closed)
+
+    extend(0, {0: 0})
+    return sorted(set(results))
 
 
 def trivial_type(group: FiniteGroup, phi) -> CMType:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import random
+import time
 from itertools import product as iter_product
 
 import pytest
@@ -10,8 +12,10 @@ import pytest
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cli import main
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types
+from cmtorsion import documents
 from cmtorsion.documents import (
     CSV_HEADER,
+    MAX_FACTORS,
     MAX_GROUP_ORDER,
     DatumParseError,
     datum_to_dict,
@@ -163,6 +167,122 @@ class TestParsing:
             parse_datum(doc)
         assert err.value.path == path
         assert str(MAX_GROUP_ORDER) in str(err.value)
+
+
+def many_factor_doc(count: int) -> dict:
+    """`count` distinct CM types over C2xC16, conjugation (1, 0)."""
+    rng = random.Random(count)
+    phis = set()
+    while len(phis) < count:
+        phis.add(tuple(y + 16 * rng.randrange(2) for y in range(16)))
+    return {"group": {"kind": "abelian", "invariants": [2, 16]},
+            "conj": [1, 0], "factors": [{"phi": list(phi)} for phi in sorted(phis)]}
+
+
+class TestFactorCap:
+    def test_twelve_factors_parse(self):
+        datum = parse_datum(many_factor_doc(MAX_FACTORS))
+        assert len(datum.factors) == MAX_FACTORS == 12
+
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate", "--ell", "5"]])
+    def test_more_factors_exit_2_before_any_build(self, command, tmp_path, capsys):
+        doc = many_factor_doc(MAX_FACTORS + 1)
+        with pytest.raises(DatumParseError) as err:
+            parse_datum(doc)
+        assert err.value.path == "$.factors"
+        p = tmp_path / "many.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.perf_counter()
+        assert main([command[0], str(p)] + command[1:]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "$.factors" in captured.err
+
+
+def table_doc(table, name="custom") -> dict:
+    return {"group": {"kind": "table", "name": name, "table": table},
+            "conj": 1, "factors": [{"phi": [0]}]}
+
+
+C2_TABLE = [[0, 1], [1, 0]]
+
+
+@pytest.fixture
+def cold_memo():
+    documents._memo_group.cache_clear()
+    documents._memo_space.cache_clear()
+
+
+@pytest.mark.usefixtures("cold_memo")
+class TestGroupMemo:
+    """Parsing keeps each checked group and coset space for later documents."""
+
+    def test_same_group_shares_objects(self):
+        group, conj, sub = c2_times_alternating4()
+        doc = {"group": {"kind": "table", "name": "C2xA4",
+                         "table": [list(r) for r in group.table]},
+               "conj": conj, "factors": [{"subgroup": sub, "phi": [0, 1, 2, 3]}]}
+        for first, second in [(QUARTIC_DOC, dict(QUARTIC_DOC, factors=[{"phi": [0, 3]}])),
+                              (doc, json.loads(json.dumps(doc)))]:
+            a, b = parse_datum(first), parse_datum(second)
+            assert a.group is b.group
+            assert a.factors[0].space is b.factors[0].space
+            assert a.factors[0].space.group is a.group
+
+    def test_refusal_is_not_kept(self):
+        for _ in range(2):
+            with pytest.raises(DatumParseError) as err:
+                parse_datum(table_doc([[0, 1], [1, 1]]))
+            assert err.value.path == "$.group.table"
+        assert documents._memo_group.cache_info().currsize == 0
+
+    def test_booleans_refused_after_the_integer_table(self):
+        assert parse_datum(table_doc(C2_TABLE)).group.order == 2
+        with pytest.raises(DatumParseError) as err:
+            parse_datum(table_doc([[0, True], [True, 0]]))
+        assert err.value.path == "$.group.table[0]"
+
+    def test_names_stay_apart(self):
+        reports = []
+        for name in ("first", "second"):
+            datum = parse_datum(table_doc(C2_TABLE, name))
+            assert datum.group.name == datum.factors[0].space.group.name == name
+            cs = build_character_system(datum)
+            reports.append(report_to_dict(build_report(cs), cs))
+        assert [r["datum"]["group"]["name"] for r in reports] == ["first", "second"]
+        first, second = (parse_datum(table_doc(C2_TABLE, n)) for n in ("first", "second"))
+        assert first.group is not second.group
+
+    def test_cold_and_warm_bytes_agree(self, catalogue):
+        def report_text(text):
+            cs = build_character_system(load_datum(text))
+            return dumps_document(report_to_dict(build_report(cs), cs))
+
+        texts = [json.dumps(datum_to_dict(cs.datum)) for _, cs in catalogue[::9]]
+        cold = []
+        for text in texts:
+            documents._memo_group.cache_clear()
+            documents._memo_space.cache_clear()
+            cold.append(report_text(text))
+        warm = [report_text(text) for text in texts + texts][len(texts):]
+        assert documents._memo_group.cache_info().hits > 0
+        assert warm == cold
+
+    def test_memo_is_bounded(self):
+        count = documents.MEMO_SPACES + 10
+        for i in range(count):
+            parse_datum(table_doc(C2_TABLE, f"n{i}"))
+        assert documents._memo_group.cache_info().currsize == documents.MEMO_GROUPS
+        assert documents._memo_space.cache_info().currsize == documents.MEMO_SPACES
+
+    def test_large_groups_are_not_kept(self):
+        doc = {"group": {"kind": "abelian", "invariants": [2, 64]},
+               "conj": [1, 0], "factors": [{"phi": list(range(64))}]}
+        a, b = parse_datum(doc), parse_datum(doc)
+        assert a.group == b.group and a.group is not b.group
+        assert documents._memo_group.cache_info().currsize == 0
+        assert documents._memo_space.cache_info().currsize == 0
 
 
 class TestEncoding:
