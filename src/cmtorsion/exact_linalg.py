@@ -202,9 +202,19 @@ def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
     the first m.cols columns, so the blocks beside and below m collect
     `left` and `right`.  Without them both come back as None.  With a
     modulus D the elimination runs on [m | D*I] (see
-    `elementary_divisors`): before each pivot the remaining entries are
-    reduced modulo D, a column operation with the D*e_i columns, which
-    are then joined to the pivots by a gcd at the end.
+    `elementary_divisors`): the entries scanned for a pivot are reduced
+    modulo D, a column operation with the D*e_i columns, which are then
+    joined to the pivots by a gcd at the end.  The pivot is an entry x
+    whose g = gcd(x, D) is least (the scan stops at g = 1).  When g
+    divides every remaining entry, one pass subtracts q = (c/g) u times
+    the pivot row from each row with c in the pivot column, u the
+    inverse of x/g modulo D/g (a unit, as gcd(x/g, D/g) = 1), so that
+    q x = c modulo D.  The column lattice then holds g e_t, which clears
+    the pivot row, and g divides everything left, so g is the next
+    divisor and the row and column are dropped.  Only the least g can
+    divide all the others, so no other pivot is tried; when it does not
+    (never for a prime power D) the step is the Euclidean one of the
+    plain elimination.
     """
     nr, nc = m.rows, m.cols
     a = m.row_lists()
@@ -235,10 +245,34 @@ def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
     limit = min(nr, nc)
     while t < limit:
         if modulus:
+            # the least gcd(x, D) and the gcd of all of them
+            best, common = None, modulus
             for i in range(t, nr):
                 row = a[i]
                 for j in range(t, nc):
-                    row[j] %= modulus
+                    v = row[j] = row[j] % modulus
+                    if v:
+                        g = gcd(v, modulus)
+                        common = gcd(common, g)
+                        if best is None or g < best[0]:
+                            best = (g, i, j)
+                if best is not None and best[0] == 1:
+                    break
+            if best is None:
+                break
+            g, bi, bj = best
+            if g == common:
+                if bi != t:
+                    swap_rows(t, bi)
+                if bj != t:
+                    swap_cols(t, bj)
+                u = pow(a[t][t] // g, -1, modulus // g)
+                for i in range(t + 1, nr):
+                    c = a[i][t]
+                    if c:
+                        add_row(t, i, c // g * u % modulus)
+                t += 1
+                continue
         # pick the first nonzero entry of smallest magnitude as pivot
         best = None
         for i in range(t, nr):
@@ -318,10 +352,18 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
     returns the divisors of [m | D*I] instead: gcd(s_i, D) for each
     divisor s_i of `m`, then D once for each row past the rank, and the
     elimination keeps its entries below D.  When D*Z^rows already lies
-    in the column lattice of `m` these are the divisors of `m`.
+    in the column lattice of `m` these are the divisors of `m`.  Modulo
+    D each pivot is an entry of least gcd g with D; when g divides all
+    remaining entries its column is cleared in one pass, exactly, since
+    x/g is a unit modulo D/g (see `_smith`), and otherwise by Euclidean
+    steps.  A modulus that is not a positive int (bools included) raises
+    ValueError before any elimination.
     """
-    if modulus is not None and modulus < 1:
-        raise ValueError("modulus must be positive")
+    if modulus is not None:
+        if not isinstance(modulus, int) or isinstance(modulus, bool):
+            raise ValueError(f"modulus must be an integer, got {modulus!r}")
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
     return _smith(m, transforms=False, modulus=modulus)[0]
 
 

@@ -7,10 +7,12 @@ subgroup is the size of the image of Z^d -> prod Z/m_i under the active
 characters.  It has one closed form: Z/m_i embeds in Z/M, M = lcm(m),
 by x -> (M/m_i) x, so the size is prod M / gcd(M, s_j) over the Smith
 divisors s_j of the rows scaled by M/m_i.  A sweep at one level takes
-one Smith form whatever the number of primes, a mixed-level query one
-modulo M.  Primality of ell is decided exactly by Miller-Rabin below
-`PRIME_TEST_LIMIT`.  Floats appear only in the display column of sweep
-rows.
+one Smith form whatever the number of primes, and none when its witness
+holds every character: the divisors are then the build's own.  A
+mixed-level degree takes one Smith form modulo M, a staircase one
+Hermite form of the active coordinates.  Primality of ell is decided
+exactly by Miller-Rabin below `PRIME_TEST_LIMIT`.  Floats appear only
+in the display column of sweep rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
 from .cm_core import InvariantError
-from .exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors
+from .exact_linalg import IntMatrix, elementary_divisors, hermite_normal_form
 from .mt_torus import CharacterSystem
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -122,10 +124,15 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
         raise ValueError("need matching nonempty rows and moduli")
     for m in moduli:
         _require_int(m, "modulus", 1)
-    matrix = IntMatrix.from_rows(rows)  # refuses non-integer and bool entries
+    IntMatrix.from_rows(rows)  # refuses ragged rows, non-integer and bool entries
+    return _image(rows, moduli)
+
+
+def _image(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
+    # `lattice_image_size` on checked rows and positive int moduli
     big = math.lcm(*moduli)
-    scaled = IntMatrix.from_rows([[big // m * x for x in matrix.row(i)]
-                                  for i, m in enumerate(moduli)])
+    scaled = IntMatrix.from_rows([[big // m * x for x in row]
+                                  for row, m in zip(rows, moduli)])
     size = _image_size(elementary_divisors(scaled, modulus=big), big)
     if math.prod(moduli) % size:
         raise InvariantError("the image size does not divide the group order")
@@ -135,11 +142,17 @@ def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> 
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:
     if not levels:
         raise ValueError("at least one character must carry a level")
-    for i, n in levels.items():
-        _require_int(i, "character index")
-        if not 0 <= i < 2 * cs.genus:
-            raise ValueError(f"character index {i} out of range")
-        _require_int(n, "level", 1)
+    # the types once per distinct type, as IntMatrix does; on any bad
+    # entry the loop below names the first one
+    if not (all(issubclass(t, int) and t is not bool
+                for t in set(map(type, levels)) | set(map(type, levels.values())))
+            and 0 <= min(levels) and max(levels) < 2 * cs.genus
+            and min(levels.values()) >= 1):
+        for i, n in levels.items():
+            _require_int(i, "character index")
+            if not 0 <= i < 2 * cs.genus:
+                raise ValueError(f"character index {i} out of range")
+            _require_int(n, "level", 1)
     return sorted(levels.items())
 
 
@@ -151,9 +164,8 @@ def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int])
     """
     pairs = _normalize_levels(cs, levels)
     _require_odd_prime(ell)
-    rows = [cs.char_coords[i] for i, _ in pairs]
-    moduli = [_unit_order(ell, n) for _, n in pairs]
-    return lattice_image_size(rows, moduli)
+    return _image([cs.char_coords[i] for i, _ in pairs],
+                  [_unit_order(ell, n) for _, n in pairs])
 
 
 @dataclass(frozen=True)
@@ -161,7 +173,9 @@ class StaircaseBounds:
     """Exact sandwich for a subgroup degree.
 
     The exponent sums the levels of a greedy maximal independent
-    subfamily taken in decreasing level order.  The plain lower bound
+    subfamily taken in decreasing level order: the pivot columns of the
+    Hermite form of the active coordinates as columns in that order,
+    whose rows number `span_dim`.  The plain lower bound
     assumes the active characters span a saturated lattice; dividing
     by the saturation defect (the product of the elementary divisors
     of the active coordinate rows) repairs it in general, so the
@@ -192,13 +206,13 @@ def staircase_bounds(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -
     pairs = _normalize_levels(cs, levels)
     _require_odd_prime(ell)
     order = sorted(pairs, key=lambda p: (-p[1], p[0]))
-    basis = IntSpanBasis(cs.dim)
-    exponent = 0
-    for i, n in order:
-        if basis.insert(cs.char_coords[i]):
-            exponent += n
-    rows = IntMatrix.from_rows([cs.char_coords[i] for i, _ in pairs])
-    return _bounds(ell, exponent, basis.dim, math.prod(elementary_divisors(rows)))
+    # the column pivots of an echelon form are the greedy independent set;
+    # H has the divisors of the active coordinate rows
+    hermite = hermite_normal_form(IntMatrix.from_rows(
+        zip(*(cs.char_coords[i] for i, _ in order)), cols=len(order)))
+    exponent = sum(order[next(j for j, x in enumerate(hermite.row(r)) if x)][1]
+                   for r in range(hermite.rows))
+    return _bounds(ell, exponent, hermite.rows, math.prod(elementary_divisors(hermite)))
 
 
 @dataclass(frozen=True)
@@ -237,9 +251,13 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     # Uniform level: the degree is `_image_size` of the divisors s_i of
     # the active rows.  The greedy staircase picks a basis of the span,
     # r = len(s) rows at the one level, and its saturation defect is
-    # prod s_i.
-    divisors = elementary_divisors(
-        IntMatrix.from_rows([cs.char_coords[i] for i in witness.generating_indices]))
+    # prod s_i.  When the witness holds all 2g characters the rows are
+    # the transpose of the build's Hermite form, with its divisors.
+    if len(witness.generating_indices) == 2 * cs.genus:
+        divisors = cs.divisors
+    else:
+        divisors = elementary_divisors(
+            IntMatrix.from_rows([cs.char_coords[i] for i in witness.generating_indices]))
     span_dim = len(divisors)
     saturation = math.prod(divisors)
     rows = []

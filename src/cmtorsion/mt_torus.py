@@ -9,9 +9,9 @@ The build runs one Hermite elimination H = U M of it, U unimodular
 (Cohen, A Course in Computational Algebraic Number Theory, 2.4): the
 rows of H are a basis of the row lattice, so their number is the rank,
 column j of H holds the coordinates of character j in the saturated
-character lattice, and the divisors of H give the saturation index.
-The saturated cocharacter lattice is computed from the rows of H on
-first read.
+character lattice, and the divisors of H are kept, with their product,
+the saturation index.  The saturated cocharacter lattice is computed
+from the rows of H on first read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class CharacterSystem:
     orbit matrix: each character in the basis of the saturated character
     lattice formed by the first `dim` columns of U^-1.  Callers may read
     only quantities that do not depend on the choice of that basis.
-    `cochar_basis` is computed on first read.
+    `divisors` are the nonzero elementary divisors of H, which are those
+    of the 2g x dim matrix of all `char_coords` (its transpose), and
+    `saturation_index` is their product.  `cochar_basis` is computed on
+    first read.
     """
 
     datum: CMDatum
@@ -64,6 +67,7 @@ class CharacterSystem:
     weight: tuple[int, ...]
     column_labels: tuple[tuple[int, int], ...]
     char_coords: tuple[tuple[int, ...], ...]
+    divisors: tuple[int, ...]
     saturation_index: int
 
     @cached_property
@@ -171,6 +175,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     d = hermite.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
+    divisors = elementary_divisors(hermite)
 
     return CharacterSystem(
         datum=datum,
@@ -182,7 +187,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         weight=weight,
         column_labels=labels,
         char_coords=tuple(zip(*map(hermite.row, range(d)))),
-        saturation_index=prod(elementary_divisors(hermite)),
+        divisors=divisors,
+        saturation_index=prod(divisors),
     )
 
 

@@ -423,6 +423,61 @@ class TestElementaryDivisors:
         with pytest.raises(ValueError):
             elementary_divisors(IntMatrix.identity(2), modulus=0)
 
+    @pytest.mark.parametrize("modulus", [4.0, 6.0, True, False, Fraction(4), "4"])
+    @pytest.mark.parametrize("m", [IntMatrix.zero(2, 1), IntMatrix.from_rows([[2, 3], [4, 5]])])
+    def test_modulus_must_be_an_int(self, monkeypatch, m, modulus):
+        # refused before any elimination: a float or bool used to come
+        # back as a divisor, or end in a TypeError from gcd
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(el, "_smith", no_elimination)
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            elementary_divisors(m, modulus=modulus)
+
+    @pytest.mark.parametrize("rows, modulus, divisors", [
+        # gcd(2, 6) = 2 is least but does not divide 3: a Euclidean step
+        ([[2, 3]], 6, (1,)),
+        ([[2], [3]], 6, (1, 6)),
+        ([[4, 6], [6, 9]], 12, (1, 12)),
+        ([[2, 0], [0, 3]], 6, (1, 6)),
+        # a prime power: every step is one pass
+        ([[9, 3], [27, 6]], 81, (3, 9)),
+        ([[0, 0], [0, 0]], 5, (5, 5)),
+    ])
+    def test_pivot_rule_hand_cases(self, rows, modulus, divisors):
+        m = IntMatrix.from_rows(rows)
+        assert elementary_divisors(m, modulus=modulus) == divisors
+        assert smith_normal_form(bordered(rows, [modulus] * len(rows))).diag == divisors
+
+    def test_modulus_against_the_bordered_smith_form(self):
+        # elementary_divisors(m, modulus=D) against the Smith form with
+        # transforms of [m | D*I], over rows with zero and dependent rows,
+        # for prime powers ell^E and for D = lcm((ell - 1) ell^k_i)
+        rng = random.Random(1231)
+        for trial in range(240):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 4)
+            ell = rng.choice((3, 5, 7, 13, 101, 59999))
+            if trial % 2:
+                modulus = ell ** rng.randint(1, 6)
+            else:
+                modulus = lcm(*((ell - 1) * ell ** rng.randint(0, 5) for _ in range(nr)))
+            rows = []
+            for _ in range(nr):
+                kind = rng.random()
+                if kind < 0.2:
+                    rows.append([0] * nc)
+                elif kind < 0.4 and rows:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+                    rows.append([p * x + q * y for x, y in zip(a, b)])
+                else:
+                    scale = rng.choice((1, ell, ell - 1, modulus))
+                    rows.append([scale * rng.randint(-9, 9) for _ in range(nc)])
+            m = IntMatrix.from_rows(rows, cols=nc)
+            assert elementary_divisors(m, modulus=modulus) == \
+                smith_normal_form(bordered(rows, [modulus] * nr)).diag, (rows, modulus)
+
     def test_zero_matrix(self):
         assert elementary_divisors(IntMatrix.zero(3, 2)) == ()
 

@@ -6,6 +6,7 @@ with the bordered Smith-form computations they replaced, kept here as
 `exponent_sweep_reference`.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -25,7 +26,12 @@ from cmtorsion.cm_core import (
     InvariantError,
     enumerate_types,
 )
-from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, smith_normal_form
+from cmtorsion.exact_linalg import (
+    IntMatrix,
+    IntSpanBasis,
+    elementary_divisors,
+    smith_normal_form,
+)
 from cmtorsion.finite_level import (
     PRIME_TEST_LIMIT,
     StaircaseBounds,
@@ -218,6 +224,36 @@ class TestSweep:
         cs = quartic()
         assert exponent_sweep(cs, [5, 13], 1) == exponent_sweep(cs, [5, 13], 1)
 
+    def test_full_witness_reads_the_build_divisors(self, monkeypatch):
+        # a witness of all 2g characters has the rows of H^T, whose
+        # divisors the build kept: the sweep runs no elimination
+        calls = []
+
+        def recording(name):
+            real = getattr(fl, name)
+
+            def call(m, *args, **kwargs):
+                calls.append((name, m.rows, m.cols))
+                return real(m, *args, **kwargs)
+            return call
+
+        systems = [(cs, build_report(cs)) for cs in (elliptic(), quartic(), quaternion())]
+        expected = [exponent_sweep_reference(cs, [3, 101], 2, report)
+                    for cs, report in systems]
+        for name in ("elementary_divisors", "hermite_normal_form"):
+            monkeypatch.setattr(fl, name, recording(name))
+        for (cs, report), rows in zip(systems, expected):
+            assert report.witness.n == 2 * cs.genus
+            assert exponent_sweep(cs, [3, 101], 2, report) == rows
+        assert calls == []
+        # a witness of fewer characters takes one divisors-only Smith form
+        cs, report = systems[2]
+        part = dataclasses.replace(report, witness=dataclasses.replace(
+            report.witness, generating_indices=(0, 2, 5), n=3))
+        assert exponent_sweep(cs, [3, 101], 2, part) == \
+            exponent_sweep_reference(cs, [3, 101], 2, part)
+        assert calls == [("elementary_divisors", 3, cs.dim)]
+
 
 # ---------------------------------------------------------------------------
 # Primality
@@ -380,6 +416,24 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be an integer"):
             call(quartic())
 
+    @pytest.mark.parametrize("levels, message", [
+        ({}, "at least one character must carry a level"),
+        ({0: 1, 9: 1}, "character index 9 out of range"),
+        ({0: 1, -1: 2}, "character index -1 out of range"),
+        ({0: 1, 1: 0}, "level must be at least 1, got 0"),
+        ({5: 0, 0: 1.5}, "character index 5 out of range"),
+        ({0: 1.5, 5: 0}, "level must be an integer, got 1.5"),
+        ({2: 1, True: 1}, "character index must be an integer, got True"),
+        ({2: -3, 7: 1}, "level must be at least 1, got -3"),
+    ])
+    def test_first_bad_level_entry_named(self, levels, message):
+        # the entry types are checked once per distinct type; a bad entry
+        # is named by the per-entry loop, in the mapping's order
+        for call in (degree_of_subgroup, staircase_bounds):
+            with pytest.raises(ValueError) as info:
+                call(quartic(), 5, levels)
+            assert str(info.value) == message
+
     def test_lattice_image_size_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             lattice_image_size([[1, 2], [3]], [4, 4])
@@ -409,10 +463,12 @@ class TestValidation:
 # Differential tests against the bordered Smith-form computations
 
 def lattice_image_size_reference(rows, moduli) -> int:
+    # the divisors of the bordered [A | diag(m)], with no modulus, so the
+    # reference does not run the modular elimination it checks
     k = len(rows)
     stacked = [list(r) + [moduli[i] if j == i else 0 for j in range(k)]
                for i, r in enumerate(rows)]
-    index = math.prod(smith_normal_form(IntMatrix.from_rows(stacked)).diag)
+    index = math.prod(elementary_divisors(IntMatrix.from_rows(stacked)))
     size, rem = divmod(math.prod(moduli), index)
     assert rem == 0
     return size

@@ -111,6 +111,25 @@ class TestBuild:
         assert len(set(cs.characters)) == 4
         assert cs.dim == 3
 
+    def test_divisors_are_those_of_all_character_coordinates(self):
+        # the build keeps the divisors of its Hermite form H; the 2g x dim
+        # matrix of all char_coords is H's transpose, with the same ones
+        systems = [build_character_system(d) for d in (elliptic(), quartic(),
+                                                       two_quadratic_factors())]
+        for group in (FiniteGroup.abelian([2, 2, 2]), FiniteGroup.dicyclic(2),
+                      FiniteGroup.abelian([8])):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
+                    try:
+                        systems.append(build_character_system(CMDatum(group, conj, (t,))))
+                    except DuplicateCharactersError:
+                        continue
+        assert any(cs.saturation_index > 1 for cs in systems)
+        for cs in systems:
+            assert cs.divisors == elementary_divisors(IntMatrix.from_rows(cs.char_coords))
+            assert len(cs.divisors) == cs.dim
+            assert cs.saturation_index == prod(cs.divisors)
+
     def test_invalid_datum_rejected(self):
         g = FiniteGroup.abelian([4])
         with pytest.raises(ValueError):
@@ -149,6 +168,7 @@ class TestMod2:
             weight=cs.weight,
             column_labels=cs.column_labels,
             char_coords=cs.char_coords,
+            divisors=cs.divisors,
             saturation_index=cs.saturation_index,
         )
         ok, pair = check_mod2_distinct(doubled)
@@ -277,6 +297,7 @@ class TestNoSwell:
         assert time.perf_counter() - start < 5
         divisors = orbit_divisors(cs.orbit_matrix)
         assert len(divisors) == cs.dim
+        assert cs.divisors == divisors
         assert cs.saturation_index == prod(divisors)
         if datum is SWELLING[0]:
             assert divisors[-3:] == (1, 23, 46)
