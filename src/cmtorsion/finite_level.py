@@ -142,17 +142,11 @@ def _image(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:
     if not levels:
         raise ValueError("at least one character must carry a level")
-    # the types once per distinct type, as IntMatrix does; on any bad
-    # entry the loop below names the first one
-    if not (all(issubclass(t, int) and t is not bool
-                for t in set(map(type, levels)) | set(map(type, levels.values())))
-            and 0 <= min(levels) and max(levels) < 2 * cs.genus
-            and min(levels.values()) >= 1):
-        for i, n in levels.items():
-            _require_int(i, "character index")
-            if not 0 <= i < 2 * cs.genus:
-                raise ValueError(f"character index {i} out of range")
-            _require_int(n, "level", 1)
+    for i, n in levels.items():
+        _require_int(i, "character index")
+        if not 0 <= i < 2 * cs.genus:
+            raise ValueError(f"character index {i} out of range")
+        _require_int(n, "level", 1)
     return sorted(levels.items())
 
 

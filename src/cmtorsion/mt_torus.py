@@ -68,7 +68,10 @@ class CharacterSystem:
     column_labels: tuple[tuple[int, int], ...]
     char_coords: tuple[tuple[int, ...], ...]
     divisors: tuple[int, ...]
-    saturation_index: int
+
+    @property
+    def saturation_index(self) -> int:
+        return prod(self.divisors)
 
     @cached_property
     def cochar_basis(self) -> IntMatrix:
@@ -175,7 +178,6 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     d = hermite.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
-    divisors = elementary_divisors(hermite)
 
     return CharacterSystem(
         datum=datum,
@@ -187,8 +189,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         weight=weight,
         column_labels=labels,
         char_coords=tuple(zip(*map(hermite.row, range(d)))),
-        divisors=divisors,
-        saturation_index=prod(divisors),
+        divisors=elementary_divisors(hermite),
     )
 
 

@@ -169,7 +169,6 @@ class TestMod2:
             column_labels=cs.column_labels,
             char_coords=cs.char_coords,
             divisors=cs.divisors,
-            saturation_index=cs.saturation_index,
         )
         ok, pair = check_mod2_distinct(doubled)
         assert not ok
