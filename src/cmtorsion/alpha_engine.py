@@ -7,13 +7,14 @@ character matroid, so the largest set attaining the maximum is a union
 of factor blocks (the principal partition; Fujishige, Submodular
 Functions and Optimization, 2005): the exponent is the best ratio over
 the 2^r - 1 factor unions.  The witness is the full span when it
-attains it, else the first flat that does.  The oracle re-derives the
-maximum by sheer enumeration of subsets.  Everything is exact.
+attains it, else the attaining union first in (dim, index set) order,
+which is the first attaining flat in that order (see `_exact_report`).
+The oracle re-derives the maximum by sheer enumeration of subsets.
+Everything is exact.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,14 +25,6 @@ from .mt_torus import CharacterSystem, Classification, check_mod2_distinct, clas
 
 # Largest character count the brute-force oracle accepts.
 ORACLE_CAP = 12
-# Flats the witness search may form before it gives up: ten times the
-# 6508 of the largest fallback known (an order-16 joint of 18 characters).
-FLAT_BUDGET = 2 ** 16
-
-
-class FlatBudgetError(ValueError):
-    """The witness search formed `FLAT_BUDGET` flats without attaining
-    the exponent: the datum is too large for the fallback."""
 
 
 @dataclass(frozen=True)
@@ -89,64 +82,48 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis, Fractio
     return table
 
 
-def _first_flat_attaining(columns: Sequence[tuple[int, ...]],
-                          alpha: Fraction) -> tuple[tuple[int, ...], IntSpanBasis, int]:
-    """First flat of the character matroid, in (dim, index set) order,
-    whose count/dim ratio is the maximum `alpha`; and the flats formed.
-
-    The flats covering a flat F are the rank-1 flats of the contraction
-    by F, one per parallel class of the outside characters modulo
-    span(F).  Each flat is formed once, when popped, from the first
-    parent that reached it; key order pops every parent before it.
-    Raises FlatBudgetError once `FLAT_BUDGET` flats are formed.
-    """
-    empty = IntSpanBasis(len(columns[0]))
-    heap: list[tuple[int, tuple[int, ...]]] = []
-    pending: dict[tuple[int, tuple[int, ...]], tuple[IntSpanBasis, tuple[int, ...]]] = {}
-
-    def expand(parent: IntSpanBasis, contained: tuple[int, ...]):
-        # one child per parallel class of the outside columns modulo the span
-        inside = set(contained)
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for j, col in enumerate(columns):
-            if j not in inside:
-                classes.setdefault(parent.direction(col), []).append(j)
-        for direction, members in classes.items():
-            handle = (parent.dim + 1, tuple(sorted(contained + tuple(members))))
-            if handle not in pending:
-                pending[handle] = (parent, direction)
-                heapq.heappush(heap, handle)
-
-    expand(empty, ())
-    formed = 0
-    while heap:
-        dim, contained = handle = heapq.heappop(heap)
-        parent, direction = pending.pop(handle)
-        basis = parent.copy()
-        basis.insert(direction)
-        formed += 1
-        if Fraction(len(contained), dim) == alpha:
-            return contained, basis, formed
-        if formed == FLAT_BUDGET:
-            raise FlatBudgetError(
-                f"the witness search formed {formed} flats without attaining "
-                f"the exponent {alpha}")
-        expand(basis, contained)
-    raise InvariantError("no flat attains the exponent")
-
-
 def alpha_exact(cs: CharacterSystem) -> AlphaReport:
     """Exponent, witness span and classification data for a system."""
     return _exact_report(cs, classify(cs))
 
 
 def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
+    """Report whose witness is read off the factor-union table.
+
+    The witness is the full span when it attains alpha, else the
+    attaining union least in (dim, index set) order: the first flat in
+    that order to attain alpha.  Why, with f(S) = alpha r(S) - |S|:
+    - f >= 0, and f is submodular, so its zeros (the sets attaining
+      alpha, and the empty set) are closed under union and intersection.
+      A zero is a flat: a further character in its span would beat alpha.
+    - The atoms are the minimal nonempty zeros.  Two distinct atoms meet
+      in a zero, so they are disjoint, and f(a u b) = 0 makes their
+      spans independent.  G permutes the characters by matroid
+      automorphisms, so it permutes the atoms.
+    - Let an atom a not be G-invariant.  Its translates span a direct
+      sum, and the weight w, which G fixes, lies in none of their spans
+      (it would lie in all).  The build checks that the conjugate c.x
+      of a character x is w - x, so w = x + c.x with c.a != a: in the
+      direct sum, w has the component x on span(a) for every x in a,
+      so |a| = 1, and the nonzero component g.x on every span(g.a), so
+      a has two translates.  Then f({x}) = 0 gives alpha = 1, which the
+      full span attains.
+    - So when the full span does not attain alpha, every atom is G-stable,
+      a union of factor blocks, and in the table.  A zero of least
+      dimension contains an atom of no larger dimension, whose span is
+      then its own: it is that atom.  The attaining flats of least
+      dimension are therefore the attaining unions of least dimension.
+    """
     unions = _factor_unions(cs)
     m, full, alpha = unions[-1]
     if Fraction(m, full.dim) == alpha:
-        contained, basis, formed = tuple(range(m)), full, 0
+        contained, basis = tuple(range(m)), full
     else:
-        contained, basis, formed = _first_flat_attaining(cs.characters, alpha)
+        factor_of = [fi for fi, _ in cs.column_labels]
+        attaining = [(tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1), span)
+                     for mask, (n, span, _) in enumerate(unions)
+                     if mask and Fraction(n, span.dim) == alpha]
+        contained, basis = min(attaining, key=lambda entry: (entry[1].dim, entry[0]))
     witness = SubspaceWitness(
         basis=basis.key(),
         generating_indices=contained,
@@ -165,7 +142,7 @@ def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
         # the build checks that characters are 0/1 with |G|/2 ones: on a span
         # W they project injectively to {0,1}^(dim W - 1), so n(W) <= 2^(dim W - 1)
         bound_checks={"subspace_counting_bound": True},
-        spans_visited=len(unions) - 1 + formed,
+        spans_visited=len(unions) - 1,
     )
 
 

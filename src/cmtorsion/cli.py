@@ -1,7 +1,6 @@
 """Command line entry points.
 
-Exit codes: 0 success, 1 failed checks, 2 invalid input (including a
-datum whose witness search exceeds its flat budget), 3 duplicate
+Exit codes: 0 success, 1 failed checks, 2 invalid input, 3 duplicate
 characters in the datum.  All file output is UTF-8 with LF endings and
 is byte-identical across runs.
 """
@@ -13,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .alpha_engine import ORACLE_CAP, FlatBudgetError, alpha_exact, alpha_oracle, build_report
+from .alpha_engine import ORACLE_CAP, alpha_exact, alpha_oracle, build_report
 from .cm_core import CMDatum, FiniteGroup, enumerate_types, is_primitive
 from .documents import (
     DatumParseError,
@@ -76,10 +75,7 @@ def cmd_analyze(args) -> int:
     cs, code = _load_system(args.file)
     if cs is None:
         return code
-    try:
-        report = build_report(cs)
-    except FlatBudgetError as e:
-        return _fail(str(e), EXIT_INVALID)
+    report = build_report(cs)
     if args.json:
         _write_text(args.json, dumps_document(report_to_dict(report, cs)))
     datum = cs.datum

@@ -11,8 +11,9 @@ one Smith form whatever the number of primes, and none when its witness
 holds every character: the divisors are then the build's own.  A
 mixed-level degree takes one Smith form modulo M, a staircase one
 Hermite form of the active coordinates.  Primality of ell is decided
-exactly by Miller-Rabin below `PRIME_TEST_LIMIT`.  Floats appear only
-in the display column of sweep rows.
+exactly by Miller-Rabin below `PRIME_TEST_LIMIT`, and the verdicts on
+the 256 most recently tested numbers are kept.  Floats appear only in
+the display column of sweep rows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
@@ -53,11 +55,20 @@ def _require_int(value, what: str, low: Optional[int] = None):
 
 
 def _require_odd_prime(ell: int):
+    # the type and range checks run before the cache, whose keys
+    # would let 7.0 or True stand for 7 or 1
     _require_int(ell, "ell")
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"need an odd prime, got {ell}")
     if ell >= PRIME_TEST_LIMIT:
         raise ValueError(f"ell must be below {PRIME_TEST_LIMIT}, got {ell}")
+    if not _miller_rabin(ell):
+        raise ValueError(f"need an odd prime, got {ell}")
+
+
+@lru_cache(maxsize=256)
+def _miller_rabin(ell: int) -> bool:
+    # exact for odd 3 <= ell < PRIME_TEST_LIMIT
     d, s = ell - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -73,7 +84,8 @@ def _require_odd_prime(ell: int):
             if x == ell - 1:
                 break
         else:
-            raise ValueError(f"need an odd prime, got {ell}")
+            return False
+    return True
 
 
 def _require_decimal_power(ell: int, exponent: int):

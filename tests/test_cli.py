@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-import cmtorsion.alpha_engine as alpha_engine
 from cmtorsion.cli import main
 
 QUARTIC = """\
@@ -26,8 +25,8 @@ BIQUADRATIC = """\
 }
 """
 
-# the fallback joint of tests/test_search_reference.py: its witness comes
-# from the flat search, which forms 6508 flats
+# the fallback joint of tests/test_search_reference.py: its full span is
+# not densest, so its witness is a proper union of factors
 FALLBACK = """\
 {
   "group": {"kind": "abelian", "invariants": [2, 2, 4]},
@@ -80,18 +79,18 @@ class TestAnalyze:
         assert doc["alpha"] == {"num": "4", "den": "3"}
         assert doc["spans_visited"] == 1
 
-    @pytest.mark.parametrize("command", [
-        ["analyze"], ["simulate", "--ell", "3"]], ids=["analyze", "simulate"])
-    def test_flat_budget_exit_code(self, command, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(alpha_engine, "FLAT_BUDGET", 100)
+    def test_fallback_witness(self, tmp_path, capsys):
         p = tmp_path / "fallback.json"
         p.write_text(FALLBACK, encoding="utf-8")
-        assert main([command[0], str(p)] + command[1:]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: the witness search formed 100 flats without attaining "
-            "the exponent 16/7\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(p), "--json", str(out)]) == 0
+        assert ("witness: dim 7, contains 16 characters "
+                f"{list(range(16))}\n") in capsys.readouterr().out
+        # one span per union of the two factors
+        assert json.loads(out.read_bytes())["spans_visited"] == 3
+        assert main(["simulate", str(p), "--ell", "3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "3,1,43046721,64,7,16,4.226567,true")
 
     def test_duplicate_exit_code(self, tmp_path, capsys):
         p = tmp_path / "biquad.json"

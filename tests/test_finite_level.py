@@ -378,6 +378,22 @@ class TestValidation:
             with pytest.raises(ValueError, match="odd prime"):
                 exponent_sweep(cs, ells, 1)
 
+    def test_cached_verdict_keeps_the_type_checks(self):
+        # 7.0 and 7, True and 1 are equal cache keys: the type check
+        # must still refuse them once 7 is cached
+        fl._require_odd_prime(7)
+        assert fl._miller_rabin.cache_info().currsize >= 1
+        hits = fl._miller_rabin.cache_info().hits
+        fl._require_odd_prime(7)
+        assert fl._miller_rabin.cache_info().hits == hits + 1
+        for bad in (7.0, True, 7.5, "7"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                fl._require_odd_prime(bad)
+        with pytest.raises(ValueError, match="odd prime"):
+            fl._require_odd_prime(9)
+        with pytest.raises(ValueError, match="odd prime"):
+            fl._require_odd_prime(9)
+
     def test_sweep_rejects_level_zero(self):
         with pytest.raises(ValueError):
             exponent_sweep(quartic(), [5], 0)

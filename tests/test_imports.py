@@ -42,6 +42,12 @@ def test_no_asserts(path):
     assert asserts(path.read_text(encoding="utf-8")) == []
 
 
+def test_every_module_is_walked():
+    # an empty glob would leave the checks above with nothing to check
+    names = {path.name for path in MODULES}
+    assert {"__init__.py", "alpha_engine.py", "cli.py", "finite_level.py"} <= names
+
+
 def test_detects_an_unused_import():
     source = "from typing import Iterable, Sequence\nx: Sequence = ()\n"
     assert unused_imports(source) == ["Iterable"]

@@ -3,25 +3,24 @@
 `_search` below is the earlier `alpha_engine._search`, verbatim: a
 branch-and-bound over the flats of the character matroid, pruned by the
 subspace counting bound n(W) <= 2^(dim W - 1), whose witness is the
-full span unless a flat beats it strictly.  `report_reference` builds a
-report from it as the earlier `build_report` did.  The factor-union
-engine must give the same report in every field but `spans_visited`,
-which counts the spans each engine forms, and the same product
-envelope.
+full span unless a flat beats it strictly, and otherwise the first flat
+in (dim, index set) order to attain the maximum.  `report_reference`
+builds a report from it as the earlier `build_report` did.  The
+factor-union engine must give the same report in every field but
+`spans_visited`, which counts the spans each engine forms (2^r - 1 for
+r factors), and the same product envelope.
 """
 
 import heapq
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
-import cmtorsion.alpha_engine as alpha_engine
 from cmtorsion.alpha_engine import (
-    FLAT_BUDGET,
     AlphaReport,
-    FlatBudgetError,
     SubspaceWitness,
     _shortcut_label,
     build_report,
@@ -130,8 +129,12 @@ def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
     )
 
 
+# each joint's search is shared by its report and envelope references
+_memo_search = lru_cache(maxsize=8)(_search)
+
+
 def report_reference(cs) -> AlphaReport:
-    outcome = _search(cs.characters)
+    outcome = _memo_search(cs.characters)
     cls = classify(cs)
     report = AlphaReport(
         alpha=outcome.ratio,
@@ -162,8 +165,9 @@ def envelope_reference(reports, joint):
     lower = question2 = Fraction(0)
     for mask in range(1, 2 ** r):
         subset = [i for i in range(r) if mask >> i & 1]
-        outcome = _search([col for col, (fi, _) in zip(joint.characters, joint.column_labels)
-                           if fi in subset])
+        outcome = _memo_search(tuple(col for col, (fi, _) in
+                                     zip(joint.characters, joint.column_labels)
+                                     if fi in subset))
         lower = max(lower, outcome.ratio)
         genus = sum(len(joint.datum.factors[i].phi) for i in subset)
         question2 = max(question2, Fraction(2 * genus, outcome.full_dim))
@@ -199,14 +203,54 @@ def quadratic_pair():
     return build_character_system(CMDatum(group, 3, (f1, f2)))
 
 
+def abelian_joint(invariants, conj, *factors):
+    """Joint datum over an abelian group; each factor is (subgroup, phi)."""
+    group = FiniteGroup.abelian(invariants)
+    return build_character_system(CMDatum(group, conj, tuple(
+        CMType(CosetSpace(group, subgroup), frozenset(phi)) for subgroup, phi in factors)))
+
+
 def fallback_joint():
     # a genus-8 defect-2 factor (alpha 16/7) times a genus-1 factor over
     # an index-2 subgroup: the whole set has ratio 18/8 < 16/7, so the
-    # witness comes from the flat search
-    group = FiniteGroup.abelian([2, 2, 4])
-    f1 = CMType(CosetSpace(group, [0]), frozenset([0, 1, 2, 3, 4, 5, 14, 15]))
-    f2 = CMType(CosetSpace(group, [0, 2, 4, 6, 9, 11, 13, 15]), frozenset([0]))
-    return build_character_system(CMDatum(group, 8, (f1, f2)))
+    # witness is a proper union, here the first factor
+    return abelian_joint([2, 2, 4], 8, ([0], [0, 1, 2, 3, 4, 5, 14, 15]),
+                         ([0, 2, 4, 6, 9, 11, 13, 15], [0]))
+
+
+# Joints whose full span is not densest: ratio 20/9 < 16/7 for the two
+# factor ones, 14/6 and 16/7 < 12/5 for the three-factor ones, whose
+# witnesses are the unions of factors 0, 1 and of factors 0, 2.
+FALLBACK_PAIRS = {
+    "fallback-C4xC4": lambda: abelian_joint(
+        [4, 4], 8, ([0], [1, 2, 3, 7, 8, 12, 13, 14]), ([0, 7, 10, 13], [0, 3])),
+    "fallback-C2xC8": lambda: abelian_joint(
+        [2, 8], 12, ([0], [0, 1, 2, 3, 4, 6, 9, 11]), ([0, 4, 10, 14], [2, 3])),
+}
+FALLBACK_TRIPLES = {
+    "C2xC2xC4": lambda: abelian_joint(
+        [2, 2, 4], 8, ([0, 4], [0, 1, 2, 7]), ([0, 4, 10, 14], [1, 2]),
+        ([0, 2, 5, 7, 9, 11, 12, 14], [1])),
+    "C4xC4": lambda: abelian_joint(
+        [4, 4], 8, ([0, 2], [1, 4, 6, 7]), ([0, 7, 10, 13], [0, 1]),
+        ([0, 1, 2, 3], [0, 1])),
+}
+
+
+def check_joint(joint, full: bool):
+    """Report and envelope equal the reference's; the witness is the
+    full span exactly when `full`."""
+    factors = joint.datum.factors
+    r = len(factors)
+    report = build_report(joint)
+    assert _without_visits(report) == _without_visits(report_reference(joint))
+    assert report.spans_visited == 2 ** r - 1
+    assert (report.witness.generating_indices == tuple(range(2 * joint.genus))) == full
+    reports = [build_report(build_character_system(CMDatum(joint.datum.group,
+                                                            joint.datum.conj, (f,))))
+               for f in factors]
+    env = product_envelope(reports, [1] * r, joint)
+    assert (env.lower, env.question2) == envelope_reference(reports, joint)
 
 
 class TestAgainstReference:
@@ -223,21 +267,14 @@ class TestAgainstReference:
         (quadratic_pair, True),
         (lambda: build_character_system(load_datum(C8_PRODUCT)), True),
         (fallback_joint, False),
-    ], ids=["C2xC2", "C8", "fallback"])
+    ] + [(make, False) for make in FALLBACK_PAIRS.values()],
+        ids=["C2xC2", "C8", "fallback"] + list(FALLBACK_PAIRS))
     def test_two_factor_joints(self, make, full):
-        joint = make()
-        factors = joint.datum.factors
-        assert len(factors) == 2
-        report = build_report(joint)
-        assert _without_visits(report) == _without_visits(report_reference(joint))
-        # three factor unions, plus the flats the fallback forms
-        assert (report.witness.generating_indices == tuple(range(2 * joint.genus))) == full
-        assert (report.spans_visited == 3) == full
-        reports = [build_report(build_character_system(CMDatum(joint.datum.group,
-                                                                joint.datum.conj, (f,))))
-                   for f in factors]
-        env = product_envelope(reports, [1, 1], joint)
-        assert (env.lower, env.question2) == envelope_reference(reports, joint)
+        check_joint(make(), full)
+
+    @pytest.mark.parametrize("make", FALLBACK_TRIPLES.values(), ids=list(FALLBACK_TRIPLES))
+    def test_three_factor_fallback_joints(self, make):
+        check_joint(make(), False)
 
 
 class TestSingleFactorTheorem:
@@ -256,17 +293,3 @@ class TestSingleFactorTheorem:
             assert report.spans_visited == 1
             count += 1
         assert count == 381
-
-
-class TestFlatBudget:
-    def test_budget_stops_the_fallback(self, monkeypatch):
-        # the fallback joint forms 6508 flats before its witness
-        assert FLAT_BUDGET >= 10 * 6508
-        monkeypatch.setattr(alpha_engine, "FLAT_BUDGET", 100)
-        joint = fallback_joint()
-        with pytest.raises(FlatBudgetError, match="formed 100 flats"):
-            build_report(joint)
-        assert issubclass(FlatBudgetError, ValueError)
-        # a single factor never searches, whatever the budget
-        monkeypatch.setattr(alpha_engine, "FLAT_BUDGET", 0)
-        assert build_report(quadratic_pair()).spans_visited == 3
