@@ -79,18 +79,26 @@ class TestAnalyze:
         assert doc["alpha"] == {"num": "4", "den": "3"}
         assert doc["spans_visited"] == 1
 
-    def test_fallback_witness(self, tmp_path, capsys):
+    # the witness is read off the factor-union table, so no budget on
+    # flats can stop either command on the fallback joint
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["simulate", "--ell", "3"]], ids=["analyze", "simulate"])
+    def test_flat_budget_exit_code(self, command, tmp_path, capsys):
         p = tmp_path / "fallback.json"
         p.write_text(FALLBACK, encoding="utf-8")
-        out = tmp_path / "report.json"
-        assert main(["analyze", str(p), "--json", str(out)]) == 0
-        assert ("witness: dim 7, contains 16 characters "
-                f"{list(range(16))}\n") in capsys.readouterr().out
-        # one span per union of the two factors
-        assert json.loads(out.read_bytes())["spans_visited"] == 3
-        assert main(["simulate", str(p), "--ell", "3"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == (
-            "3,1,43046721,64,7,16,4.226567,true")
+        assert main([command[0], str(p)] + command[1:]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command[0] == "analyze":
+            assert ("witness: dim 7, contains 16 characters "
+                    f"{list(range(16))}\n") in captured.out
+            # one span per union of the two factors
+            out = tmp_path / "report.json"
+            assert main(["analyze", str(p), "--json", str(out)]) == 0
+            assert json.loads(out.read_bytes())["spans_visited"] == 3
+        else:
+            assert captured.out.splitlines()[1] == (
+                "3,1,43046721,64,7,16,4.226567,true")
 
     def test_duplicate_exit_code(self, tmp_path, capsys):
         p = tmp_path / "biquad.json"
