@@ -8,8 +8,10 @@ of factor blocks (the principal partition; Fujishige, Submodular
 Functions and Optimization, 2005): the exponent is the best ratio over
 the 2^r - 1 factor unions.  The witness is the full span when it
 attains it, else the attaining union first in (dim, index set) order,
-which is the first attaining flat in that order (see `_exact_report`).
-The oracle re-derives the maximum by sheer enumeration of subsets.
+which is the first attaining flat in that order (see `alpha_exact`).
+The product envelope reads the same table.  A report decides
+primitivity once, for its shortcut label and its dimension bound.  The
+oracle re-derives the maximum by sheer enumeration of subsets.
 Everything is exact.
 """
 
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 from .cm_core import InvariantError, is_primitive
 from .exact_linalg import IntSpanBasis
-from .mt_torus import CharacterSystem, Classification, check_mod2_distinct, classify
+from .mt_torus import CharacterSystem
 
 # Largest character count the brute-force oracle accepts.
 ORACLE_CAP = 12
@@ -58,41 +60,33 @@ class AlphaReport:
     spans_visited: int = 0
 
 
-def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis, Fraction]]:
-    """Entry `mask` > 0: the character count, `IntSpanBasis` and exponent
-    (best count/dim over its nonempty sub-unions) of that union of factor
-    blocks, formed from the union without its lowest factor."""
+def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis]]:
+    """Entry `mask` > 0: the character count and `IntSpanBasis` of that
+    union of factor blocks, formed from the union without its lowest
+    factor."""
     r = len(cs.datum.factors)
     blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for col, (fi, _) in zip(cs.characters, cs.column_labels):
         blocks[fi].append(col)
-    table = [(0, IntSpanBasis(len(cs.characters[0])), Fraction(0))]
+    table = [(0, IntSpanBasis(len(cs.characters[0])))]
     for mask in range(1, 2 ** r):
         low = mask & -mask
         block = blocks[low.bit_length() - 1]
-        n, basis, _ = table[mask ^ low]
+        n, basis = table[mask ^ low]
         basis = basis.copy()
         for col in block:
             basis.insert(col)
-        alpha = Fraction(n + len(block), basis.dim)
-        for i in range(r):
-            if mask >> i & 1 and mask != 1 << i:
-                alpha = max(alpha, table[mask ^ 1 << i][2])
-        table.append((n + len(block), basis, alpha))
+        table.append((n + len(block), basis))
     return table
 
 
 def alpha_exact(cs: CharacterSystem) -> AlphaReport:
-    """Exponent, witness span and classification data for a system."""
-    return _exact_report(cs, classify(cs))
+    """Exponent, witness span and defect of a system, from its factor unions.
 
-
-def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
-    """Report whose witness is read off the factor-union table.
-
-    The witness is the full span when it attains alpha, else the
-    attaining union least in (dim, index set) order: the first flat in
-    that order to attain alpha.  Why, with f(S) = alpha r(S) - |S|:
+    alpha is the best count/dim over the unions.  The witness is the full
+    span when it attains alpha, else the attaining union least in
+    (dim, index set) order: the first flat in that order to attain
+    alpha.  Why, with f(S) = alpha r(S) - |S|:
     - f >= 0, and f is submodular, so its zeros (the sets attaining
       alpha, and the empty set) are closed under union and intersection.
       A zero is a flat: a further character in its span would beat alpha.
@@ -115,13 +109,14 @@ def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
       dimension are therefore the attaining unions of least dimension.
     """
     unions = _factor_unions(cs)
-    m, full, alpha = unions[-1]
+    alpha = max(Fraction(n, span.dim) for n, span in unions[1:])
+    m, full = unions[-1]
     if Fraction(m, full.dim) == alpha:
         contained, basis = tuple(range(m)), full
     else:
         factor_of = [fi for fi, _ in cs.column_labels]
         attaining = [(tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1), span)
-                     for mask, (n, span, _) in enumerate(unions)
+                     for mask, (n, span) in enumerate(unions)
                      if mask and Fraction(n, span.dim) == alpha]
         contained, basis = min(attaining, key=lambda entry: (entry[1].dim, entry[0]))
     witness = SubspaceWitness(
@@ -137,7 +132,7 @@ def _exact_report(cs: CharacterSystem, cls: Classification) -> AlphaReport:
         witness=witness,
         genus=cs.genus,
         dim=cs.dim,
-        defect=cls.defect,
+        defect=cs.defect,
         shortcut_used=None,
         # the build checks that characters are 0/1 with |G|/2 ones: on a span
         # W they project injectively to {0,1}^(dim W - 1), so n(W) <= 2^(dim W - 1)
@@ -175,41 +170,29 @@ def alpha_oracle(cs: CharacterSystem, cap: int = ORACLE_CAP) -> Fraction:
     return best
 
 
-def shortcut_alpha(classification: Classification, cs: CharacterSystem) -> Optional[Fraction]:
-    """Closed-form exponent in the proved special cases, else None.
+def shortcut_label(cs: CharacterSystem, primitive: bool) -> Optional[str]:
+    """Name of the proved case in which alpha = 2g/d, else None.
 
-    Nondegenerate systems give 2g/d; a defect-one primitive single
-    factor gives 2; a primitive single factor of genus at most 7 gives
-    2g/d.
+    The cases: a nondegenerate system; a `primitive` single factor of
+    defect one (there d = g, so alpha = 2); a `primitive` single factor
+    of genus at most 7.
     """
-    two_g = 2 * cs.genus
-    if classification.nondegenerate:
-        return Fraction(two_g, cs.dim)
-    single_primitive = False
-    if len(cs.datum.factors) == 1:
-        factor = cs.datum.factors[0]
-        if len(factor.space.subgroup) == 1:
-            single_primitive = is_primitive(factor, cs.datum.conj)
-    if classification.defect_one and single_primitive:
-        return Fraction(2)
-    if single_primitive and cs.genus <= 7:
-        return Fraction(two_g, cs.dim)
+    if cs.defect == 0:
+        return "nondegenerate"
+    if primitive and cs.defect == 1:
+        return "defect_one"
+    if primitive and cs.genus <= 7:
+        return "small_genus"
     return None
 
 
-def _shortcut_label(classification: Classification) -> str:
-    if classification.nondegenerate:
-        return "nondegenerate"
-    if classification.defect_one:
-        return "defect_one"
-    return "small_genus"
-
-
-def check_bounds(report: AlphaReport, cs: CharacterSystem) -> AlphaReport:
+def check_bounds(report: AlphaReport, cs: CharacterSystem, primitive: bool) -> AlphaReport:
     """Evaluate the named exponent bounds exactly; no floating point.
 
     The irrational threshold 2g/(2 + log2 g) is decided through the
     equivalent integer comparison g^p <= 2^(2gq - 2p) for alpha = p/q.
+    `primitive` says whether the system is one primitive factor over
+    the trivial subgroup, the case of the dimension bound.
     """
     g = cs.genus
     alpha = report.alpha
@@ -219,26 +202,24 @@ def check_bounds(report: AlphaReport, cs: CharacterSystem) -> AlphaReport:
     checks["log_threshold_bound"] = exponent >= 0 and g ** p <= 2 ** exponent
     checks["genus_upper_bound"] = alpha <= g
     checks["span_ratio_lower_bound"] = alpha >= Fraction(2 * g, cs.dim)
-    ok, _ = check_mod2_distinct(cs)
-    checks["mod2_distinct"] = ok
-    if len(cs.datum.factors) == 1 and len(cs.datum.factors[0].space.subgroup) == 1:
-        if is_primitive(cs.datum.factors[0], cs.datum.conj):
-            checks["primitive_dimension_bound"] = 2 ** (cs.dim - 2) >= g
+    # the build writes 0/1 characters, each its own residue mod 2, and
+    # refuses equal ones, so they stay distinct mod 2
+    checks["mod2_distinct"] = True
+    if primitive:
+        checks["primitive_dimension_bound"] = 2 ** (cs.dim - 2) >= g
     return replace(report, bound_checks=checks)
 
 
 def build_report(cs: CharacterSystem) -> AlphaReport:
     """Full pipeline: exact exponent, shortcut cross-check, bound evaluation."""
-    cls = classify(cs)
-    report = _exact_report(cs, cls)
-    shortcut = shortcut_alpha(cls, cs)
-    label = None
-    if shortcut is not None:
-        if shortcut != report.alpha:
-            raise InvariantError("shortcut value disagrees with the exact exponent")
-        label = _shortcut_label(cls)
-    report = replace(report, shortcut_used=label)
-    return check_bounds(report, cs)
+    report = alpha_exact(cs)
+    factors = cs.datum.factors
+    primitive = (len(factors) == 1 and len(factors[0].space.subgroup) == 1
+                 and is_primitive(factors[0], cs.datum.conj))
+    label = shortcut_label(cs, primitive)
+    if label is not None and report.alpha != Fraction(2 * cs.genus, cs.dim):
+        raise InvariantError("shortcut value disagrees with the exact exponent")
+    return check_bounds(replace(report, shortcut_used=label), cs, primitive)
 
 
 @dataclass(frozen=True)
@@ -259,17 +240,23 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
                      joint: CharacterSystem) -> ProductEnvelope:
     """Sandwich the exponent of a product from factor and joint data.
 
-    The lower bound maximizes (min multiplicity in a factor subset)
-    times the exact exponent of that subset's joint system; the upper
-    bound adds the factor exponents weighted by multiplicity.  Subset
-    exponents and dimensions are read off the joint's factor unions,
-    so nothing is searched; `reports[i]` is factor i's own report.
+    The lower bound is max over factor unions S of (min multiplicity in
+    S) times n(S)/dim S; the upper bound adds the factor exponents
+    weighted by multiplicity.  The lower bound equals max over unions T
+    of min_{i in T} n_i times the exponent of T, the max of n(S)/dim S
+    over unions S inside T: a pair (T, S) is beaten by (S, S), since
+    shrinking T to S only raises the min.  Counts and dimensions are
+    read off the joint's factor unions, so nothing is searched;
+    `reports[i]` is factor i's own report.  Multiplicities must be
+    positive ints.
     """
     factors = joint.datum.factors
     r = len(factors)
     if not (len(reports) == len(multiplicities) == r):
         raise ValueError("reports, multiplicities and joint factors must align")
-    ns = [int(x) for x in multiplicities]
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in multiplicities):
+        raise ValueError("multiplicities must be ints")
+    ns = list(multiplicities)
     if any(x < 1 for x in ns):
         raise ValueError("multiplicities must be positive")
     genus_of = [len(f.phi) for f in factors]
@@ -277,9 +264,9 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     upper = sum((n * rep.alpha for n, rep in zip(ns, reports)), Fraction(0))
     lower = Fraction(0)
     question2 = Fraction(0)
-    for mask, (_, basis, ratio) in enumerate(_factor_unions(joint)[1:], start=1):
+    for mask, (count, basis) in enumerate(_factor_unions(joint)[1:], start=1):
         subset = [i for i in range(r) if mask >> i & 1]
-        lower = max(lower, min(ns[i] for i in subset) * ratio)
+        lower = max(lower, min(ns[i] for i in subset) * Fraction(count, basis.dim))
         dim_total = sum(ns[i] * genus_of[i] for i in subset)
         question2 = max(question2, Fraction(2 * dim_total, basis.dim))
     if lower > upper:

@@ -23,7 +23,7 @@ from .documents import (
     sweep_rows_to_json,
 )
 from .finite_level import exponent_sweep
-from .mt_torus import DuplicateCharactersError, build_character_system, classify
+from .mt_torus import DuplicateCharactersError, build_character_system
 from .verify import builtin_groups, run_verify
 
 EXIT_OK = 0
@@ -79,9 +79,8 @@ def cmd_analyze(args) -> int:
     if args.json:
         _write_text(args.json, dumps_document(report_to_dict(report, cs)))
     datum = cs.datum
-    cls = classify(cs)
-    kind = ("nondegenerate" if cls.nondegenerate
-            else "defect one" if cls.defect_one else "degenerate")
+    kind = ("nondegenerate" if report.defect == 0
+            else "defect one" if report.defect == 1 else "degenerate")
     passed = sum(1 for ok in report.bound_checks.values() if ok)
     lines = [
         f"group {datum.group.name}, order {datum.group.order}, conj {datum.conj}",
@@ -144,10 +143,9 @@ def cmd_enumerate(args) -> int:
                 }
                 try:
                     cs = build_character_system(CMDatum(group, conj, (t,)))
-                    cls = classify(cs)
                     entry["status"] = "ok"
-                    entry["dim"] = cls.dim
-                    entry["defect"] = cls.defect
+                    entry["dim"] = cs.dim
+                    entry["defect"] = cs.defect
                 except DuplicateCharactersError:
                     entry["status"] = "duplicate"
                 entries.append(entry)
@@ -220,7 +218,7 @@ def cmd_oracle(args) -> int:
                      EXIT_INVALID)
     report = alpha_exact(cs)
     reference = alpha_oracle(cs)
-    print(f"search: {report.alpha}")
+    print(f"exact: {report.alpha}")
     print(f"oracle: {reference}")
     if report.alpha == reference:
         print("agreement: yes")
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-group-order", type=int, default=12)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="compare the search against enumeration")
+    p = sub.add_parser("oracle", help="compare the exact exponent against enumeration")
     p.add_argument("file")
     p.set_defaults(func=cmd_oracle)
     return parser

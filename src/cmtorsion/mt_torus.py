@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import (
@@ -73,6 +73,11 @@ class CharacterSystem:
     def saturation_index(self) -> int:
         return prod(self.divisors)
 
+    @property
+    def defect(self) -> int:
+        """Codimension of the torus under the largest possible rank g + 1."""
+        return self.genus + 1 - self.dim
+
     @cached_property
     def cochar_basis(self) -> IntMatrix:
         """Hermite basis of the saturated cocharacter lattice.
@@ -87,15 +92,6 @@ class CharacterSystem:
             raise InvariantError(
                 f"saturation index {index} disagrees with the build's {self.saturation_index}")
         return basis
-
-
-@dataclass(frozen=True)
-class Classification:
-    genus: int
-    dim: int
-    defect: int
-    nondegenerate: bool
-    defect_one: bool
 
 
 def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
@@ -191,29 +187,6 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         char_coords=tuple(zip(*map(hermite.row, range(d)))),
         divisors=elementary_divisors(hermite),
     )
-
-
-def classify(cs: CharacterSystem) -> Classification:
-    """Defect of the system: codimension under the largest possible rank."""
-    defect = cs.genus + 1 - cs.dim
-    return Classification(
-        genus=cs.genus,
-        dim=cs.dim,
-        defect=defect,
-        nondegenerate=(defect == 0),
-        defect_one=(defect == 1),
-    )
-
-
-def check_mod2_distinct(cs: CharacterSystem) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Characters must stay pairwise distinct after reduction mod 2."""
-    seen: dict[tuple[int, ...], int] = {}
-    for k, col in enumerate(cs.characters):
-        key = tuple(x % 2 for x in col)
-        if key in seen:
-            return False, (seen[key], k)
-        seen[key] = k
-    return True, None
 
 
 def _selected_characters(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:

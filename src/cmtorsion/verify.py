@@ -27,7 +27,6 @@ from .mt_torus import (
     _orbit_matrix,
     build_character_system,
     character_span_saturation,
-    classify,
     perp_lattice,
 )
 
@@ -124,11 +123,10 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
     g = rep_cs.genus
     if g >= 2:
         summary.count("strict_genus_bound", report.alpha < g, label)
-    cls = classify(rep_cs)
-    if cls.nondegenerate or cls.defect_one:
+    if rep_cs.defect <= 1:
         summary.count("shortcut_available", report.shortcut_used is not None, label)
     if _is_prime(g) and is_primitive(rep, conj):
-        summary.count("prime_genus_nondegenerate", cls.defect == 0, label)
+        summary.count("prime_genus_nondegenerate", rep_cs.defect == 0, label)
     if 2 * g <= ORACLE_CAP:
         summary.count("oracle_agreement",
                       alpha_oracle(rep_cs, cap=ORACLE_CAP) == report.alpha, label)

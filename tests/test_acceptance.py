@@ -42,7 +42,6 @@ from cmtorsion.finite_level import (
 from cmtorsion.mt_torus import (
     DuplicateCharactersError,
     build_character_system,
-    classify,
 )
 from cmtorsion.verify import builtin_groups
 from test_alpha_engine import abel_inequality_check
@@ -203,7 +202,7 @@ def test_criterion_5_degenerate_extremal_example():
     assert len(classes) == 12
     for _, _, _, cs in classes:
         report = alpha_exact(cs)
-        assert (cs.genus, cs.dim, classify(cs).defect) == (4, 5, 0)
+        assert (cs.genus, cs.dim, cs.defect) == (4, 5, 0)
         assert report.alpha == Fraction(8, 5)
 
     # the example the sweep was after, on the smallest closure that
@@ -236,7 +235,7 @@ def test_criterion_5_degenerate_extremal_example():
         tallies["degenerate"] += 1
         assert d == 4
         assert 2 ** (d - 2) == g              # d = 2 + log2(g) exactly
-        assert classify(cs).defect == 1
+        assert cs.defect == 1
         assert report.alpha == Fraction(2)
         assert report.alpha == Fraction(2 * g, d)
         # both extremal bounds are attained with equality: the witness

@@ -7,6 +7,7 @@ from typing import Sequence
 
 import pytest
 
+from cmtorsion import alpha_engine
 from cmtorsion.alpha_engine import (
     AlphaReport,
     _factor_unions,
@@ -15,7 +16,7 @@ from cmtorsion.alpha_engine import (
     build_report,
     check_bounds,
     product_envelope,
-    shortcut_alpha,
+    shortcut_label,
 )
 from cmtorsion.cm_core import (
     CMDatum,
@@ -26,12 +27,8 @@ from cmtorsion.cm_core import (
     is_primitive,
 )
 from cmtorsion.exact_linalg import IntSpanBasis
-from cmtorsion.mt_torus import (
-    Classification,
-    DuplicateCharactersError,
-    build_character_system,
-    classify,
-)
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.verify import builtin_groups
 
 
 def abel_inequality_check(ns: Sequence[int], bs: Sequence[int], ws: Sequence[int]) -> bool:
@@ -170,7 +167,7 @@ class TestFrozenValues:
         cs = build_character_system(
             single_factor(group, 3, [0, 1, 2, 6, 7, 11]))
         report = build_report(cs)
-        assert classify(cs).defect == 1
+        assert cs.defect == 1
         assert report.alpha == 2
         assert report.shortcut_used == "defect_one"
 
@@ -234,24 +231,60 @@ class TestShortcuts:
         # order at most 14 has defect 0 or 1, so the small-genus
         # closed form is never the deciding shortcut there.
         for cs in small_sweep_systems(14):
-            assert classify(cs).defect <= 1
+            assert cs.defect <= 1
 
     def test_small_genus_clause(self):
         cs = quartic()
-        fake = Classification(genus=cs.genus, dim=cs.dim, defect=2,
-                              nondegenerate=False, defect_one=False)
-        assert shortcut_alpha(fake, cs) == Fraction(4, 3)
+        fake = replace(cs, dim=cs.genus - 1)
+        assert fake.defect == 2
+        assert shortcut_label(fake, primitive=True) == "small_genus"
+        assert shortcut_label(fake, primitive=False) is None
 
     def test_shortcut_none_for_multi_factor_degenerate(self):
         group = FiniteGroup.abelian([2, 2])
         f1 = CMType(CosetSpace(group, [0, 1]), frozenset([0]))
         f2 = CMType(CosetSpace(group, [0, 2]), frozenset([0]))
         cs = build_character_system(CMDatum(group, 3, (f1, f2)))
-        cls = classify(cs)
-        if cls.nondegenerate:
-            assert shortcut_alpha(cls, cs) == Fraction(2 * cs.genus, cs.dim)
+        if cs.defect == 0:
+            assert shortcut_label(cs, primitive=False) == "nondegenerate"
         else:
-            assert shortcut_alpha(cls, cs) is None
+            assert shortcut_label(cs, primitive=False) is None
+
+
+class TestPrimitivityDecidedOnce:
+    def test_once_per_report_for_one_factor_over_the_trivial_subgroup(self, monkeypatch):
+        calls = []
+
+        def counting(t, conj):
+            calls.append(t)
+            return is_primitive(t, conj)
+
+        monkeypatch.setattr(alpha_engine, "is_primitive", counting)
+        # a factor over a nontrivial subgroup, alone and in products
+        c2xc2 = FiniteGroup.abelian([2, 2])
+        f1 = CMType(CosetSpace(c2xc2, [0, 1]), frozenset([0]))
+        f2 = CMType(CosetSpace(c2xc2, [0, 2]), frozenset([0]))
+        c8 = FiniteGroup.abelian([8])
+        space = CosetSpace(c8, [0])
+        for datum in (CMDatum(c2xc2, 3, (f1,)), CMDatum(c2xc2, 3, (f1, f2)),
+                      CMDatum(c8, 4, (CMType(space, frozenset([0, 1, 2, 3])),
+                                      CMType(space, frozenset([0, 1, 3, 6]))))):
+            build_report(build_character_system(datum))
+        assert calls == []
+
+        seen = 0
+        for group in builtin_groups(12):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
+                    try:
+                        cs = build_character_system(CMDatum(group, conj, (t,)))
+                    except DuplicateCharactersError:
+                        continue
+                    calls.clear()
+                    build_report(cs)
+                    assert calls == [t], cs.datum
+                    seen += 1
+        assert seen == 44
 
 
 class TestBoundChecks:
@@ -260,15 +293,16 @@ class TestBoundChecks:
         group = FiniteGroup.abelian([8])
         cs = build_character_system(single_factor(group, 4, [0, 1, 2, 3]))
         base = alpha_exact(cs)
-        at = check_bounds(replace(base, alpha=Fraction(2)), cs)
+        at = check_bounds(replace(base, alpha=Fraction(2)), cs, primitive=False)
         assert at.bound_checks["log_threshold_bound"]
-        above = check_bounds(replace(base, alpha=Fraction(2000001, 1000000)), cs)
+        above = check_bounds(replace(base, alpha=Fraction(2000001, 1000000)), cs,
+                             primitive=False)
         assert not above.bound_checks["log_threshold_bound"]
 
     def test_genus_bound_flags_violation(self):
         cs = quartic()
         base = alpha_exact(cs)
-        bad = check_bounds(replace(base, alpha=Fraction(5, 2)), cs)
+        bad = check_bounds(replace(base, alpha=Fraction(5, 2)), cs, primitive=False)
         assert not bad.bound_checks["genus_upper_bound"]
 
     def test_dimension_bound_only_for_primitive_single_factor(self):
@@ -315,8 +349,9 @@ class TestPowerAndProduct:
         reports = [build_report(cs) for cs in systems]
         unions = _factor_unions(joint)
         for i, report in enumerate(reports):
-            n, basis, ratio = unions[1 << i]
-            assert (n, ratio, basis.dim) == (2 * report.genus, report.alpha, report.dim)
+            n, basis = unions[1 << i]
+            assert (n, Fraction(n, basis.dim)) == (2 * report.genus, report.alpha)
+            assert basis.dim == report.dim
         env = product_envelope(reports, [1, 1], joint)
         assert env.lower == env.upper == env.question2 == Fraction(16, 5)
 
@@ -331,6 +366,22 @@ class TestPowerAndProduct:
         r2 = build_report(build_character_system(CMDatum(group, 3, (f2,))))
         with pytest.raises(ValueError):
             product_envelope([r1, r2], [1, 0], joint)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "3", Fraction(2)])
+    def test_product_envelope_refuses_non_int_multiplicities(self, bad, monkeypatch):
+        group = FiniteGroup.abelian([2, 2])
+        f1 = CMType(CosetSpace(group, [0, 1]), frozenset([0]))
+        f2 = CMType(CosetSpace(group, [0, 2]), frozenset([0]))
+        joint = build_character_system(CMDatum(group, 3, (f1, f2)))
+        reports = [build_report(build_character_system(CMDatum(group, 3, (f,))))
+                   for f in (f1, f2)]
+
+        def no_unions(cs):
+            raise AssertionError("a union was formed")
+
+        monkeypatch.setattr(alpha_engine, "_factor_unions", no_unions)
+        with pytest.raises(ValueError, match="ints"):
+            product_envelope(reports, [1, bad], joint)
 
 
 class TestAbelInequality:

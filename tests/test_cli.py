@@ -206,7 +206,7 @@ class TestOracle:
     def test_agreement(self, quartic_file, capsys):
         assert main(["oracle", quartic_file]) == 0
         out = capsys.readouterr().out
-        assert out == "search: 4/3\noracle: 4/3\nagreement: yes\n"
+        assert out == "exact: 4/3\noracle: 4/3\nagreement: yes\n"
 
     def test_too_large(self, tmp_path, capsys):
         p = tmp_path / "big.json"

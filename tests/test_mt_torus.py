@@ -11,6 +11,7 @@ import pytest
 
 import cmtorsion.exact_linalg as el
 import cmtorsion.mt_torus as mt
+from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import (
     CMDatum,
     CMType,
@@ -33,8 +34,6 @@ from cmtorsion.mt_torus import (
     DuplicateCharactersError,
     build_character_system,
     character_span_saturation,
-    check_mod2_distinct,
-    classify,
     perp_lattice,
 )
 from test_exact_linalg import determinant
@@ -138,41 +137,18 @@ class TestBuild:
 
 class TestClassify:
     def test_elliptic_nondegenerate(self):
-        c = classify(build_character_system(elliptic()))
-        assert (c.genus, c.dim, c.defect) == (1, 2, 0)
-        assert c.nondegenerate and not c.defect_one
+        cs = build_character_system(elliptic())
+        assert (cs.genus, cs.dim, cs.defect) == (1, 2, 0)
 
     def test_quartic_nondegenerate(self):
-        c = classify(build_character_system(quartic()))
-        assert (c.genus, c.dim, c.defect) == (2, 3, 0)
-        assert c.nondegenerate
+        cs = build_character_system(quartic())
+        assert (cs.genus, cs.dim, cs.defect) == (2, 3, 0)
 
 
 class TestMod2:
     def test_standard_systems_distinct(self):
         for datum in (elliptic(), quartic(), two_quadratic_factors()):
-            ok, pair = check_mod2_distinct(build_character_system(datum))
-            assert ok and pair is None
-
-    def test_violation_reported_with_pair(self):
-        # characters are 0/1 columns, so mod-2 collisions coincide with
-        # equality; build a system and corrupt it structurally instead
-        cs = build_character_system(quartic())
-        doubled = cs.__class__(
-            datum=cs.datum,
-            genus=cs.genus,
-            orbit_matrix=cs.orbit_matrix,
-            dim=cs.dim,
-            characters=cs.characters + (tuple(x * 3 for x in cs.characters[0]),),
-            conj_pairing=cs.conj_pairing,
-            weight=cs.weight,
-            column_labels=cs.column_labels,
-            char_coords=cs.char_coords,
-            divisors=cs.divisors,
-        )
-        ok, pair = check_mod2_distinct(doubled)
-        assert not ok
-        assert pair == (0, 4)
+            assert build_report(build_character_system(datum)).bound_checks["mod2_distinct"]
 
 
 class TestPerp:

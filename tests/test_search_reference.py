@@ -12,6 +12,7 @@ r factors), and the same product envelope.
 """
 
 import heapq
+import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
@@ -22,16 +23,22 @@ import pytest
 from cmtorsion.alpha_engine import (
     AlphaReport,
     SubspaceWitness,
-    _shortcut_label,
     build_report,
     check_bounds,
     product_envelope,
-    shortcut_alpha,
+    shortcut_label,
 )
-from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types
+from cmtorsion.cm_core import (
+    CMDatum,
+    CMType,
+    CosetSpace,
+    FiniteGroup,
+    enumerate_types,
+    is_primitive,
+)
 from cmtorsion.documents import load_datum
 from cmtorsion.exact_linalg import IntSpanBasis
-from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system, classify
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
 
 # A two-factor datum over C8, the smallest product the benchmark warms up on.
@@ -135,7 +142,6 @@ _memo_search = lru_cache(maxsize=8)(_search)
 
 def report_reference(cs) -> AlphaReport:
     outcome = _memo_search(cs.characters)
-    cls = classify(cs)
     report = AlphaReport(
         alpha=outcome.ratio,
         gamma=outcome.ratio,
@@ -148,30 +154,37 @@ def report_reference(cs) -> AlphaReport:
         ),
         genus=cs.genus,
         dim=cs.dim,
-        defect=cls.defect,
+        defect=cs.defect,
         bound_checks={"subspace_counting_bound": outcome.counting_bound_ok},
         spans_visited=outcome.spans_visited,
     )
-    shortcut = shortcut_alpha(cls, cs)
-    if shortcut is not None:
-        assert shortcut == report.alpha
-        report = replace(report, shortcut_used=_shortcut_label(cls))
-    return check_bounds(report, cs)
+    factors = cs.datum.factors
+    primitive = (len(factors) == 1 and len(factors[0].space.subgroup) == 1
+                 and is_primitive(factors[0], cs.datum.conj))
+    label = shortcut_label(cs, primitive)
+    if label is not None:
+        assert report.alpha == Fraction(2 * cs.genus, cs.dim)
+        report = replace(report, shortcut_used=label)
+    return check_bounds(report, cs, primitive)
 
 
-def envelope_reference(reports, joint):
-    # lower and question2 of the earlier envelope, one search per subset
-    r = len(reports)
-    lower = question2 = Fraction(0)
+def envelope_reference(ns, joint):
+    """(lower, upper, question2) of the earlier envelope at multiplicities
+    `ns`, one search per factor subset T: lower is max over T of
+    min_{i in T} n_i times the exponent of T."""
+    r = len(ns)
+    lower = upper = question2 = Fraction(0)
     for mask in range(1, 2 ** r):
         subset = [i for i in range(r) if mask >> i & 1]
         outcome = _memo_search(tuple(col for col, (fi, _) in
                                      zip(joint.characters, joint.column_labels)
                                      if fi in subset))
-        lower = max(lower, outcome.ratio)
-        genus = sum(len(joint.datum.factors[i].phi) for i in subset)
-        question2 = max(question2, Fraction(2 * genus, outcome.full_dim))
-    return lower, question2
+        lower = max(lower, min(ns[i] for i in subset) * outcome.ratio)
+        if len(subset) == 1:
+            upper += ns[subset[0]] * outcome.ratio
+        dim_total = sum(ns[i] * len(joint.datum.factors[i].phi) for i in subset)
+        question2 = max(question2, Fraction(2 * dim_total, outcome.full_dim))
+    return lower, upper, question2
 
 
 def span_of(columns) -> IntSpanBasis:
@@ -238,8 +251,9 @@ FALLBACK_TRIPLES = {
 
 
 def check_joint(joint, full: bool):
-    """Report and envelope equal the reference's; the witness is the
-    full span exactly when `full`."""
+    """Report and envelope equal the reference's, the envelope at unit
+    and at seeded random multiplicities; the witness is the full span
+    exactly when `full`."""
     factors = joint.datum.factors
     r = len(factors)
     report = build_report(joint)
@@ -249,8 +263,10 @@ def check_joint(joint, full: bool):
     reports = [build_report(build_character_system(CMDatum(joint.datum.group,
                                                             joint.datum.conj, (f,))))
                for f in factors]
-    env = product_envelope(reports, [1] * r, joint)
-    assert (env.lower, env.question2) == envelope_reference(reports, joint)
+    rng = random.Random(r)
+    for ns in [[1] * r] + [[rng.randint(1, 6) for _ in range(r)] for _ in range(4)]:
+        env = product_envelope(reports, ns, joint)
+        assert (env.lower, env.upper, env.question2) == envelope_reference(ns, joint), ns
 
 
 class TestAgainstReference:
