@@ -4,16 +4,43 @@ At an odd prime ell the level-n points of a d-dimensional split torus
 form ((Z/ell^n)^x)^d, a product of cyclic groups of order
 (ell-1) ell^(n-1).  The degree of the field cut out by a torsion
 subgroup is the size of the image of Z^d -> prod Z/m_i under the active
-characters.  It has one closed form: Z/m_i embeds in Z/M, M = lcm(m),
-by x -> (M/m_i) x, so the size is prod M / gcd(M, s_j) over the Smith
-divisors s_j of the rows scaled by M/m_i.  A sweep at one level takes
-one Smith form whatever the number of primes, and none when its witness
-holds every character: the divisors are then the build's own.  A
-mixed-level degree takes one Smith form modulo M, a staircase one
-Hermite form of the active coordinates.  Primality of ell is decided
-exactly by Miller-Rabin below `PRIME_TEST_LIMIT`, and the verdicts on
-the 256 most recently tested numbers are kept.  Floats appear only in
-the display column of sweep rows.
+characters.  In general Z/m_i embeds in Z/M, M = lcm(m), by
+x -> (M/m_i) x, so the size is prod M / gcd(M, s_j) over the Smith
+divisors s_j of the rows scaled by M/m_i.  At one level, one modulus
+m, it is prod m / gcd(m, s_j) over the divisors of the rows themselves,
+so a sweep needs only those: the build's when its witness holds every
+character, else those of the witness's Hermite form below.
+
+A mixed-level query first takes the Hermite form H of the active
+coordinates as columns, in decreasing level order (index breaking
+ties); it is kept for the 256 most recent orders, so a staircase after
+its degree reads the same entry.  Its pivot columns p_1 < ... < p_r
+are the greedy independent set, and the divisors of H are those of the
+active rows.  When ell does not divide the product of the pivots,
+
+    degree = _image_size(divisors, ell - 1) * ell^(sum_t (n_{p_t} - 1)),
+
+with no further elimination:
+
+- By CRT, prod Z/m_i = (Z/(ell-1))^k + sum_i Z/ell^(n_i - 1), two parts
+  of coprime order, so the image is the product of its projections.
+- The (ell-1)-part is the image in (Z/(ell-1))^k, one modulus for every
+  row: its size depends only on the divisors.
+- The image is the row lattice of A^T, A the k x d matrix of active
+  rows, which is that of H: each active character may take its column
+  of H as coordinates, and for the ell-part the coefficients may be
+  taken in Z_(ell).  The pivot block is triangular with unit diagonal
+  over Z_(ell); each non-pivot column j is a Z_(ell)-combination of the
+  pivot columns before it, whose levels are at least n_j.  So the
+  unipotent change of coordinates that subtracts those combinations
+  maps the ell-part onto sum_t Z/ell^(n_{p_t} - 1).
+
+When ell divides the pivot product the degree takes one Smith form of
+the scaled rows modulo M.  Either way a size that does not divide the
+group order raises InvariantError.  Primality of ell is decided exactly
+by Miller-Rabin below `PRIME_TEST_LIMIT`, and the verdicts on the 256
+most recently tested numbers are kept.  Floats appear only in the
+display column of sweep rows.
 """
 
 from __future__ import annotations
@@ -145,10 +172,30 @@ def _image(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
     big = math.lcm(*moduli)
     scaled = IntMatrix.from_rows([[big // m * x for x in row]
                                   for row, m in zip(rows, moduli)])
-    size = _image_size(elementary_divisors(scaled, modulus=big), big)
+    return _in_group(_image_size(elementary_divisors(scaled, modulus=big), big), moduli)
+
+
+def _in_group(size: int, moduli: Sequence[int]) -> int:
     if math.prod(moduli) % size:
         raise InvariantError("the image size does not divide the group order")
     return size
+
+
+@lru_cache(maxsize=256)
+def _active_lattice(coords: tuple[tuple[int, ...], ...], idx: tuple[int, ...]):
+    """(H, pivot columns, pivot product, divisors) of the characters idx.
+
+    H is the Hermite form of coords[i] for i in idx as columns, in that
+    order; its divisors are those of the active rows.  When the pivots
+    multiply to 1 the pivot block is unimodular and every divisor is 1.
+    """
+    hermite = hermite_normal_form(IntMatrix.from_rows(
+        zip(*(coords[i] for i in idx)), cols=len(idx)))
+    rows = [hermite.row(r) for r in range(hermite.rows)]
+    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in rows)
+    product = math.prod(row[p] for row, p in zip(rows, pivots))
+    divisors = (1,) * hermite.rows if product == 1 else elementary_divisors(hermite)
+    return hermite, pivots, product, divisors
 
 
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:
@@ -159,7 +206,16 @@ def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tu
         if not 0 <= i < 2 * cs.genus:
             raise ValueError(f"character index {i} out of range")
         _require_int(n, "level", 1)
-    return sorted(levels.items())
+    # the staircase order: decreasing level, index breaking ties
+    return sorted(levels.items(), key=lambda p: (-p[1], p[0]))
+
+
+def _staircase(cs: CharacterSystem, ell: int, levels: Mapping[int, int]):
+    # the checked (index, level) pairs in staircase order and their
+    # `_active_lattice` entry; the levels are checked before ell
+    order = _normalize_levels(cs, levels)
+    _require_odd_prime(ell)
+    return order, _active_lattice(cs.char_coords, tuple(i for i, _ in order))
 
 
 def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> int:
@@ -168,10 +224,13 @@ def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int])
     `levels` maps character indices to exponents: character i is
     constrained at level ell^(levels[i]).
     """
-    pairs = _normalize_levels(cs, levels)
-    _require_odd_prime(ell)
-    return _image([cs.char_coords[i] for i, _ in pairs],
-                  [_unit_order(ell, n) for _, n in pairs])
+    order, (_, pivots, product, divisors) = _staircase(cs, ell, levels)
+    moduli = [_unit_order(ell, n) for _, n in order]
+    if product % ell:
+        # the CRT closed form of the module docstring
+        return _in_group(_image_size(divisors, ell - 1)
+                         * ell ** sum(order[p][1] - 1 for p in pivots), moduli)
+    return _image([cs.char_coords[i] for i, _ in order], moduli)
 
 
 @dataclass(frozen=True)
@@ -185,7 +244,10 @@ class StaircaseBounds:
     assumes the active characters span a saturated lattice; dividing
     by the saturation defect (the product of the elementary divisors
     of the active coordinate rows) repairs it in general, so the
-    guaranteed inequality is  lower <= saturation * degree.
+    guaranteed inequality is  lower <= saturation * degree.  All three
+    are read off the `_active_lattice` entry that `degree_of_subgroup`
+    uses for the same levels, so a degree and its staircase take one
+    Hermite form.
     """
 
     exponent: int
@@ -209,16 +271,8 @@ def _bounds(ell: int, exponent: int, span_dim: int, saturation: int) -> Staircas
 
 
 def staircase_bounds(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> StaircaseBounds:
-    pairs = _normalize_levels(cs, levels)
-    _require_odd_prime(ell)
-    order = sorted(pairs, key=lambda p: (-p[1], p[0]))
-    # the column pivots of an echelon form are the greedy independent set;
-    # H has the divisors of the active coordinate rows
-    hermite = hermite_normal_form(IntMatrix.from_rows(
-        zip(*(cs.char_coords[i] for i, _ in order)), cols=len(order)))
-    exponent = sum(order[next(j for j, x in enumerate(hermite.row(r)) if x)][1]
-                   for r in range(hermite.rows))
-    return _bounds(ell, exponent, hermite.rows, math.prod(elementary_divisors(hermite)))
+    order, (hermite, pivots, _, divisors) = _staircase(cs, ell, levels)
+    return _bounds(ell, sum(order[p][1] for p in pivots), hermite.rows, math.prod(divisors))
 
 
 @dataclass(frozen=True)
@@ -258,12 +312,12 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     # the active rows.  The greedy staircase picks a basis of the span,
     # r = len(s) rows at the one level, and its saturation defect is
     # prod s_i.  When the witness holds all 2g characters the rows are
-    # the transpose of the build's Hermite form, with its divisors.
+    # the transpose of the build's Hermite form, with its divisors;
+    # otherwise the increasing indices are the staircase order.
     if len(witness.generating_indices) == 2 * cs.genus:
         divisors = cs.divisors
     else:
-        divisors = elementary_divisors(
-            IntMatrix.from_rows([cs.char_coords[i] for i in witness.generating_indices]))
+        divisors = _active_lattice(cs.char_coords, witness.generating_indices)[3]
     span_dim = len(divisors)
     saturation = math.prod(divisors)
     rows = []

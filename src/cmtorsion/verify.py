@@ -19,9 +19,9 @@ from .cm_core import (
     FiniteGroup,
     _translation_orbit,
     enumerate_types,
-    is_primitive,
 )
 from .exact_linalg import IntMatrix, integer_kernel
+from .finite_level import _miller_rabin
 from .mt_torus import (
     DuplicateCharactersError,
     _orbit_matrix,
@@ -29,17 +29,6 @@ from .mt_torus import (
     character_span_saturation,
     perp_lattice,
 )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _invariant_chains(order: int, minimum: int = 2) -> Iterator[tuple[int, ...]]:
@@ -125,7 +114,11 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
         summary.count("strict_genus_bound", report.alpha < g, label)
     if rep_cs.defect <= 1:
         summary.count("shortcut_available", report.shortcut_used is not None, label)
-    if _is_prime(g) and is_primitive(rep, conj):
+    # Miller-Rabin takes odd numbers from 3; a representative is one
+    # factor over the trivial subgroup, so the report checks the
+    # primitive dimension bound exactly when that factor is primitive
+    prime = g == 2 or (g > 2 and g % 2 == 1 and _miller_rabin(g))
+    if prime and "primitive_dimension_bound" in report.bound_checks:
         summary.count("prime_genus_nondegenerate", rep_cs.defect == 0, label)
     if 2 * g <= ORACLE_CAP:
         summary.count("oracle_agreement",

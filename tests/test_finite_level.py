@@ -246,13 +246,17 @@ class TestSweep:
             assert report.witness.n == 2 * cs.genus
             assert exponent_sweep(cs, [3, 101], 2, report) == rows
         assert calls == []
-        # a witness of fewer characters takes one divisors-only Smith form
+        # a witness of fewer characters reads the divisors of its
+        # `_active_lattice` entry: one Hermite form of the d x 3 columns,
+        # whose pivots multiply to 1, then none on a repeated call
         cs, report = systems[2]
         part = dataclasses.replace(report, witness=dataclasses.replace(
             report.witness, generating_indices=(0, 2, 5), n=3))
-        assert exponent_sweep(cs, [3, 101], 2, part) == \
-            exponent_sweep_reference(cs, [3, 101], 2, part)
-        assert calls == [("elementary_divisors", 3, cs.dim)]
+        fl._active_lattice.cache_clear()
+        for _ in range(2):
+            assert exponent_sweep(cs, [3, 101], 2, part) == \
+                exponent_sweep_reference(cs, [3, 101], 2, part)
+            assert calls == [("hermite_normal_form", cs.dim, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +585,51 @@ class TestAgainstReference:
                         staircase_bounds_reference(cs, ell, levels)
 
 
+    def test_closed_form_and_fallback(self, catalogue, monkeypatch):
+        # random mixed-level patterns, weighted to the small primes where
+        # ell can divide the pivot product, on the catalogue and on
+        # non-saturated order-16 classes; both branches of
+        # `degree_of_subgroup` must run
+        fallbacks = []
+        real = fl._image
+
+        def counting(rows, moduli):
+            fallbacks.append(len(rows))
+            return real(rows, moduli)
+
+        monkeypatch.setattr(fl, "_image", counting)
+        order_16 = [build_character_system(single_factor(group, conj, phi))
+                    for group, conj, phi in NON_SATURATED_16]
+        assert all(cs.saturation_index > 1 for cs in order_16)
+        rng = random.Random(1605)
+        small = (3, 5, 7) * 2
+        systems = [(cs, REFERENCE_PRIMES + small, 6) for cs, _ in catalogue]
+        systems += [(cs, small, 3) for cs in order_16]
+        queries = 0
+        for cs, ells, top in systems:
+            m = 2 * cs.genus
+            for ell in ells:
+                for _ in range(2):
+                    active = rng.sample(range(m), rng.randint(1, m))
+                    levels = {i: rng.randint(1, top) for i in active}
+                    assert degree_of_subgroup(cs, ell, levels) == \
+                        degree_reference(cs, ell, levels)
+                    assert staircase_bounds(cs, ell, levels) == \
+                        staircase_bounds_reference(cs, ell, levels)
+                    queries += 1
+        assert 0 < len(fallbacks) < queries
+
+
+# non-saturated single-factor classes of order 16 (group, conj, phi)
+NON_SATURATED_16 = [
+    (FiniteGroup.abelian([2, 2, 2, 2]), 1, [0, 2, 4, 6, 8, 10, 12, 15]),
+    (FiniteGroup.abelian([4, 4]), 10, [0, 1, 2, 4, 9, 12, 13, 15]),
+    (FiniteGroup.abelian([16]), 8, [0, 1, 2, 3, 4, 6, 7, 13]),
+    (FiniteGroup.dihedral(8), 4, [0, 1, 2, 3, 8, 9, 11, 14]),
+    (FiniteGroup.dicyclic(4), 4, [0, 1, 2, 3, 8, 9, 11, 14]),
+]
+
+
 def random_rows(rng, k: int, d: int) -> list[list[int]]:
     """k rows of width d, some zero and some combinations of earlier rows."""
     rows = []
@@ -637,21 +686,51 @@ class TestScaledImage:
         assert lattice_image_size(rows, moduli) == size
         assert lattice_image_size_reference(rows, moduli) == size
 
-    def test_one_elimination_on_the_active_rows(self, monkeypatch):
-        # a k-character query eliminates its k x d rows once, modulo
-        # lcm(m), and builds no bordered k x (d + k) matrix
+    def test_one_hermite_form_per_pattern(self, monkeypatch):
+        # a degree and its staircase on one pattern share one Hermite
+        # form; the degree takes the closed form with no modular Smith
+        # form when ell does not divide the pivot product, else exactly
+        # one `_image` of the rows scaled modulo lcm(m)
         calls = []
-        real = fl.elementary_divisors
 
-        def recording(m, modulus=None):
-            calls.append((m.rows, m.cols, modulus))
-            return real(m, modulus=modulus)
+        def recording(name):
+            real = getattr(fl, name)
 
-        monkeypatch.setattr(fl, "elementary_divisors", recording)
-        cs = quaternion()
-        levels = {0: 1, 2: 3, 5: 2}
-        assert degree_of_subgroup(cs, 7, levels) == degree_reference(cs, 7, levels)
-        assert calls == [(3, cs.dim, unit_group_order(7, 3))]
+            def call(*args, **kwargs):
+                calls.append(name if name != "elementary_divisors"
+                             else (name, kwargs.get("modulus")))
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("hermite_normal_form", "elementary_divisors", "_image"):
+            monkeypatch.setattr(fl, name, recording(name))
+        c10 = build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
+        cases = [
+            # pivot product 1: no Smith form at all
+            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_normal_form"]),
+            # pivot product 2, ell = 3: the divisors of H, unscaled
+            (quaternion(), 3, {i: 1 + i % 3 for i in range(8)},
+             ["hermite_normal_form", ("elementary_divisors", None)]),
+            # pivot product 3, ell = 3: the fallback
+            (c10, 3, {0: 2, 1: 1, 2: 1, 4: 1, 8: 1},
+             ["hermite_normal_form", ("elementary_divisors", None), "_image",
+              ("elementary_divisors", unit_group_order(3, 2))]),
+        ]
+        for cs, ell, levels, expected in cases:
+            fl._active_lattice.cache_clear()
+            calls.clear()
+            degree = degree_of_subgroup(cs, ell, levels)
+            bounds = staircase_bounds(cs, ell, levels)
+            assert calls == expected
+            assert degree == degree_reference(cs, ell, levels)
+            assert bounds == staircase_bounds_reference(cs, ell, levels)
+        assert fl._active_lattice.cache_info().maxsize == 256
+
+    def test_closed_form_keeps_the_group_order_check(self, monkeypatch):
+        # a wrong (ell-1)-part is caught on the closed-form branch too
+        monkeypatch.setattr(fl, "_image_size", lambda divisors, m: 3)
+        with pytest.raises(InvariantError, match="does not divide the group order"):
+            degree_of_subgroup(quartic(), 5, {i: 1 for i in range(4)})
 
     def test_size_must_divide_the_group_order(self, monkeypatch):
         # the image lies in Z/4 x Z/6, so a wrong elimination giving a

@@ -1,6 +1,9 @@
 """Catalogue construction and the invariant sweep."""
 
-from cmtorsion.verify import _invariant_chains, builtin_groups, run_verify
+import cmtorsion.alpha_engine as alpha_engine
+import cmtorsion.verify as verify
+from cmtorsion.cm_core import FiniteGroup, enumerate_types, is_primitive
+from cmtorsion.verify import VerifySummary, _invariant_chains, builtin_groups, run_verify
 
 
 class TestCatalogue:
@@ -50,3 +53,26 @@ class TestSweep:
         assert s.translates_checked == 5435
         assert s.duplicates_skipped == 2898
         assert s.failures == []
+
+
+class TestPrimeGenus:
+    def test_one_primitivity_decision_per_representative(self, monkeypatch):
+        # the prime-genus check reads the report's primitivity through
+        # its bound checks instead of deciding it again
+        calls = []
+
+        def counting(t, conj):
+            calls.append(t.phi)
+            return is_primitive(t, conj)
+
+        monkeypatch.setattr(alpha_engine, "is_primitive", counting)
+        monkeypatch.setattr(verify, "is_primitive", counting, raising=False)
+        # the quartic and sextic cyclic classes: genus 2 and 3, primitive
+        summary = VerifySummary(max_group_order=6)
+        for order in (4, 6):
+            group = FiniteGroup.abelian([order])
+            for rep in enumerate_types(group, order // 2, up_to_translation=True):
+                verify._check_class(summary, group, order // 2, rep)
+        assert summary.failures == []
+        assert summary.checks["prime_genus_nondegenerate"] == 2
+        assert len(calls) == summary.class_reps_checked == 2
