@@ -63,8 +63,12 @@ class AlphaReport:
 def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis]]:
     """Entry `mask` > 0: the character count and `IntSpanBasis` of that
     union of factor blocks, formed from the union without its lowest
-    factor."""
+    factor.  A union takes no more columns once it reaches the system's
+    rank d, its span being then the span of all characters, and a union
+    whose parent has rank d shares the parent's basis; no entry is
+    changed once it is in the table."""
     r = len(cs.datum.factors)
+    d = cs.dim
     blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for col, (fi, _) in zip(cs.characters, cs.column_labels):
         blocks[fi].append(col)
@@ -73,9 +77,11 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis]]:
         low = mask & -mask
         block = blocks[low.bit_length() - 1]
         n, basis = table[mask ^ low]
-        basis = basis.copy()
-        for col in block:
-            basis.insert(col)
+        if basis.dim < d:
+            basis = basis.copy()
+            for col in block:
+                if basis.insert(col) and basis.dim == d:
+                    break
         table.append((n + len(block), basis))
     return table
 

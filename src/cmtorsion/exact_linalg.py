@@ -6,7 +6,9 @@ the handful of lattice operations the rest of the package is built on,
 one elimination per job: the fraction-free echelon basis of a rational
 span (rank, membership and its canonical key), Smith normal form (the
 divisors alone, or with the unimodular transforms that kernels and
-saturation read) and Hermite normal form (canonical lattice bases).
+saturation read) and Hermite normal form (canonical lattice bases,
+whose divisors `hermite_divisors` reads off the pivots, with entries
+kept below the product of the pivots other than 1).
 """
 
 from __future__ import annotations
@@ -94,6 +96,16 @@ class SmithForm:
     right: IntMatrix
 
 
+def _content(v: Sequence[int]) -> int:
+    # gcd of the entries, the scan stopping at 1
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+        if g == 1:
+            break
+    return g
+
+
 class IntSpanBasis:
     """Incremental integer echelon basis of a rational span.
 
@@ -101,6 +113,9 @@ class IntSpanBasis:
     each row primitive with positive pivot, and every pivot column zero
     in all other rows.  This is the reduced rational echelon form with
     denominators cleared, so `key()` identifies the subspace exactly.
+    A step against a pivot 1 subtracts a multiple of its row, with no
+    scaling and no gcd; a row is divided only by a content above 1, and
+    each gcd scan stops at 1.
     """
 
     __slots__ = ("width", "pivots", "rows")
@@ -121,18 +136,21 @@ class IntSpanBasis:
         return len(self.rows)
 
     def _reduce(self, vec: Sequence[int]) -> list[int]:
+        # a positive multiple of vec reduced against every pivot: a unit
+        # pivot needs neither the scaling nor the gcd, as callers that
+        # keep the result make it primitive
         if len(vec) != self.width:
             raise ValueError("vector width mismatch")
         v = list(vec)
         for p, row in zip(self.pivots, self.rows):
-            if v[p]:
-                a, b = row[p], v[p]
+            b = v[p]
+            if b:
+                a = row[p]
+                if a == 1:
+                    v = [x - b * y for x, y in zip(v, row)]
+                    continue
                 v = [a * x - b * y for x, y in zip(v, row)]
-                g = 0
-                for x in v:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
+                g = _content(v)
                 if g > 1:
                     v = [x // g for x in v]
         return v
@@ -151,14 +169,10 @@ class IntSpanBasis:
         lead = next((x for x in v if x), 0)
         if not lead:
             return None
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-            if g == 1:
-                break
+        g = _content(v)
         if lead < 0:
             g = -g
-        return tuple(x // g for x in v)
+        return tuple(v) if g == 1 else tuple(x // g for x in v)
 
     def insert(self, vec: Sequence[int]) -> bool:
         """Add a vector; returns True iff the span grew."""
@@ -166,17 +180,22 @@ class IntSpanBasis:
         if v is None:
             return False
         piv = next(j for j, x in enumerate(v) if x)
-        # restore full reduction: clear the new pivot column in old rows
+        a = v[piv]
+        # restore full reduction: clear the new pivot column in old rows;
+        # a row keeps its positive pivot, times a > 0
         for k, row in enumerate(self.rows):
-            if row[piv]:
-                a, b = v[piv], row[piv]
-                new = [a * x - b * y for x, y in zip(row, v)]
-                g2 = 0
-                for x in new:
-                    g2 = gcd(g2, x)
-                if new[self.pivots[k]] < 0:
-                    g2 = -g2
-                self.rows[k] = [x // g2 for x in new]
+            b = row[piv]
+            if b:
+                if a == 1:
+                    new = [x - b * y for x, y in zip(row, v)]
+                    # the content divides the row's own pivot
+                    if row[self.pivots[k]] == 1:
+                        self.rows[k] = new
+                        continue
+                else:
+                    new = [a * x - b * y for x, y in zip(row, v)]
+                g = _content(new)
+                self.rows[k] = new if g == 1 else [x // g for x in new]
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.pivots.insert(at, piv)
         self.rows.insert(at, list(v))
@@ -371,42 +390,88 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     """Canonical row Hermite form of the row lattice (zero rows dropped).
 
     Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), so equal lattices produce identical matrices.
+    [0, pivot), so equal lattices produce identical matrices.  Column by
+    column, the Euclidean steps work only on the rows that are nonzero
+    in that column (the others cannot take part in them), and a row
+    leaves the elimination once it becomes zero.
     """
-    a = m.row_lists()
-    nr, nc = m.rows, m.cols
-    r = 0
+    nc = m.cols
+    live = [row for row in m.row_lists() if any(row)]
+    done: list[list[int]] = []
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
+        active = [row for row in live if row[c]]
+        if not active:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        # single nonzero below r in this column, via euclidean steps
-        while True:
-            nz = [i for i in range(r + 1, nr) if a[i][c]]
-            if not nz:
-                break
-            for i in nz:
-                q = a[i][c] // a[r][c]
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            nz = [i for i in range(r + 1, nr) if a[i][c]]
-            if nz:
-                best = min(nz, key=lambda i: abs(a[i][c]))
-                a[r], a[best] = a[best], a[r]
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
+        live = [row for row in live if not row[c]]
+        # Euclidean steps until a single row is nonzero in column c; the
+        # head is the first row when its entry is a unit, else the least
+        head = active[0]
+        while len(active) > 1:
+            p = head[c]
+            if p != 1 and p != -1:
+                head = min(active, key=lambda row: abs(row[c]))
+                p = head[c]
+            nxt = [head]
+            for row in active:
+                if row is not head:
+                    q = row[c] // p
+                    row = [x - q * y for x, y in zip(row, head)]
+                    if row[c]:
+                        nxt.append(row)
+                    elif any(row):
+                        live.append(row)
+            active = nxt
+            head = active[0]
+        if head[c] < 0:
+            head = [-x for x in head]
+        p = head[c]
+        for k, row in enumerate(done):
+            q = row[c] // p
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == nr:
+                done[k] = [x - q * y for x, y in zip(row, head)]
+        done.append(head)
+        if not live:
             break
-    return IntMatrix.from_rows(a[:r], cols=nc)
+    return IntMatrix.from_rows(done, cols=nc)
+
+
+def hermite_pivots(h: IntMatrix) -> list[tuple[int, int]]:
+    """(column, value) of each row's pivot in a `hermite_normal_form`
+    output: the row's first nonzero entry."""
+    e, c = h.entries, h.cols
+    out = []
+    for i in range(0, h.rows * c, c):
+        x = next(filter(None, e[i:i + c]))
+        out.append((e.index(x, i) - i, x))
+    return out
+
+
+def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """The elementary divisors of `h`, a `hermite_normal_form` output
+    with its `hermite_pivots`.
+
+    Entries above a pivot are reduced below it, so a unit pivot's column
+    is a unit vector: column operations clear its row and touch no
+    other.  The divisors are thus a 1 for each unit pivot and those of
+    the block of the other rows, which are zero in the unit-pivot
+    columns, left out.  One row has its content as divisor.  Otherwise
+    let D be the product of the block's pivots: its pivot columns form a
+    triangular minor P of determinant D, and adj(P) P = D I puts D Z^rows
+    in its column lattice, so its divisors are
+    `elementary_divisors(block, modulus=D)`, every entry kept below D.
+    When every pivot is 1 no elimination runs.
+    """
+    unit = {j for j, x in pivots if x == 1}
+    if len(unit) == h.rows:
+        return (1,) * h.rows
+    e, c = h.entries, h.cols
+    rest = [(e[i * c:(i + 1) * c], x) for i, (_, x) in enumerate(pivots) if x != 1]
+    ones = (1,) * len(unit)
+    if len(rest) == 1:
+        return ones + (_content(rest[0][0]),)
+    keep = [j for j in range(c) if j not in unit]
+    block = IntMatrix.from_rows([[row[j] for j in keep] for row, _ in rest], cols=len(keep))
+    return ones + elementary_divisors(block, modulus=prod(x for _, x in rest))
 
 
 def integer_kernel(m: IntMatrix) -> IntMatrix:

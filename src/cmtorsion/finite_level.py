@@ -53,7 +53,13 @@ from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
 from .cm_core import InvariantError
-from .exact_linalg import IntMatrix, elementary_divisors, hermite_normal_form
+from .exact_linalg import (
+    IntMatrix,
+    elementary_divisors,
+    hermite_divisors,
+    hermite_normal_form,
+    hermite_pivots,
+)
 from .mt_torus import CharacterSystem
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -71,6 +77,9 @@ _BASE_COUNTS = (
     (3825123056546413051, 9), (318665857834031151167461, 12),
     (PRIME_TEST_LIMIT, 13),
 )
+
+
+_INT_ONLY = frozenset((int,))
 
 
 def _require_int(value, what: str, low: Optional[int] = None):
@@ -186,26 +195,29 @@ def _active_lattice(coords: tuple[tuple[int, ...], ...], idx: tuple[int, ...]):
     """(H, pivot columns, pivot product, divisors) of the characters idx.
 
     H is the Hermite form of coords[i] for i in idx as columns, in that
-    order; its divisors are those of the active rows.  When the pivots
-    multiply to 1 the pivot block is unimodular and every divisor is 1.
+    order; its divisors (`hermite_divisors`) are those of the active
+    rows.
     """
     hermite = hermite_normal_form(IntMatrix.from_rows(
         zip(*(coords[i] for i in idx)), cols=len(idx)))
-    rows = [hermite.row(r) for r in range(hermite.rows)]
-    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in rows)
-    product = math.prod(row[p] for row, p in zip(rows, pivots))
-    divisors = (1,) * hermite.rows if product == 1 else elementary_divisors(hermite)
-    return hermite, pivots, product, divisors
+    pivots = hermite_pivots(hermite)
+    return (hermite, tuple(j for j, _ in pivots), math.prod(x for _, x in pivots),
+            hermite_divisors(hermite, pivots))
 
 
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:
     if not levels:
         raise ValueError("at least one character must carry a level")
-    for i, n in levels.items():
-        _require_int(i, "character index")
-        if not 0 <= i < 2 * cs.genus:
-            raise ValueError(f"character index {i} out of range")
-        _require_int(n, "level", 1)
+    # one type-set test and the bounds; the per-entry loop, which also
+    # admits subclasses of int, runs only to name the first bad entry
+    if not ({*map(type, levels), *map(type, levels.values())} == _INT_ONLY
+            and min(levels) >= 0 and max(levels) < 2 * cs.genus
+            and min(levels.values()) >= 1):
+        for i, n in levels.items():
+            _require_int(i, "character index")
+            if not 0 <= i < 2 * cs.genus:
+                raise ValueError(f"character index {i} out of range")
+            _require_int(n, "level", 1)
     # the staircase order: decreasing level, index breaking ties
     return sorted(levels.items(), key=lambda p: (-p[1], p[0]))
 

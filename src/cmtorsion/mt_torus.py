@@ -10,8 +10,11 @@ The build runs one Hermite elimination H = U M of it, U unimodular
 rows of H are a basis of the row lattice, so their number is the rank,
 column j of H holds the coordinates of character j in the saturated
 character lattice, and the divisors of H are kept, with their product,
-the saturation index.  The saturated cocharacter lattice is computed
-from the rows of H on first read.
+the saturation index.  The elimination takes only one row of each pair
+{g, c.g} and the all-ones row, which span the same lattice
+(`_half_rows`), and the divisors are read off the pivots of H
+(`exact_linalg.hermite_divisors`).  The saturated cocharacter lattice is
+computed from the rows of H on first read.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from typing import Sequence
 from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import (
     IntMatrix,
-    elementary_divisors,
+    hermite_divisors,
     hermite_normal_form,
+    hermite_pivots,
     integer_kernel,
     saturate,
 )
@@ -131,6 +135,22 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
     return tuple(labels), matrix, columns
 
 
+def _half_rows(datum: CMDatum, matrix: IntMatrix) -> IntMatrix:
+    """One row of each pair {g, c.g} of the orbit matrix, then all ones.
+
+    Lemma: row c.g is the all-ones row minus row g.  Column (i, s) of row
+    c.g holds 1 when s lies in c.g.phi_i = g.(c.phi_i), c being central,
+    and `validate` checks that c.phi_i is the complement of phi_i, so
+    exactly when s does not lie in g.phi_i.  Every row of the orbit
+    matrix is thus an integer combination of these rows, and the all-ones
+    row is the sum of rows g and c.g, so both span the same lattice.
+    """
+    group, c = datum.group, datum.conj
+    rows = [matrix.row(g) for g in range(group.order) if g < group.mul(c, g)]
+    rows.append((1,) * matrix.cols)
+    return IntMatrix.from_rows(rows, cols=matrix.cols)
+
+
 def build_character_system(datum: CMDatum) -> CharacterSystem:
     """Build and sanity-check the full character system of a datum.
 
@@ -169,8 +189,10 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
                 raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
     # one Hermite form H = U M: since M = U^-1 H, character j is the sum
-    # of H[i][j] times column i of U^-1
-    hermite = hermite_normal_form(matrix)
+    # of H[i][j] times column i of U^-1.  Row c.g is the all-ones row
+    # minus row g (see `_half_rows`), so half the rows and that one span
+    # the row lattice of M, and H is its canonical Hermite form.
+    hermite = hermite_normal_form(_half_rows(datum, matrix))
     d = hermite.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
@@ -185,7 +207,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         weight=weight,
         column_labels=labels,
         char_coords=tuple(zip(*map(hermite.row, range(d)))),
-        divisors=elementary_divisors(hermite),
+        divisors=hermite_divisors(hermite, hermite_pivots(hermite)),
     )
 
 

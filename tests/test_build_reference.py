@@ -15,7 +15,7 @@ same answer on either set of coordinates.
 
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import chain, product
 from math import prod
 from typing import Optional, Sequence
 
@@ -26,8 +26,9 @@ from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, InvariantError, enumerate_types
 from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
 from cmtorsion.finite_level import degree_of_subgroup, exponent_sweep, staircase_bounds
-from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
+from cmtorsion.mt_torus import DuplicateCharactersError, _half_rows, build_character_system
 from cmtorsion.verify import builtin_groups
+from test_exact_linalg import hermite_normal_form_reference
 
 
 def _orbit_matrix_reference(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
@@ -221,7 +222,9 @@ class TestAgainstReference:
 
 class TestOneElimination:
     def test_build_runs_one_smith_elimination(self, monkeypatch):
-        # the build takes the divisors of its Hermite form alone; the
+        # the build takes the divisors of its Hermite form alone, from
+        # one elimination of the rows with non-unit pivots, without the
+        # unit-pivot columns, when there are two such rows or more; the
         # transforms wait for the first read of `cochar_basis`
         calls = []
         real = el._smith
@@ -232,7 +235,8 @@ class TestOneElimination:
 
         monkeypatch.setattr(el, "_smith", counting)
         built = 0
-        for datum in subgroup_joint_data(8):
+        blocks = set()
+        for datum in chain(subgroup_joint_data(8), single_factor_data(16)):
             calls.clear()
             try:
                 cs = build_character_system(datum)
@@ -240,9 +244,53 @@ class TestOneElimination:
                 assert calls == []
                 continue
             shape = (cs.dim, 2 * cs.genus)
-            assert calls == [shape + (False,)]
+            rows = list(zip(*cs.char_coords))
+            pivots = [next(x for x in row if x) for row in rows]
+            block = sum(p > 1 for p in pivots)
+            divisors_call = [(block, 2 * cs.genus - cs.dim + block, False)] if block > 1 else []
+            assert calls == divisors_call
             cs.cochar_basis
             cs.cochar_basis
-            assert calls == [shape + (False,), shape + (True,)]
+            assert calls == divisors_call + [shape + (True,)]
             built += 1
+            blocks.add(min(block, 2))
         assert built > 10
+        assert blocks == {0, 1, 2}
+
+
+def three_factor_data(max_order: int):
+    """Every triple t1 < t2 < t3 of translation-class representatives of
+    the groups of orders 8 to the bound."""
+    for group in builtin_groups(max_order):
+        if group.order < 8:
+            continue
+        for conj in group.central_involutions():
+            types = list(enumerate_types(group, conj, up_to_translation=True))
+            for i, t1 in enumerate(types):
+                for j in range(i + 1, len(types)):
+                    for t3 in types[j + 1:]:
+                        yield CMDatum(group, conj, (t1, types[j], t3))
+
+
+class TestHalfRows:
+    @pytest.mark.parametrize("data", [
+        lambda: single_factor_data(12), lambda: two_factor_data(12),
+        lambda: subgroup_joint_data(12), lambda: three_factor_data(12),
+    ], ids=["single-factor-order-12", "two-factor-order-12", "subgroup-joints-order-12",
+            "three-factor-order-12"])
+    def test_half_rows_give_the_hermite_form_of_all_rows(self, data):
+        # duplicate characters do not matter to the lemma, so the
+        # orbit matrix is formed without the duplicate check
+        count = 0
+        for datum in data():
+            group = datum.group
+            matrix = IntMatrix.from_rows(
+                [[int(f.space.act(group.inv(g), s) in f.phi)
+                  for f in datum.factors for s in range(f.space.size)]
+                 for g in range(group.order)])
+            half = _half_rows(datum, matrix)
+            assert half.rows == group.order // 2 + 1
+            assert (hermite_normal_form(half) == hermite_normal_form(matrix)
+                    == hermite_normal_form_reference(matrix)), datum
+            count += 1
+        assert count > 40

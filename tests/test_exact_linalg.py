@@ -11,17 +11,22 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
 import cmtorsion.exact_linalg as el
-from cmtorsion.cm_core import InvariantError
+from cmtorsion.cm_core import CMDatum
+from cmtorsion.mt_torus import DuplicateCharactersError, _orbit_matrix
+from cmtorsion.verify import builtin_groups
+from cmtorsion.cm_core import InvariantError, enumerate_types
 from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
     elementary_divisors,
+    hermite_divisors,
     hermite_normal_form,
+    hermite_pivots,
     integer_kernel,
     rank,
     SmithForm,
@@ -486,6 +491,72 @@ class TestElementaryDivisors:
         assert elementary_divisors(m) == smith_normal_form(m).diag == ()
 
 
+def hermite_normal_form_reference(m: IntMatrix) -> IntMatrix:
+    """The earlier `exact_linalg.hermite_normal_form`, verbatim: every row
+    takes part in every column's Euclidean steps, and zero rows stay."""
+    a = m.row_lists()
+    nr, nc = m.rows, m.cols
+    r = 0
+    for c in range(nc):
+        piv = None
+        for i in range(r, nr):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        # single nonzero below r in this column, via euclidean steps
+        while True:
+            nz = [i for i in range(r + 1, nr) if a[i][c]]
+            if not nz:
+                break
+            for i in nz:
+                q = a[i][c] // a[r][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+            nz = [i for i in range(r + 1, nr) if a[i][c]]
+            if nz:
+                best = min(nz, key=lambda i: abs(a[i][c]))
+                a[r], a[best] = a[best], a[r]
+        if a[r][c] < 0:
+            a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = a[i][c] // a[r][c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == nr:
+            break
+    return IntMatrix.from_rows(a[:r], cols=nc)
+
+
+def random_hermite_input(rng: random.Random) -> IntMatrix:
+    """Wide or tall, with zero rows, negative entries and, half the
+    time, rows that are combinations of the others."""
+    cols = rng.randint(1, 7)
+    rows = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rng.randint(0, 7))]
+    if rows and rng.random() < 0.5:
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+            q = rng.randint(-3, 3)
+            rows.append([x + q * y for x, y in zip(rows[i], rows[j])])
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * cols)
+    return IntMatrix.from_rows(rows, cols=cols)
+
+
+def catalogue_orbit_matrices(max_order: int):
+    """The orbit matrix of every buildable single-factor class of
+    `verify`'s catalogue."""
+    for group in builtin_groups(max_order):
+        for conj in group.central_involutions():
+            for t in enumerate_types(group, conj, up_to_translation=True):
+                try:
+                    yield _orbit_matrix(CMDatum(group, conj, (t,)))[1]
+                except DuplicateCharactersError:
+                    continue
+
+
 class TestHermite:
     def test_canonical_for_equal_lattices(self):
         rng = random.Random(55)
@@ -507,6 +578,76 @@ class TestHermite:
     def test_pivot_normalization(self):
         h = hermite_normal_form(IntMatrix.from_rows([[0, -2], [3, 1]]))
         assert h.row_lists() == [[3, 1], [0, 2]]
+
+    def test_matches_the_reference_randomized(self):
+        rng = random.Random(1717)
+        shapes = set()
+        for _ in range(400):
+            m = random_hermite_input(rng)
+            assert hermite_normal_form(m) == hermite_normal_form_reference(m), m
+            shapes.add((m.rows > m.cols, m.rows < m.cols))
+        assert shapes == {(True, False), (False, True), (False, False)}
+
+    def test_matches_the_reference_on_catalogue_orbit_matrices(self):
+        count = 0
+        for m in catalogue_orbit_matrices(12):
+            assert hermite_normal_form(m) == hermite_normal_form_reference(m)
+            count += 1
+        assert count == 44
+
+    def test_zero_and_empty_inputs(self):
+        for m in (IntMatrix.from_rows([[0, 0], [0, 0]]), IntMatrix(0, 3, ()),
+                  IntMatrix(2, 0, ())):
+            assert hermite_normal_form(m) == hermite_normal_form_reference(m)
+            assert hermite_normal_form(m).rows == 0
+
+
+class TestHermiteDivisors:
+    def test_pivots_are_the_first_nonzero_entries(self):
+        rng = random.Random(2424)
+        for _ in range(200):
+            h = hermite_normal_form(random_hermite_input(rng))
+            rows = h.row_lists()
+            assert hermite_pivots(h) == [
+                next((j, x) for j, x in enumerate(row) if x) for row in rows]
+
+    def test_agrees_with_the_plain_divisors(self):
+        rng = random.Random(2323)
+        moduli = set()
+        for _ in range(300):
+            h = hermite_normal_form(random_hermite_input(rng))
+            if not h.rows:
+                continue
+            assert hermite_divisors(h, hermite_pivots(h)) == elementary_divisors(h), h
+            moduli.add(min(4, prod(next(x for x in h.row(i) if x)
+                                   for i in range(h.rows))))
+        assert moduli == {1, 2, 3, 4}
+
+    def test_on_catalogue_orbit_matrices(self):
+        for m in catalogue_orbit_matrices(12):
+            h = hermite_normal_form(m)
+            assert hermite_divisors(h, hermite_pivots(h)) == elementary_divisors(m)
+
+    def test_unit_pivots_run_no_elimination(self, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("elimination with unit pivots")
+
+        monkeypatch.setattr(el, "_smith", no_elimination)
+        h = IntMatrix.from_rows([[1, 5, -3, 2], [0, 0, 1, 7]])
+        assert hermite_divisors(h, hermite_pivots(h)) == (1, 1)
+
+    def test_the_pivot_product_is_the_modulus(self, monkeypatch):
+        seen = []
+        real = el._smith
+
+        def recording(m, transforms, modulus=None):
+            seen.append(modulus)
+            return real(m, transforms, modulus)
+
+        monkeypatch.setattr(el, "_smith", recording)
+        h = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1]])
+        assert hermite_divisors(h, hermite_pivots(h)) == elementary_divisors(h) == (1, 1)
+        assert seen == [6, None]
 
 
 class TestKernel:
@@ -627,6 +768,17 @@ class TestIntSpanBasis:
             b = span_of(rows, n)
             assert b.key() == echelon_key_reference(rows)
             v = [rng.randint(-3, 3) for _ in range(n)]
+            assert b.contains(v) == in_rational_span(rows, v)
+        # 0/1 and 0/-1/1 vectors, as the characters are, reach the
+        # unit-pivot steps of the reduction and of the insertion
+        for _ in range(60):
+            n = rng.randint(2, 24)
+            low = rng.choice((0, -1))
+            rows = [[rng.randint(low, 1) for _ in range(n)]
+                    for _ in range(rng.randint(1, min(n, 12)))]
+            b = span_of(rows, n)
+            assert b.key() == echelon_key_reference(rows), rows
+            v = [rng.randint(low, 1) for _ in range(n)]
             assert b.contains(v) == in_rational_span(rows, v)
 
     def test_insert_reports_growth(self):

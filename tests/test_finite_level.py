@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import cmtorsion.exact_linalg as el
 import cmtorsion.finite_level as fl
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cli import main
@@ -445,6 +446,12 @@ class TestValidation:
         ({0: 1.5, 5: 0}, "level must be an integer, got 1.5"),
         ({2: 1, True: 1}, "character index must be an integer, got True"),
         ({2: -3, 7: 1}, "level must be at least 1, got -3"),
+        ({0: 1, "1": 1}, "character index must be an integer, got '1'"),
+        ({0: 1, 1.0: 1}, "character index must be an integer, got 1.0"),
+        ({0: 1, 1: True}, "level must be an integer, got True"),
+        ({0: 2, 1: 2.0}, "level must be an integer, got 2.0"),
+        ({3: 1, 4: 1}, "character index 4 out of range"),
+        ({1: 0, 0: -1}, "level must be at least 1, got 0"),
     ])
     def test_first_bad_level_entry_named(self, levels, message):
         # the entry types are checked once per distinct type; a bad entry
@@ -453,6 +460,24 @@ class TestValidation:
             with pytest.raises(ValueError) as info:
                 call(quartic(), 5, levels)
             assert str(info.value) == message
+
+    def test_valid_levels_skip_the_per_entry_checks(self, monkeypatch):
+        # a valid mapping is checked by its type sets and bounds; only
+        # ell goes through `_require_int`
+        seen = []
+        real = fl._require_int
+
+        def recording(value, what, low=None):
+            seen.append(what)
+            return real(value, what, low)
+
+        monkeypatch.setattr(fl, "_require_int", recording)
+        cs = quartic()
+        levels = {0: 3, 1: 1, 2: 2, 3: 1}
+        for call in (degree_of_subgroup, staircase_bounds):
+            seen.clear()
+            call(cs, 5, levels)
+            assert seen == ["ell"]
 
     def test_lattice_image_size_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
@@ -693,28 +718,31 @@ class TestScaledImage:
         # one `_image` of the rows scaled modulo lcm(m)
         calls = []
 
-        def recording(name):
-            real = getattr(fl, name)
+        def recording(module, name):
+            real = getattr(module, name)
 
             def call(*args, **kwargs):
-                calls.append(name if name != "elementary_divisors"
+                calls.append(name if name not in ("elementary_divisors", "_smith")
                              else (name, kwargs.get("modulus")))
                 return real(*args, **kwargs)
-            return call
+            monkeypatch.setattr(module, name, call)
 
-        for name in ("hermite_normal_form", "elementary_divisors", "_image"):
-            monkeypatch.setattr(fl, name, recording(name))
+        for name in ("hermite_normal_form", "hermite_divisors", "elementary_divisors", "_image"):
+            recording(fl, name)
+        recording(el, "_smith")
         c10 = build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
+        big = unit_group_order(3, 2)
         cases = [
             # pivot product 1: no Smith form at all
-            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_normal_form"]),
-            # pivot product 2, ell = 3: the divisors of H, unscaled
+            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_normal_form", "hermite_divisors"]),
+            # pivot product 2, ell = 3: the divisors of H, from the
+            # content of its one row with a non-unit pivot
             (quaternion(), 3, {i: 1 + i % 3 for i in range(8)},
-             ["hermite_normal_form", ("elementary_divisors", None)]),
+             ["hermite_normal_form", "hermite_divisors"]),
             # pivot product 3, ell = 3: the fallback
             (c10, 3, {0: 2, 1: 1, 2: 1, 4: 1, 8: 1},
-             ["hermite_normal_form", ("elementary_divisors", None), "_image",
-              ("elementary_divisors", unit_group_order(3, 2))]),
+             ["hermite_normal_form", "hermite_divisors", "_image",
+              ("elementary_divisors", big), ("_smith", big)]),
         ]
         for cs, ell, levels, expected in cases:
             fl._active_lattice.cache_clear()

@@ -349,15 +349,15 @@ class TestInvariantError:
             cs.cochar_basis
 
     def test_saturation_index_disagreement_raises(self, monkeypatch):
-        # the build's divisors-only elimination of H claims index 2, the
-        # Smith form with transforms that saturates H finds 1
-        real = mt.elementary_divisors
+        # the build's divisors of H claim index 2, the Smith form with
+        # transforms that saturates H finds 1
+        real = mt.hermite_divisors
 
-        def doubled(m):
-            diag = real(m)
+        def doubled(m, pivots):
+            diag = real(m, pivots)
             return (2 * diag[0],) + diag[1:]
 
-        monkeypatch.setattr(mt, "elementary_divisors", doubled)
+        monkeypatch.setattr(mt, "hermite_divisors", doubled)
         cs = build_character_system(quartic())
         assert cs.saturation_index == 2
         with pytest.raises(InvariantError,

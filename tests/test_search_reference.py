@@ -23,6 +23,7 @@ import pytest
 from cmtorsion.alpha_engine import (
     AlphaReport,
     SubspaceWitness,
+    _factor_unions,
     build_report,
     check_bounds,
     product_envelope,
@@ -267,6 +268,49 @@ def check_joint(joint, full: bool):
     for ns in [[1] * r] + [[rng.randint(1, 6) for _ in range(r)] for _ in range(4)]:
         env = product_envelope(reports, ns, joint)
         assert (env.lower, env.upper, env.question2) == envelope_reference(ns, joint), ns
+
+
+def factor_unions_uncapped(cs) -> list[tuple[int, IntSpanBasis]]:
+    """The earlier `alpha_engine._factor_unions`, verbatim: every union
+    takes every column of its lowest block, past the rank too."""
+    r = len(cs.datum.factors)
+    blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
+    for col, (fi, _) in zip(cs.characters, cs.column_labels):
+        blocks[fi].append(col)
+    table = [(0, IntSpanBasis(len(cs.characters[0])))]
+    for mask in range(1, 2 ** r):
+        low = mask & -mask
+        block = blocks[low.bit_length() - 1]
+        n, basis = table[mask ^ low]
+        basis = basis.copy()
+        for col in block:
+            basis.insert(col)
+        table.append((n + len(block), basis))
+    return table
+
+
+JOINTS = {
+    "C2xC2": quadratic_pair,
+    "C8": lambda: build_character_system(load_datum(C8_PRODUCT)),
+    "fallback": fallback_joint,
+    **FALLBACK_PAIRS,
+    **{"triple-" + name: make for name, make in FALLBACK_TRIPLES.items()},
+}
+
+
+class TestRankCappedUnions:
+    @pytest.mark.parametrize("make", JOINTS.values(), ids=list(JOINTS))
+    def test_same_table_as_uncapped(self, make):
+        joint = make()
+        capped = _factor_unions(joint)
+        shape = [(n, b.dim, b.key()) for n, b in capped]
+        assert shape == [(n, b.dim, b.key()) for n, b in factor_unions_uncapped(joint)]
+        assert shape[-1][1] == joint.dim
+        # a union shares its parent's basis exactly when the parent
+        # has full rank
+        for mask in range(1, len(capped)):
+            parent = capped[mask ^ (mask & -mask)][1]
+            assert (capped[mask][1] is parent) == (parent.dim == joint.dim)
 
 
 class TestAgainstReference:
