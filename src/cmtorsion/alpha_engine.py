@@ -9,10 +9,13 @@ Functions and Optimization, 2005): the exponent is the best ratio over
 the 2^r - 1 factor unions.  The witness is the full span when it
 attains it, else the attaining union first in (dim, index set) order,
 which is the first attaining flat in that order (see `alpha_exact`).
-The product envelope reads the same table.  A report decides
-primitivity once, for its shortcut label and its dimension bound.  The
-oracle re-derives the maximum by sheer enumeration of subsets.
-Everything is exact.
+The product envelope reads the same table.  The spans are formed in
+the rank-d coordinates `char_coords`, where every set of characters
+has its |G|-wide rank (see `_factor_unions`); the witness's |G|-wide
+basis is formed only for a document (`witness_basis`).  A report
+decides primitivity once, for its shortcut label and its dimension
+bound.  The oracle re-derives the maximum by sheer enumeration of
+subsets.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -33,14 +36,10 @@ ORACLE_CAP = 12
 class SubspaceWitness:
     """A character span attaining the reported exponent.
 
-    `basis` is the span's integer echelon basis (`IntSpanBasis.key()`):
-    one primitive row per dimension, its first nonzero entry a positive
-    pivot, and every pivot column zero in the other rows.  Dividing each
-    row by its pivot gives the reduced rational echelon basis, so equal
-    spans give equal witnesses.
+    The span is that of the characters `generating_indices`; its
+    canonical basis is formed only on request, by `witness_basis`.
     """
 
-    basis: tuple[tuple[int, ...], ...]
     generating_indices: tuple[int, ...]
     n: int
     dim: int
@@ -66,13 +65,25 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis]]:
     factor.  A union takes no more columns once it reaches the system's
     rank d, its span being then the span of all characters, and a union
     whose parent has rank d shares the parent's basis; no entry is
-    changed once it is in the table."""
+    changed once it is in the table.
+
+    The spans are formed over `char_coords`, d wide, not over the
+    |G|-wide characters, at the same ranks.  The build's Hermite form is
+    H = U M', U unimodular, M' the half rows of the orbit matrix M, and
+    M' has the row lattice of M by the half-row lemma: row c.g is the
+    all-ones row minus row g.  The build checks what implies it: that
+    columns (i, s) and (i, c.s) sum to the all-ones weight, and
+    equivariance under the generators, so under c, where it puts column
+    (i, c.s) of row g at (i, s) in row c.g.  So M x, M' x and H x vanish
+    for the same x, and every set of characters has the same rank in
+    either coordinates.
+    """
     r = len(cs.datum.factors)
     d = cs.dim
     blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
-    for col, (fi, _) in zip(cs.characters, cs.column_labels):
-        blocks[fi].append(col)
-    table = [(0, IntSpanBasis(len(cs.characters[0])))]
+    for coords, (fi, _) in zip(cs.char_coords, cs.column_labels):
+        blocks[fi].append(coords)
+    table = [(0, IntSpanBasis(d))]
     for mask in range(1, 2 ** r):
         low = mask & -mask
         block = blocks[low.bit_length() - 1]
@@ -118,24 +129,19 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
     alpha = max(Fraction(n, span.dim) for n, span in unions[1:])
     m, full = unions[-1]
     if Fraction(m, full.dim) == alpha:
-        contained, basis = tuple(range(m)), full
+        contained, dim = tuple(range(m)), full.dim
     else:
         factor_of = [fi for fi, _ in cs.column_labels]
-        attaining = [(tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1), span)
-                     for mask, (n, span) in enumerate(unions)
-                     if mask and Fraction(n, span.dim) == alpha]
-        contained, basis = min(attaining, key=lambda entry: (entry[1].dim, entry[0]))
-    witness = SubspaceWitness(
-        basis=basis.key(),
-        generating_indices=contained,
-        n=len(contained),
-        dim=basis.dim,
-        ratio=alpha,
-    )
+        # least in (dim, index set) order
+        dim, contained = min(
+            (span.dim, tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1))
+            for mask, (n, span) in enumerate(unions)
+            if mask and Fraction(n, span.dim) == alpha)
     return AlphaReport(
         alpha=alpha,
         gamma=alpha,
-        witness=witness,
+        witness=SubspaceWitness(generating_indices=contained, n=len(contained),
+                                dim=dim, ratio=alpha),
         genus=cs.genus,
         dim=cs.dim,
         defect=cs.defect,
@@ -145,6 +151,27 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
         bound_checks={"subspace_counting_bound": True},
         spans_visited=len(unions) - 1,
     )
+
+
+def witness_basis(cs: CharacterSystem, witness: SubspaceWitness) -> tuple[tuple[int, ...], ...]:
+    """The witness span's canonical basis in the |G|-wide characters.
+
+    This is `IntSpanBasis.key()`: one primitive row per dimension, its
+    first nonzero entry a positive pivot, and every pivot column zero in
+    the other rows.  Dividing each row by its pivot gives the reduced
+    rational echelon basis, so equal spans give equal bases.  The
+    witness's characters are inserted in index order until the span
+    reaches the system's rank, which no span of characters exceeds.
+    Raises InvariantError when the span's dimension is not `witness.dim`.
+    """
+    basis = IntSpanBasis(len(cs.characters[0]))
+    for i in witness.generating_indices:
+        if basis.insert(cs.characters[i]) and basis.dim == cs.dim:
+            break
+    if basis.dim != witness.dim:
+        raise InvariantError(
+            f"the witness characters span dimension {basis.dim}, not {witness.dim}")
+    return basis.key()
 
 
 def alpha_oracle(cs: CharacterSystem, cap: int = ORACLE_CAP) -> Fraction:

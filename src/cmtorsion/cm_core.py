@@ -53,11 +53,10 @@ class FiniteGroup:
     """
 
     __slots__ = ("table", "order", "inverses", "generators", "name",
-                 "abelian_invariants", "_element_tuples", "_hash")
+                 "abelian_invariants", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "",
-                 abelian_invariants: Optional[tuple[int, ...]] = None,
-                 _element_tuples: Optional[tuple[tuple[int, ...], ...]] = None):
+                 abelian_invariants: Optional[tuple[int, ...]] = None):
         n = len(table)
         tab = tuple(tuple(row) for row in table)
         for row in tab:
@@ -89,7 +88,6 @@ class FiniteGroup:
         self.generators = generators
         self.name = name or f"order{n}"
         self.abelian_invariants = abelian_invariants
-        self._element_tuples = _element_tuples
         self._hash = hash(tab)
 
     def mul(self, a: int, b: int) -> int:
@@ -105,18 +103,6 @@ class FiniteGroup:
     def central_involutions(self) -> list[int]:
         return [a for a in range(1, self.order)
                 if self.table[a][a] == 0 and self.is_central(a)]
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
-    def element_tuple(self, a: int) -> Optional[tuple[int, ...]]:
-        if self._element_tuples is None:
-            return None
-        return self._element_tuples[a]
 
     def index_of_tuple(self, coords: Sequence[int]) -> int:
         if self.abelian_invariants is None:
@@ -155,10 +141,8 @@ class FiniteGroup:
             table = [[(x + y) % k * size + z for y in range(k) for z in row]
                      for x in range(k) for row in table]
             size *= k
-        elems = tuple(iter_product(*[range(k) for k in inv]))
         name = "x".join(f"C{k}" for k in inv)
-        return cls(table, name=name, abelian_invariants=inv,
-                   _element_tuples=elems)
+        return cls(table, name=name, abelian_invariants=inv)
 
     @classmethod
     def dihedral(cls, n: int) -> "FiniteGroup":
@@ -253,6 +237,10 @@ class CosetSpace:
 
     def act(self, g: int, coset_index: int) -> int:
         return self._action[g][coset_index]
+
+    def action_row(self, g: int) -> tuple[int, ...]:
+        """The index of g·s for each coset index s, in order."""
+        return self._action[g]
 
     def __eq__(self, other):
         return (isinstance(other, CosetSpace)

@@ -30,7 +30,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring
 from typing import Any
 
-from .alpha_engine import AlphaReport
+from .alpha_engine import AlphaReport, witness_basis
 from .cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, validate
 from .finite_level import SweepRow
 from .mt_torus import CharacterSystem
@@ -224,8 +224,11 @@ def encode_fraction(v: Fraction) -> dict:
 
 
 def _reduced_cells(row: tuple[int, ...]) -> list[dict]:
-    # x / pivot in lowest terms; the pivot is positive (SubspaceWitness)
-    pivot = next(x for x in row if x)
+    # x / pivot in lowest terms; the pivot is positive (`witness_basis`),
+    # and a unit pivot leaves every entry in lowest terms
+    pivot = next(filter(None, row))
+    if pivot == 1:
+        return [{"num": str(x), "den": "1"} for x in row]
     cells = []
     for x in row:
         g = math.gcd(x, pivot)
@@ -248,7 +251,7 @@ def report_to_dict(report: AlphaReport, cs: CharacterSystem) -> dict:
             "n": witness.n,
             "ratio": encode_fraction(witness.ratio),
             "character_indices": list(witness.generating_indices),
-            "basis": [_reduced_cells(row) for row in witness.basis],
+            "basis": [_reduced_cells(row) for row in witness_basis(cs, witness)],
         },
         "bound_checks": dict(report.bound_checks),
         "saturation_index": cs.saturation_index,

@@ -13,9 +13,11 @@ kept below the product of the pivots other than 1).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
+from operator import sub
 from typing import Optional, Sequence
 
 from .cm_core import InvariantError
@@ -53,14 +55,6 @@ class IntMatrix:
             raise ValueError("explicit column count disagrees with rows")
         return cls(len(rows), width, tuple(chain.from_iterable(rows)))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def row(self, i: int) -> tuple[int, ...]:
         c = self.cols
         return self.entries[i * c:(i + 1) * c]
@@ -71,16 +65,6 @@ class IntMatrix:
     def row_lists(self) -> list[list[int]]:
         e, c = self.entries, self.cols
         return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append([sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols))
-                        for j in range(other.cols)])
-        return IntMatrix.from_rows(out, cols=other.cols)
 
 
 @dataclass(frozen=True)
@@ -147,16 +131,13 @@ class IntSpanBasis:
             if b:
                 a = row[p]
                 if a == 1:
-                    v = [x - b * y for x, y in zip(v, row)]
+                    v = list(map(sub, v, row)) if b == 1 else [x - b * y for x, y in zip(v, row)]
                     continue
                 v = [a * x - b * y for x, y in zip(v, row)]
                 g = _content(v)
                 if g > 1:
                     v = [x // g for x in v]
         return v
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return not any(self._reduce(vec))
 
     def direction(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
         """The line of `vec` modulo the span; None when `vec` lies in it.
@@ -166,7 +147,7 @@ class IntSpanBasis:
         exactly when they span the same line modulo the span.
         """
         v = self._reduce(vec)
-        lead = next((x for x in v if x), 0)
+        lead = next(filter(None, v), 0)
         if not lead:
             return None
         g = _content(v)
@@ -179,15 +160,15 @@ class IntSpanBasis:
         v = self.direction(vec)
         if v is None:
             return False
-        piv = next(j for j, x in enumerate(v) if x)
-        a = v[piv]
+        a = next(filter(None, v))
+        piv = v.index(a)
         # restore full reduction: clear the new pivot column in old rows;
         # a row keeps its positive pivot, times a > 0
         for k, row in enumerate(self.rows):
             b = row[piv]
             if b:
                 if a == 1:
-                    new = [x - b * y for x, y in zip(row, v)]
+                    new = list(map(sub, row, v)) if b == 1 else [x - b * y for x, y in zip(row, v)]
                     # the content divides the row's own pivot
                     if row[self.pivots[k]] == 1:
                         self.rows[k] = new
@@ -196,21 +177,13 @@ class IntSpanBasis:
                     new = [a * x - b * y for x, y in zip(row, v)]
                 g = _content(new)
                 self.rows[k] = new if g == 1 else [x // g for x in new]
-        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        at = bisect(self.pivots, piv)
         self.pivots.insert(at, piv)
         self.rows.insert(at, list(v))
         return True
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r) for r in self.rows)
-
-
-def rank(m: IntMatrix) -> int:
-    """Exact rank over Q: the dimension of the row span."""
-    basis = IntSpanBasis(m.cols)
-    for i in range(m.rows):
-        basis.insert(m.row(i))
-    return basis.dim
 
 
 def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import prod
+from operator import add, itemgetter
 from typing import Sequence
 
 from .cm_core import CMDatum, InvariantError, validate
@@ -102,26 +104,26 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
     """Column labels, orbit matrix and its columns (the characters).
 
     Row g marks the translated halves g.phi_i: column (i, s) holds 1
-    exactly when g^-1 s lies in phi_i.  Raises DuplicateCharactersError
-    for the first pair i < j of equal columns.
+    exactly when g^-1 s lies in phi_i, so the row is the 0/1 indicator
+    of each phi_i read through the action row of g^-1.  Raises
+    DuplicateCharactersError for the first pair i < j of equal columns.
     """
-    group = datum.group
     labels = []
-    offsets = []
+    indicators = []
     for fi, factor in enumerate(datum.factors):
         # phi and its conjugate partition the cosets, so the columns of
         # a factor are indexed by the whole coset space
-        offsets.append(len(labels))
         labels.extend((fi, s) for s in range(factor.space.size))
-    two_g = len(labels)
-    rows = []
-    for g in range(group.order):
-        row = [0] * two_g
-        for off, factor in zip(offsets, datum.factors):
-            for t in factor.phi:
-                row[off + factor.space.act(g, t)] = 1
-        rows.append(row)
-    matrix = IntMatrix.from_rows(rows, cols=two_g)
+        indicator = [0] * factor.space.size
+        for t in factor.phi:
+            indicator[t] = 1
+        indicators.append((indicator, factor.space))
+    # a coset space holds at least two cosets, phi and its complement,
+    # so each itemgetter returns a tuple
+    rows = [tuple(chain.from_iterable(itemgetter(*space.action_row(ginv))(indicator)
+                                      for indicator, space in indicators))
+            for ginv in datum.group.inverses]
+    matrix = IntMatrix.from_rows(rows, cols=len(labels))
 
     columns = tuple(zip(*rows))
     copies: dict[tuple[int, ...], list[int]] = {}
@@ -163,17 +165,22 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     if problems:
         raise ValueError("invalid datum: " + "; ".join(problems))
     labels, matrix, columns = _orbit_matrix(datum)
-    n = datum.group.order
+    group = datum.group
+    n = group.order
     genus = len(labels) // 2
+    offsets = [k for k, (_, s) in enumerate(labels) if s == 0]
 
-    pos = {lab: k for k, lab in enumerate(labels)}
-    pairing = tuple(
-        pos[(fi, datum.factors[fi].space.act(datum.conj, s))] for fi, s in labels)
+    def translated(h: int) -> list[int]:
+        # the index of column (i, h.s), at the index of column (i, s)
+        return [off + t for off, factor in zip(offsets, datum.factors)
+                for t in factor.space.action_row(h)]
+
+    pairing = tuple(translated(datum.conj))
     weight = (1,) * n
     for k, pk in enumerate(pairing):
         if pairing[pk] != k:
             raise InvariantError(f"conjugation does not pair character {k} back")
-        if tuple(a + b for a, b in zip(columns[k], columns[pk])) != weight:
+        if tuple(map(add, columns[k], columns[pk])) != weight:
             raise InvariantError("conjugate characters must sum to the weight")
 
     # |phi| |H| = |G|/2 ones per column, whatever the subgroup H
@@ -181,12 +188,10 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         if sum(col) != n // 2:
             raise InvariantError(f"column {j} does not pair half the orbit")
     # column (i, h.s) is column (i, s) read at row h^-1 g in row g
-    for h in datum.group.generators:
-        rows_from = [datum.group.mul(datum.group.inv(h), g) for g in range(n)]
-        for col, (fi, s) in zip(columns, labels):
-            moved = columns[pos[(fi, datum.factors[fi].space.act(h, s))]]
-            if moved != tuple(map(col.__getitem__, rows_from)):
-                raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
+    for h in group.generators:
+        moved_rows = itemgetter(*group.table[group.inv(h)])
+        if itemgetter(*translated(h))(columns) != tuple(map(moved_rows, columns)):
+            raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
     # one Hermite form H = U M: since M = U^-1 H, character j is the sum
     # of H[i][j] times column i of U^-1.  Row c.g is the all-ones row

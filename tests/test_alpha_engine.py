@@ -1,6 +1,9 @@
 """Exponent engine: frozen values, oracle agreement, bound checks."""
 
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
@@ -17,6 +20,7 @@ from cmtorsion.alpha_engine import (
     check_bounds,
     product_envelope,
     shortcut_label,
+    witness_basis,
 )
 from cmtorsion.cm_core import (
     CMDatum,
@@ -29,6 +33,7 @@ from cmtorsion.cm_core import (
 from cmtorsion.exact_linalg import IntSpanBasis
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
+from kernel_helpers import contains
 
 
 def abel_inequality_check(ns: Sequence[int], bs: Sequence[int], ws: Sequence[int]) -> bool:
@@ -90,7 +95,7 @@ def membership_alpha(cs):
         for j in range(m):
             if mask >> j & 1:
                 basis.insert(cols[j])
-        n = sum(1 for col in cols if basis.contains(col))
+        n = sum(1 for col in cols if contains(basis, col))
         assert n <= 2 ** (basis.dim - 1)
         ratio = Fraction(n, basis.dim)
         if ratio > best:
@@ -148,9 +153,9 @@ class TestFrozenValues:
         assert report.witness.dim == 3
         assert report.witness.n == 4
         assert report.witness.generating_indices == (0, 1, 2, 3)
-        span = span_of(report.witness.basis)
+        span = span_of(witness_basis(cs, report.witness))
         for col in cs.characters:
-            assert span.contains(col)
+            assert contains(span, col)
 
     def test_quartic_bounds_all_pass(self):
         report = build_report(quartic())
@@ -189,11 +194,12 @@ class TestOracleAgreement:
             w = report.witness
             assert w.ratio == report.alpha
             assert w.n == len(w.generating_indices)
-            assert len(w.basis) == w.dim
-            span = span_of(w.basis)
+            basis = witness_basis(cs, w)
+            assert len(basis) == w.dim
+            span = span_of(basis)
             for i in w.generating_indices:
-                assert span.contains(cs.characters[i])
-            assert w.basis == span_of([cs.characters[i] for i in w.generating_indices]).key()
+                assert contains(span, cs.characters[i])
+            assert basis == span_of([cs.characters[i] for i in w.generating_indices]).key()
             seen += 1
         # one representative per translation class, duplicates skipped;
         # Dih4 contributes nothing (every type repeats a character)
@@ -211,6 +217,55 @@ class TestOracleAgreement:
         with pytest.raises(ValueError):
             alpha_oracle(cs, cap=12)
         assert alpha_oracle(cs, cap=14) == alpha_exact(cs).alpha
+
+
+class TestCoordinateWidth:
+    def test_single_factor_spans_are_d_wide(self, monkeypatch):
+        # every IntSpanBasis a report forms, copies included, is as wide
+        # as the character lattice's rank, not as the group's order
+        systems = list(small_sweep_systems(14))
+        widths: list[int] = []
+        real = IntSpanBasis.__init__
+
+        def recording(self, width):
+            widths.append(width)
+            real(self, width)
+
+        monkeypatch.setattr(IntSpanBasis, "__init__", recording)
+        narrower = 0
+        for cs in systems:
+            widths.clear()
+            build_report(cs)
+            assert widths and set(widths) == {cs.dim}, cs.datum
+            narrower += cs.dim < cs.datum.group.order
+        assert (len(systems), narrower) == (53, 52)
+
+
+class TestWitnessBasisGuard:
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_wrong_dimension_raises_with_asserts_stripped(self, shift):
+        script = textwrap.dedent(f"""
+            from dataclasses import replace
+            from cmtorsion.alpha_engine import build_report, witness_basis
+            from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
+            from cmtorsion.cm_core import InvariantError
+            from cmtorsion.mt_torus import build_character_system
+
+            t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
+            cs = build_character_system(CMDatum(t.space.group, 2, (t,)))
+            w = build_report(cs).witness
+            try:
+                witness_basis(cs, replace(w, dim=w.dim + {shift}))
+            except InvariantError as e:
+                print("InvariantError:", e, "debug" if __debug__ else "optimized")
+            else:
+                print("formed")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            f"InvariantError: the witness characters span dimension 3, not {3 + shift} optimized")
 
 
 class TestShortcuts:

@@ -9,7 +9,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from cmtorsion.alpha_engine import build_report
+from cmtorsion.alpha_engine import build_report, witness_basis
 from cmtorsion.cli import main
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types
 from cmtorsion import documents
@@ -432,7 +432,7 @@ class TestEmitter:
         for report, cs in catalogue:
             cells = report_to_dict(report, cs)["witness"]["basis"]
             expected = []
-            for row in report.witness.basis:
+            for row in witness_basis(cs, report.witness):
                 pivot = next(x for x in row if x)
                 expected.append([encode_fraction(Fraction(x, pivot)) for x in row])
             assert cells == expected

@@ -28,11 +28,11 @@ from cmtorsion.exact_linalg import (
     hermite_normal_form,
     hermite_pivots,
     integer_kernel,
-    rank,
     SmithForm,
     saturate,
     smith_normal_form,
 )
+from kernel_helpers import contains, identity, matmul, rank, zero
 
 
 def determinant(m: IntMatrix) -> int:
@@ -209,7 +209,7 @@ class TestIntMatrix:
 
 class TestRank:
     def test_identity(self):
-        assert rank(IntMatrix.identity(4)) == 4
+        assert rank(identity(4)) == 4
 
     def test_cyclic_incidence(self):
         # rows sum with alternating signs to zero, so the rank drops by one
@@ -217,7 +217,7 @@ class TestRank:
         assert minor_rank_oracle(CYCLE4) == 3
 
     def test_zero(self):
-        assert rank(IntMatrix.zero(3, 5)) == 0
+        assert rank(zero(3, 5)) == 0
 
     def test_against_minor_oracle_randomized(self):
         rng = random.Random(101)
@@ -275,14 +275,14 @@ class TestCanonicalSpan:
 class TestContains:
     def test_examples(self):
         b = span_of([[1, 0, 1], [0, 1, 1]], 3)
-        assert b.contains([1, 1, 2])
-        assert b.contains([-2, 0, -2])
-        assert not b.contains([1, 0, 0])
+        assert contains(b, [1, 1, 2])
+        assert contains(b, [-2, 0, -2])
+        assert not contains(b, [1, 0, 0])
 
     def test_dimension_mismatch(self):
         b = span_of([[1, 0]], 2)
         with pytest.raises(ValueError):
-            b.contains([1, 0, 0])
+            contains(b, [1, 0, 0])
 
     def test_against_elimination_oracle(self):
         rng = random.Random(31)
@@ -291,7 +291,7 @@ class TestContains:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 3))]
             b = span_of(rows, n)
             v = [rng.randint(-4, 4) for _ in range(n)]
-            assert b.contains(v) == in_rational_span(rows, v)
+            assert contains(b, v) == in_rational_span(rows, v)
 
 
 def diag_extended(diag, rows, cols):
@@ -306,7 +306,7 @@ class TestSmithNormalForm:
         snf = smith_normal_form(m)
         assert abs(determinant(snf.left)) == 1
         assert abs(determinant(snf.right)) == 1
-        assert (snf.left @ m) @ snf.right == diag_extended(snf.diag, m.rows, m.cols)
+        assert matmul(matmul(snf.left, m), snf.right) == diag_extended(snf.diag, m.rows, m.cols)
         for a, b in zip(snf.diag, snf.diag[1:]):
             assert a > 0 and b % a == 0
         return snf
@@ -316,11 +316,11 @@ class TestSmithNormalForm:
         assert snf.diag == (1, 6)
 
     def test_identity(self):
-        snf = self.check(IntMatrix.identity(3))
+        snf = self.check(identity(3))
         assert snf.diag == (1, 1, 1)
 
     def test_zero(self):
-        snf = self.check(IntMatrix.zero(2, 3))
+        snf = self.check(zero(2, 3))
         assert snf.diag == ()
 
     def test_rank_matches_nonzero_count(self):
@@ -422,14 +422,14 @@ class TestElementaryDivisors:
         # the divisors are those of [m | D*I]
         m = IntMatrix.from_rows([[2, 0, 0], [0, 0, 0]])
         assert elementary_divisors(m, modulus=6) == (2, 6)
-        assert elementary_divisors(IntMatrix.zero(2, 1), modulus=4) == (4, 4)
+        assert elementary_divisors(zero(2, 1), modulus=4) == (4, 4)
 
     def test_modulus_must_be_positive(self):
         with pytest.raises(ValueError):
-            elementary_divisors(IntMatrix.identity(2), modulus=0)
+            elementary_divisors(identity(2), modulus=0)
 
     @pytest.mark.parametrize("modulus", [4.0, 6.0, True, False, Fraction(4), "4"])
-    @pytest.mark.parametrize("m", [IntMatrix.zero(2, 1), IntMatrix.from_rows([[2, 3], [4, 5]])])
+    @pytest.mark.parametrize("m", [zero(2, 1), IntMatrix.from_rows([[2, 3], [4, 5]])])
     def test_modulus_must_be_an_int(self, monkeypatch, m, modulus):
         # refused before any elimination: a float or bool used to come
         # back as a divisor, or end in a TypeError from gcd
@@ -484,7 +484,7 @@ class TestElementaryDivisors:
                 smith_normal_form(bordered(rows, [modulus] * nr)).diag, (rows, modulus)
 
     def test_zero_matrix(self):
-        assert elementary_divisors(IntMatrix.zero(3, 2)) == ()
+        assert elementary_divisors(zero(3, 2)) == ()
 
     def test_no_rows(self):
         m = IntMatrix.from_rows([], cols=3)
@@ -682,8 +682,8 @@ class TestSaturate:
         assert index == 2
 
     def test_already_saturated(self):
-        basis, index = saturate(IntMatrix.identity(2))
-        assert basis == IntMatrix.identity(2)
+        basis, index = saturate(identity(2))
+        assert basis == identity(2)
         assert index == 1
 
     def test_full_rank_sublattice(self):
@@ -692,7 +692,7 @@ class TestSaturate:
         rows = [[2, 2], [0, 4]]
         assert in_rational_span(rows, [1, 0])
         basis, index = saturate(IntMatrix.from_rows(rows))
-        assert basis == IntMatrix.identity(2)
+        assert basis == identity(2)
         assert index == 8
 
     def test_box_oracle_randomized(self):
@@ -768,7 +768,7 @@ class TestIntSpanBasis:
             b = span_of(rows, n)
             assert b.key() == echelon_key_reference(rows)
             v = [rng.randint(-3, 3) for _ in range(n)]
-            assert b.contains(v) == in_rational_span(rows, v)
+            assert contains(b, v) == in_rational_span(rows, v)
         # 0/1 and 0/-1/1 vectors, as the characters are, reach the
         # unit-pivot steps of the reduction and of the insertion
         for _ in range(60):
@@ -779,7 +779,7 @@ class TestIntSpanBasis:
             b = span_of(rows, n)
             assert b.key() == echelon_key_reference(rows), rows
             v = [rng.randint(low, 1) for _ in range(n)]
-            assert b.contains(v) == in_rational_span(rows, v)
+            assert contains(b, v) == in_rational_span(rows, v)
 
     def test_insert_reports_growth(self):
         b = IntSpanBasis(3)
@@ -817,15 +817,15 @@ class TestIntSpanBasis:
             v = [rng.randint(-6, 6) for _ in range(n)]
             dirn = b.direction(v)
             if dirn is None:
-                assert b.contains(v)
+                assert contains(b, v)
                 continue
             assert gcd(*dirn) == 1
             assert next(x for x in dirn if x) > 0
             # the direction is v modulo the span, up to a nonzero scalar
-            assert not b.contains(dirn)
+            assert not contains(b, dirn)
             grown = b.copy()
             grown.insert(v)
-            assert grown.contains(dirn)
+            assert contains(grown, dirn)
             assert b.direction([-3 * x for x in v]) == dirn
 
 
@@ -894,7 +894,7 @@ class TestHermiteCoordinates:
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            hermite_coordinates(IntMatrix.identity(2), [1, 2, 3])
+            hermite_coordinates(identity(2), [1, 2, 3])
 
     def test_against_reference_randomized(self):
         rng = random.Random(4242)

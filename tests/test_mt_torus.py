@@ -1,5 +1,6 @@
 """Character system construction and lattice structure."""
 
+import itertools
 import random
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from cmtorsion.exact_linalg import (
     SmithForm,
     elementary_divisors,
     integer_kernel,
-    rank,
     saturate,
 )
 from cmtorsion.mt_torus import (
@@ -36,6 +36,9 @@ from cmtorsion.mt_torus import (
     character_span_saturation,
     perp_lattice,
 )
+from cmtorsion.verify import builtin_groups
+from kernel_helpers import contains, identity
+from test_acceptance import c2_times_alternating4
 from test_exact_linalg import determinant
 
 
@@ -135,6 +138,43 @@ class TestBuild:
             build_character_system(single_factor(g, 1, [0, 1]))
 
 
+def orbit_matrix_data():
+    """Every single-factor translation class up to order 16, and every CM
+    type on the eight cosets of the C2xA4 stabilizer of order 3."""
+    for group in builtin_groups(16):
+        for conj in group.central_involutions():
+            for t in enumerate_types(group, conj, up_to_translation=True):
+                yield CMDatum(group, conj, (t,))
+    group, conj, sub = c2_times_alternating4()
+    space = CosetSpace(group, sub)
+    pairs = sorted({tuple(sorted((s, space.act(conj, s)))) for s in range(space.size)})
+    for picks in itertools.product(*pairs):
+        yield CMDatum(group, conj, (CMType(space, frozenset(picks)),))
+
+
+class TestOrbitMatrixDefinition:
+    def test_row_g_marks_the_translates_of_phi(self):
+        # row g, column (i, s) holds 1 exactly when s lies in g.phi_i
+        built = spaces = 0
+        for datum in orbit_matrix_data():
+            try:
+                labels, matrix, columns = mt._orbit_matrix(datum)
+            except DuplicateCharactersError:
+                continue
+            group = datum.group
+            assert labels == tuple((fi, s) for fi, f in enumerate(datum.factors)
+                                   for s in range(f.space.size))
+            expected = []
+            for g in range(group.order):
+                halves = [{f.space.act(g, t) for t in f.phi} for f in datum.factors]
+                expected.append([int(s in halves[fi]) for fi, s in labels])
+            assert matrix == IntMatrix.from_rows(expected), datum
+            assert columns == tuple(zip(*expected))
+            built += 1
+            spaces += group.name == "C2xA4"
+        assert (built, spaces) == (395, 14)
+
+
 class TestClassify:
     def test_elliptic_nondegenerate(self):
         cs = build_character_system(elliptic())
@@ -200,7 +240,7 @@ class TestPerp:
                             double = integer_kernel(perp)
                         else:
                             from cmtorsion.exact_linalg import hermite_normal_form
-                            double = hermite_normal_form(IntMatrix.identity(cs.dim))
+                            double = hermite_normal_form(identity(cs.dim))
                         assert double == character_span_saturation(cs, sel)
                         checked += 1
         assert checked >= 20
@@ -283,7 +323,7 @@ class TestNoSwell:
         span = IntSpanBasis(cs.orbit_matrix.cols)
         for i in range(cs.dim):
             span.insert(cs.cochar_basis.row(i))
-        assert all(map(span.contains, map(cs.orbit_matrix.row, range(cs.orbit_matrix.rows))))
+        assert all(contains(span, cs.orbit_matrix.row(g)) for g in range(cs.orbit_matrix.rows))
 
 
 class TestInvariantError:

@@ -8,7 +8,7 @@ in (dim, index set) order to attain the maximum.  `report_reference`
 builds a report from it as the earlier `build_report` did.  The
 factor-union engine must give the same report in every field but
 `spans_visited`, which counts the spans each engine forms (2^r - 1 for
-r factors), and the same product envelope.
+r factors), the same witness basis and the same product envelope.
 """
 
 import heapq
@@ -28,6 +28,7 @@ from cmtorsion.alpha_engine import (
     check_bounds,
     product_envelope,
     shortcut_label,
+    witness_basis,
 )
 from cmtorsion.cm_core import (
     CMDatum,
@@ -41,6 +42,7 @@ from cmtorsion.documents import load_datum
 from cmtorsion.exact_linalg import IntSpanBasis
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
+from test_acceptance import c2_times_alternating4
 
 # A two-factor datum over C8, the smallest product the benchmark warms up on.
 C8_PRODUCT = ('{"conj":4,"factors":[{"phi":[0,1,2,3]},{"phi":[0,1,3,6]}],'
@@ -141,13 +143,14 @@ def _search(columns: Sequence[tuple[int, ...]]) -> _SearchOutcome:
 _memo_search = lru_cache(maxsize=8)(_search)
 
 
-def report_reference(cs) -> AlphaReport:
+def report_reference(cs) -> tuple[AlphaReport, tuple[tuple[int, ...], ...]]:
+    """The earlier report of `cs`, and the key of its witness's span,
+    which the earlier witness carried as its `basis`."""
     outcome = _memo_search(cs.characters)
     report = AlphaReport(
         alpha=outcome.ratio,
         gamma=outcome.ratio,
         witness=SubspaceWitness(
-            basis=outcome.basis.key(),
             generating_indices=outcome.contained,
             n=len(outcome.contained),
             dim=outcome.dim,
@@ -166,7 +169,15 @@ def report_reference(cs) -> AlphaReport:
     if label is not None:
         assert report.alpha == Fraction(2 * cs.genus, cs.dim)
         report = replace(report, shortcut_used=label)
-    return check_bounds(report, cs, primitive)
+    return check_bounds(report, cs, primitive), outcome.basis.key()
+
+
+def assert_reference_report(report: AlphaReport, cs):
+    """`report` is the reference's but for `spans_visited`, and its
+    witness has the reference witness's basis."""
+    expected, basis = report_reference(cs)
+    assert _without_visits(report) == _without_visits(expected), cs.datum
+    assert witness_basis(cs, report.witness) == basis, cs.datum
 
 
 def envelope_reference(ns, joint):
@@ -258,7 +269,7 @@ def check_joint(joint, full: bool):
     factors = joint.datum.factors
     r = len(factors)
     report = build_report(joint)
-    assert _without_visits(report) == _without_visits(report_reference(joint))
+    assert_reference_report(report, joint)
     assert report.spans_visited == 2 ** r - 1
     assert (report.witness.generating_indices == tuple(range(2 * joint.genus))) == full
     reports = [build_report(build_character_system(CMDatum(joint.datum.group,
@@ -270,14 +281,15 @@ def check_joint(joint, full: bool):
         assert (env.lower, env.upper, env.question2) == envelope_reference(ns, joint), ns
 
 
-def factor_unions_uncapped(cs) -> list[tuple[int, IntSpanBasis]]:
-    """The earlier `alpha_engine._factor_unions`, verbatim: every union
-    takes every column of its lowest block, past the rank too."""
+def factor_unions_uncapped(cs, columns) -> list[tuple[int, IntSpanBasis]]:
+    """The earlier `alpha_engine._factor_unions`, verbatim but for the
+    columns it spans, one per character: every union takes every column
+    of its lowest block, past the rank too."""
     r = len(cs.datum.factors)
     blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
-    for col, (fi, _) in zip(cs.characters, cs.column_labels):
+    for col, (fi, _) in zip(columns, cs.column_labels):
         blocks[fi].append(col)
-    table = [(0, IntSpanBasis(len(cs.characters[0])))]
+    table = [(0, IntSpanBasis(len(columns[0])))]
     for mask in range(1, 2 ** r):
         low = mask & -mask
         block = blocks[low.bit_length() - 1]
@@ -289,6 +301,35 @@ def factor_unions_uncapped(cs) -> list[tuple[int, IntSpanBasis]]:
     return table
 
 
+def random_joints(seed: int, count: int):
+    """Seeded joints of one to four factors over the catalogue up to
+    order 16 and C2xA4, each factor over the trivial subgroup, an
+    order-2 subgroup {0, h} or, in C2xA4, its three-element stabilizer;
+    data with a repeated character are skipped."""
+    rng = random.Random(seed)
+    settings = []
+    for group in builtin_groups(16):
+        for conj in group.central_involutions():
+            subgroups = [[0]] + [[0, h] for h in range(1, group.order)
+                                 if h != conj and group.mul(h, h) == 0]
+            settings.append((group, conj, subgroups))
+    group, conj, stabilizer = c2_times_alternating4()
+    settings.append((group, conj, [[0], stabilizer]))
+    out = []
+    while len(out) < count:
+        group, conj, subgroups = rng.choice(settings)
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            space = CosetSpace(group, rng.choice(subgroups))
+            pairs = sorted({tuple(sorted((s, space.act(conj, s)))) for s in range(space.size)})
+            factors.append(CMType(space, frozenset(rng.choice(p) for p in pairs)))
+        try:
+            out.append(build_character_system(CMDatum(group, conj, tuple(factors))))
+        except DuplicateCharactersError:
+            continue
+    return out
+
+
 JOINTS = {
     "C2xC2": quadratic_pair,
     "C8": lambda: build_character_system(load_datum(C8_PRODUCT)),
@@ -298,19 +339,46 @@ JOINTS = {
 }
 
 
+def check_unions(joint):
+    """`_factor_unions` has the counts and ranks of the uncapped table
+    over the |G|-wide characters, and the counts, ranks and keys of the
+    uncapped table over the same d-wide `char_coords`."""
+    capped = _factor_unions(joint)
+    assert all(b.width == joint.dim for _, b in capped)
+    shape = [(n, b.dim) for n, b in capped]
+    assert shape == [(n, b.dim) for n, b in factor_unions_uncapped(joint, joint.characters)]
+    assert [(n, b.dim, b.key()) for n, b in capped] == [
+        (n, b.dim, b.key()) for n, b in factor_unions_uncapped(joint, joint.char_coords)]
+    assert shape[-1][1] == joint.dim
+    # a union shares its parent's basis exactly when the parent
+    # has full rank
+    for mask in range(1, len(capped)):
+        parent = capped[mask ^ (mask & -mask)][1]
+        assert (capped[mask][1] is parent) == (parent.dim == joint.dim)
+
+
 class TestRankCappedUnions:
     @pytest.mark.parametrize("make", JOINTS.values(), ids=list(JOINTS))
     def test_same_table_as_uncapped(self, make):
+        check_unions(make())
+
+    def test_same_table_on_random_joints(self):
+        joints = random_joints(20261019, 150)
+        for joint in joints:
+            check_unions(joint)
+        assert {len(j.datum.factors) for j in joints} == {1, 2, 3, 4}
+        assert any(len(f.space.subgroup) > 1 for j in joints for f in j.datum.factors)
+        assert any(j.datum.group.name == "C2xA4" for j in joints)
+
+
+class TestWitnessBasis:
+    @pytest.mark.parametrize("make", JOINTS.values(), ids=list(JOINTS))
+    def test_joints(self, make):
+        # the fallback joints' witnesses are proper unions (`check_joint`)
         joint = make()
-        capped = _factor_unions(joint)
-        shape = [(n, b.dim, b.key()) for n, b in capped]
-        assert shape == [(n, b.dim, b.key()) for n, b in factor_unions_uncapped(joint)]
-        assert shape[-1][1] == joint.dim
-        # a union shares its parent's basis exactly when the parent
-        # has full rank
-        for mask in range(1, len(capped)):
-            parent = capped[mask ^ (mask & -mask)][1]
-            assert (capped[mask][1] is parent) == (parent.dim == joint.dim)
+        w = build_report(joint).witness
+        assert witness_basis(joint, w) == span_of(
+            [joint.characters[i] for i in w.generating_indices]).key()
 
 
 class TestAgainstReference:
@@ -318,7 +386,7 @@ class TestAgainstReference:
         count = 0
         for cs in catalogue_systems(12):
             report = build_report(cs)
-            assert _without_visits(report) == _without_visits(report_reference(cs)), cs.datum
+            assert_reference_report(report, cs)
             assert report.spans_visited == 1
             count += 1
         assert count == 44
@@ -348,7 +416,7 @@ class TestSingleFactorTheorem:
             w = report.witness
             assert w.generating_indices == tuple(range(2 * cs.genus))
             assert (w.n, w.dim, w.ratio) == (2 * cs.genus, cs.dim, report.alpha)
-            assert w.basis == span_of(cs.characters).key()
+            assert witness_basis(cs, w) == span_of(cs.characters).key()
             assert report.bound_checks["subspace_counting_bound"]
             assert report.spans_visited == 1
             count += 1
