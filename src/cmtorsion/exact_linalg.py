@@ -4,11 +4,13 @@ Everything here is computed with arbitrary-precision integers; no
 floating point and no fractions are used anywhere.  The kernel provides
 the handful of lattice operations the rest of the package is built on,
 one elimination per job: the fraction-free echelon basis of a rational
-span (rank, membership and its canonical key), Smith normal form (the
-divisors alone, or with the unimodular transforms that kernels and
-saturation read) and Hermite normal form (canonical lattice bases,
-whose divisors `hermite_divisors` reads off the pivots, with entries
-kept below the product of the pivots other than 1).
+span (rank, membership and its canonical key), the elementary divisors
+of the Smith normal form (plain, or modulo a multiple of the last one)
+and Hermite normal form (canonical lattice bases, whose divisors
+`hermite_divisors` reads off the pivots, with entries kept below the
+product of the pivots other than 1).  Kernels and saturation come from
+one Hermite form: the kernel of m from that of [m^T | I], and the
+saturation as the kernel of the kernel.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from itertools import chain
 from math import gcd, prod
 from operator import sub
 from typing import Optional, Sequence
-
-from .cm_core import InvariantError
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,6 @@ class IntMatrix:
     def row_lists(self) -> list[list[int]]:
         e, c = self.entries, self.cols
         return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Smith normal form left*A*right = diag, with unimodular transforms.
-
-    `diag` holds only the nonzero elementary divisors d1 | d2 | ... ;
-    a zero matrix has an empty diag.
-    """
-
-    diag: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
 
 
 def _content(v: Sequence[int]) -> int:
@@ -186,14 +173,10 @@ class IntSpanBasis:
         return tuple(tuple(r) for r in self.rows)
 
 
-def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
-    """The one Smith elimination: (diag, left rows, right rows).
+def _smith(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
+    """The one Smith elimination: the nonzero elementary divisors.
 
-    With transforms the elimination runs on [[m, I], [I, 0]]: its row
-    operations act on the first m.rows rows and its column operations on
-    the first m.cols columns, so the blocks beside and below m collect
-    `left` and `right`.  Without them both come back as None.  With a
-    modulus D the elimination runs on [m | D*I] (see
+    With a modulus D the elimination runs on [m | D*I] (see
     `elementary_divisors`): the entries scanned for a pivot are reduced
     modulo D, a column operation with the D*e_i columns, which are then
     joined to the pivots by a gcd at the end.  The pivot is an entry x
@@ -210,10 +193,6 @@ def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
     """
     nr, nc = m.rows, m.cols
     a = m.row_lists()
-    if transforms:
-        for i, row in enumerate(a):
-            row.extend(int(i == j) for j in range(nr))
-        a.extend([int(i == j) for j in range(nc)] + [0] * nr for i in range(nc))
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -229,9 +208,6 @@ def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
     def add_col(src, dst, q):
         for r in a:
             r[dst] -= q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
 
     t = 0
     limit = min(nr, nc)
@@ -312,51 +288,36 @@ def _smith(m: IntMatrix, transforms: bool, modulus: Optional[int] = None):
                 break
             add_row(stain, t, -1)
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
     if modulus:
         # every row left without a pivot keeps only its column D*e_i
-        diag = tuple(gcd(a[i][i], modulus) for i in range(t)) + (modulus,) * (nr - t)
-    else:
-        diag = tuple(a[i][i] for i in range(t) if a[i][i])
-    if not transforms:
-        return diag, None, None
-    return diag, [r[nc:] for r in a[:nr]], [r[:nc] for r in a[nr:]]
-
-
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form with transforms: left @ m @ right is diagonal.
-
-    The returned diagonal lists the nonzero elementary divisors, each
-    positive and dividing the next.
-    """
-    diag, left, right = _smith(m, transforms=True)
-    return SmithForm(diag, IntMatrix.from_rows(left, cols=m.rows),
-                     IntMatrix.from_rows(right, cols=m.cols))
+        return tuple(gcd(a[i][i], modulus) for i in range(t)) + (modulus,) * (nr - t)
+    return tuple(a[i][i] for i in range(t) if a[i][i])
 
 
 def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
-    """The nonzero elementary divisors of `m`, as `smith_normal_form(m).diag`.
+    """The nonzero elementary divisors of `m`, each positive and dividing
+    the next: the diagonal of its Smith form, no transform built.
 
-    Runs the same elimination without building either transform, for
-    callers that read only the diagonal.  With a `modulus` D > 0 it
-    returns the divisors of [m | D*I] instead: gcd(s_i, D) for each
-    divisor s_i of `m`, then D once for each row past the rank, and the
-    elimination keeps its entries below D.  When D*Z^rows already lies
-    in the column lattice of `m` these are the divisors of `m`.  Modulo
-    D each pivot is an entry of least gcd g with D; when g divides all
-    remaining entries its column is cleared in one pass, exactly, since
-    x/g is a unit modulo D/g (see `_smith`), and otherwise by Euclidean
-    steps.  A modulus that is not a positive int (bools included) raises
-    ValueError before any elimination.
+    With a `modulus` D > 0 it returns the divisors of [m | D*I]
+    instead: gcd(s_i, D) for each divisor s_i of `m`, then D once for
+    each row past the rank, and the elimination keeps its entries below
+    D.  When D*Z^rows already lies in the column lattice of `m` these
+    are the divisors of `m`.  Modulo D each pivot is an entry of least
+    gcd g with D; when g divides all remaining entries its column is
+    cleared in one pass, exactly, since x/g is a unit modulo D/g (see
+    `_smith`), and otherwise by Euclidean steps.  A modulus that is not
+    a positive int (bools included) raises ValueError before any
+    elimination.
     """
     if modulus is not None:
         if not isinstance(modulus, int) or isinstance(modulus, bool):
             raise ValueError(f"modulus must be an integer, got {modulus!r}")
         if modulus < 1:
             raise ValueError("modulus must be positive")
-    return _smith(m, transforms=False, modulus=modulus)[0]
+    return _smith(m, modulus=modulus)
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
@@ -450,37 +411,32 @@ def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[i
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis (as rows, Hermite form) of {x in Z^cols : m @ x = 0}.
 
-    The kernel of an integer matrix is always a saturated lattice.
+    One Hermite form H = U [m^T | I] = [U m^T | U], U unimodular (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4.3): a row u
+    of U has m @ u = 0 exactly when its row of U m^T is zero, and the
+    nonzero rows of U m^T are independent, so the rows of U with a zero
+    left part span the kernel.  They come last in H, with the entries
+    above each pivot reduced, so their parts in the identity block are
+    the Hermite basis of the kernel, which is always saturated.
     """
-    snf = smith_normal_form(m)
-    return hermite_normal_form(IntMatrix.from_rows(
-        [snf.right.column(j) for j in range(len(snf.diag), m.cols)], cols=m.cols))
+    nr, nc = m.rows, m.cols
+    # row j: column j of m, then e_j
+    h = hermite_normal_form(IntMatrix.from_rows(
+        [m.entries[j::nc] + (0,) * j + (1,) + (0,) * (nc - j - 1) for j in range(nc)],
+        cols=nr + nc))
+    return IntMatrix.from_rows(
+        [row[nr:] for row in h.row_lists() if not any(row[:nr])], cols=nc)
 
 
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Saturation of the row lattice: (rational row span) meet Z^cols.
 
     Returns the Hermite basis of the saturation together with the index
-    of the input lattice inside it, which equals the product of the
-    nonzero elementary divisors of the input matrix.  Both come from one
-    Smith form left @ m @ right = diag: row i of left @ m is d_i times
-    row i of the unimodular right^-1, so for i below the rank these
-    quotients span the saturation.  Every division must be exact: a
-    remainder means the Smith form is wrong and raises InvariantError.
+    of the input lattice inside it.  The saturation is the kernel of the
+    kernel; the index is the product of the nonzero elementary divisors
+    of the input, from the divisors-only elimination.
     """
-    # the Hermite form has the row lattice of m in rank-many rows
+    # the Hermite form has the row lattice of m in rank-many rows, so
+    # both eliminations below run on fewer rows and reduced entries
     m = hermite_normal_form(m)
-    snf = smith_normal_form(m)
-    cols = list(zip(*m.row_lists()))
-    rows = []
-    for i, d in enumerate(snf.diag):
-        li = snf.left.row(i)
-        row = []
-        for col in cols:
-            q, rem = divmod(sum(a * b for a, b in zip(li, col)), d)
-            if rem:
-                raise InvariantError(
-                    f"Smith product {i} is not divisible by its divisor {d}")
-            row.append(q)
-        rows.append(row)
-    return hermite_normal_form(IntMatrix.from_rows(rows, cols=m.cols)), prod(snf.diag)
+    return integer_kernel(integer_kernel(m)), prod(elementary_divisors(m))

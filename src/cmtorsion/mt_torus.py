@@ -89,8 +89,9 @@ class CharacterSystem:
         """Hermite basis of the saturated cocharacter lattice.
 
         Saturates the rows of the build's Hermite form; raises
-        InvariantError when the index of that saturation is not the
-        build's `saturation_index`.
+        InvariantError when the index of that saturation, from the plain
+        Smith elimination, is not the build's `saturation_index`, read
+        off the pivots.
         """
         basis, index = saturate(
             IntMatrix.from_rows(zip(*self.char_coords), cols=2 * self.genus))
@@ -242,7 +243,8 @@ def perp_lattice(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
 def character_span_saturation(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
     """Saturated span of the selected characters in lattice coordinates.
 
-    Takes the coordinates and the selection checks of `perp_lattice`.
+    The kernel of `perp_lattice`, whose coordinates and selection
+    checks it takes: the saturation is the kernel of the kernel, and its
+    index is not needed.
     """
-    sat, _ = saturate(_selected_characters(cs, indices))
-    return sat
+    return integer_kernel(perp_lattice(cs, indices))

@@ -2,14 +2,24 @@
 
 One representative per translation class gets the full treatment
 (exact report, shortcut agreement, bound checks, oracle comparison,
-the double dual of a fixed character selection); the remaining
+the duality of a fixed character selection); the remaining
 translates only need their orbit matrices to be row permutations of the
 representative's, which transports every checked statement to them.
+
+The duality check (`perp_double_dual`) takes the saturated span S and
+the perp P of the first g + 1 characters, both computed from Hermite
+kernels, and checks them on other paths: S has as many rows as the
+selection has rank (`IntSpanBasis`), the Hermite form of S stacked with
+the selection is S, so S holds every selected character, and the
+elementary divisors of S are all 1, so S is saturated; P annihilates
+every selected character, has dim - rank rows and divisors all 1.
+Together these determine both lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator
 
 from .alpha_engine import ORACLE_CAP, alpha_oracle, build_report
@@ -20,11 +30,12 @@ from .cm_core import (
     _translation_orbit,
     enumerate_types,
 )
-from .exact_linalg import IntMatrix, integer_kernel
+from .exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors, hermite_normal_form
 from .finite_level import _miller_rabin
 from .mt_torus import (
     DuplicateCharactersError,
     _orbit_matrix,
+    _selected_characters,
     build_character_system,
     character_span_saturation,
     perp_lattice,
@@ -123,19 +134,24 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
     if 2 * g <= ORACLE_CAP:
         summary.count("oracle_agreement",
                       alpha_oracle(rep_cs, cap=ORACLE_CAP) == report.alpha, label)
-    # lattice duality on a fixed deterministic selection
-    sel = list(range(g + 1))
+    # lattice duality on a fixed deterministic selection (see the
+    # module docstring)
+    sel = range(g + 1)
+    chosen = _selected_characters(rep_cs, sel)
+    rows = chosen.row_lists()
+    span = IntSpanBasis(chosen.cols)
+    for row in rows:
+        span.insert(row)
+    sat = character_span_saturation(rep_cs, sel)
     perp = perp_lattice(rep_cs, sel)
-    if perp.rows:
-        double = integer_kernel(perp)
-        expected = character_span_saturation(rep_cs, sel)
-        summary.count("perp_double_dual",
-                      _row_multiset(double) == _row_multiset(expected), label)
-    else:
-        # full-rank selection: the perp is zero and the double dual is
-        # the whole lattice
-        expected = character_span_saturation(rep_cs, sel)
-        summary.count("perp_double_dual", expected.rows == rep_cs.dim, label)
+    summary.count(
+        "perp_double_dual",
+        sat.rows == span.dim
+        and hermite_normal_form(IntMatrix.from_rows(sat.row_lists() + rows)) == sat
+        and elementary_divisors(sat) == (1,) * sat.rows
+        and perp.rows == rep_cs.dim - span.dim
+        and not any(sum(map(mul, p, row)) for p in perp.row_lists() for row in rows)
+        and elementary_divisors(perp) == (1,) * perp.rows, label)
 
     rep_rows = _row_multiset(rep_cs.orbit_matrix)
     for phi in translates:

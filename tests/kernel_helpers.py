@@ -4,10 +4,12 @@ The package computes none of these; the tests use them to build inputs
 and to state the expected answers.
 """
 
+from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from cmtorsion.cm_core import FiniteGroup
-from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis
+from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors, hermite_normal_form
 
 
 def identity(n: int) -> IntMatrix:
@@ -18,20 +20,99 @@ def zero(rows: int, cols: int) -> IntMatrix:
     return IntMatrix(rows, cols, (0,) * (rows * cols))
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("inner dimension mismatch")
-    return IntMatrix.from_rows(
-        [[sum(a.entries[i * a.cols + k] * b.entries[k * b.cols + j] for k in range(a.cols))
-          for j in range(b.cols)] for i in range(a.rows)], cols=b.cols)
-
-
 def rank(m: IntMatrix) -> int:
     """Exact rank over Q: the dimension of the row span."""
     basis = IntSpanBasis(m.cols)
     for i in range(m.rows):
         basis.insert(m.row(i))
     return basis.dim
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix (Bareiss)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.row_lists()
+    sign = 1
+    prev = 1
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        pv = a[c][c]
+        for i in range(c + 1, n):
+            aic = a[i][c]
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * pv - aic * a[c][j]) // prev
+            a[i][c] = 0
+        prev = pv
+    return sign * a[n - 1][n - 1]
+
+
+def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
+    """The nonzero elementary divisors d_k = D_k / D_(k-1), where D_k is
+    the gcd of the k x k minors and D_0 = 1: no elimination decides them.
+
+    Only k up to the rank is scanned, as every larger minor is zero.
+    d_(k-1) divides d_k, so D_k is a multiple of D_(k-1) d_(k-1), and the
+    scan of the k x k minors stops once their gcd reaches that.
+    """
+    rows = m.row_lists()
+    out: list[int] = []
+    prev = 1
+    for k in range(1, rank(m) + 1):
+        least = prev * (out[-1] if out else 1)
+        g = 0
+        for rsel in combinations(rows, k):
+            for csel in combinations(range(m.cols), k):
+                g = gcd(g, determinant(IntMatrix.from_rows([[r[j] for j in csel] for r in rsel])))
+                if g == least:
+                    break
+            if g == least:
+                break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
+
+
+def check_kernel(m: IntMatrix, k: IntMatrix) -> None:
+    """Asserts that `k` is the Hermite basis of {x : m @ x = 0}.
+
+    It annihilates m and has cols - rank rows, so it spans the rational
+    kernel; its divisors are all 1, so it is saturated, hence the whole
+    integer kernel; and it is its own Hermite form, which is canonical.
+    """
+    assert k.cols == m.cols
+    assert not any(sum(a * b for a, b in zip(m.row(i), k.row(j)))
+                   for i in range(m.rows) for j in range(k.rows))
+    assert k.rows == m.cols - rank(m)
+    assert elementary_divisors(k) == (1,) * k.rows
+    assert hermite_normal_form(k) == k
+
+
+def check_saturation(m: IntMatrix, basis: IntMatrix) -> None:
+    """Asserts that `basis` is the Hermite basis of the saturation of the
+    row lattice of `m`.
+
+    The Hermite form of `basis` stacked with m is `basis`, so it holds
+    the rows of m and is canonical; it has their rank and all divisors
+    1, so it is the saturated lattice of their rational span.
+    """
+    assert basis.cols == m.cols
+    assert hermite_normal_form(IntMatrix.from_rows(
+        basis.row_lists() + m.row_lists(), cols=m.cols)) == basis
+    assert basis.rows == rank(m)
+    assert elementary_divisors(basis) == (1,) * basis.rows
 
 
 def contains(basis: IntSpanBasis, vec: Sequence[int]) -> bool:

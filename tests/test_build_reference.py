@@ -2,7 +2,8 @@
 
 `_orbit_matrix_reference` and `saturation_reference` below are the
 earlier orbit matrix and saturation step of `build_character_system`,
-verbatim, with the earlier `saturate` and `hermite_coordinates`: one
+verbatim, with the earlier `saturate` (on a textbook Smith form with
+its left transform, kept here) and `hermite_coordinates`: one
 Smith form of the orbit matrix for the cocharacter lattice, a second
 one of its transpose for the character lattice, and one back-substitution
 per character.  The build must give the same orbit matrix, characters,
@@ -24,7 +25,7 @@ import pytest
 import cmtorsion.exact_linalg as el
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, InvariantError, enumerate_types
-from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form, smith_normal_form
+from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form
 from cmtorsion.finite_level import degree_of_subgroup, exponent_sweep, staircase_bounds
 from cmtorsion.mt_torus import DuplicateCharactersError, _half_rows, build_character_system
 from cmtorsion.verify import builtin_groups
@@ -58,13 +59,75 @@ def _orbit_matrix_reference(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
     return tuple(labels), matrix, columns
 
 
+def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
+    """Textbook Smith normal form: the nonzero divisors d_1 | d_2 | ...
+    and a unimodular `left` with left @ m @ right diagonal for some
+    unimodular `right`, which is not kept.
+
+    The pivot is the first entry of least magnitude; Euclidean row and
+    column steps clear its column and row, and a row the pivot does not
+    divide is added to the pivot row before the steps run again.
+    """
+    a = m.row_lists()
+    nr, nc = m.rows, m.cols
+    left = [[int(i == j) for j in range(nr)] for i in range(nr)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        # row dst -= q * row src, in m and in left
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+        left[dst] = [x - q * y for x, y in zip(left[dst], left[src])]
+
+    t = 0
+    while t < min(nr, nc):
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        swap_rows(t, i)
+        swap_cols(t, j)
+        while True:
+            dirty = False
+            for i in range(t + 1, nr):
+                add_row(t, i, a[i][t] // a[t][t])
+                if a[i][t]:
+                    swap_rows(t, i)
+                    dirty = True
+            for j in range(t + 1, nc):
+                q = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= q * row[t]
+                if a[t][j]:
+                    swap_cols(t, j)
+                    dirty = True
+            if dirty:
+                continue
+            stain = next((i for i in range(t + 1, nr)
+                          if any(x % a[t][t] for x in a[i][t + 1:])), None)
+            if stain is None:
+                break
+            add_row(stain, t, -1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            left[t] = [-x for x in left[t]]
+        t += 1
+    return tuple(a[i][i] for i in range(t)), IntMatrix.from_rows(left, cols=nr)
+
+
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
-    snf = smith_normal_form(m)
+    diag, left = smith_normal_form(m)
     cols = list(zip(*m.row_lists()))
     sat = IntMatrix.from_rows(
-        [[sum(a * b for a, b in zip(snf.left.row(i), col)) // d for col in cols]
-         for i, d in enumerate(snf.diag)], cols=m.cols)
-    return hermite_normal_form(sat), prod(snf.diag)
+        [[sum(a * b for a, b in zip(left.row(i), col)) // d for col in cols]
+         for i, d in enumerate(diag)], cols=m.cols)
+    return hermite_normal_form(sat), prod(diag)
 
 
 def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[int]]:
@@ -224,14 +287,15 @@ class TestOneElimination:
     def test_build_runs_one_smith_elimination(self, monkeypatch):
         # the build takes the divisors of its Hermite form alone, from
         # one elimination of the rows with non-unit pivots, without the
-        # unit-pivot columns, when there are two such rows or more; the
-        # transforms wait for the first read of `cochar_basis`
+        # unit-pivot columns, modulo their pivot product, when there are
+        # two such rows or more; the first read of `cochar_basis` runs
+        # one plain elimination of H for its saturation index
         calls = []
         real = el._smith
 
-        def counting(m, transforms, modulus=None):
-            calls.append((m.rows, m.cols, transforms))
-            return real(m, transforms, modulus)
+        def counting(m, modulus=None):
+            calls.append((m.rows, m.cols, modulus))
+            return real(m, modulus)
 
         monkeypatch.setattr(el, "_smith", counting)
         built = 0
@@ -246,14 +310,15 @@ class TestOneElimination:
             shape = (cs.dim, 2 * cs.genus)
             rows = list(zip(*cs.char_coords))
             pivots = [next(x for x in row if x) for row in rows]
-            block = sum(p > 1 for p in pivots)
-            divisors_call = [(block, 2 * cs.genus - cs.dim + block, False)] if block > 1 else []
+            block = [p for p in pivots if p > 1]
+            divisors_call = [(len(block), 2 * cs.genus - cs.dim + len(block), prod(block))] \
+                if len(block) > 1 else []
             assert calls == divisors_call
             cs.cochar_basis
             cs.cochar_basis
-            assert calls == divisors_call + [shape + (True,)]
+            assert calls == divisors_call + [shape + (None,)]
             built += 1
-            blocks.add(min(block, 2))
+            blocks.add(min(len(block), 2))
         assert built > 10
         assert blocks == {0, 1, 2}
 

@@ -1,10 +1,10 @@
 """Exact linear algebra kernel tests.
 
 Expected values for the worked examples were frozen after computing
-them with the brute-force oracles in this file (minor expansion for
-rank, gcd-of-minors for elementary divisors, box search for lattice
-saturation, rational elimination for lattice coordinates, span keys and
-span membership), which are also run directly against randomized inputs.
+them with brute-force oracles (minor expansion for rank, the gcds of
+minors for elementary divisors, box search for lattice saturation,
+rational elimination for lattice coordinates, span keys and span
+membership), which are also run directly against randomized inputs.
 """
 
 import random
@@ -19,7 +19,7 @@ import cmtorsion.exact_linalg as el
 from cmtorsion.cm_core import CMDatum
 from cmtorsion.mt_torus import DuplicateCharactersError, _orbit_matrix
 from cmtorsion.verify import builtin_groups
-from cmtorsion.cm_core import InvariantError, enumerate_types
+from cmtorsion.cm_core import enumerate_types
 from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
@@ -28,42 +28,18 @@ from cmtorsion.exact_linalg import (
     hermite_normal_form,
     hermite_pivots,
     integer_kernel,
-    SmithForm,
     saturate,
-    smith_normal_form,
 )
-from kernel_helpers import contains, identity, matmul, rank, zero
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_lists()
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        pv = a[c][c]
-        for i in range(c + 1, n):
-            aic = a[i][c]
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * pv - aic * a[c][j]) // prev
-            a[i][c] = 0
-        prev = pv
-    return sign * a[n - 1][n - 1]
+from kernel_helpers import (
+    check_kernel,
+    check_saturation,
+    contains,
+    determinant,
+    determinantal_divisors,
+    identity,
+    rank,
+    zero,
+)
 
 
 def minor_rank_oracle(m: IntMatrix) -> int:
@@ -85,25 +61,6 @@ def minor_rank_oracle(m: IntMatrix) -> int:
         else:
             break
     return best
-
-
-def gcd_minor_divisors_oracle(m: IntMatrix) -> list[int]:
-    """Elementary divisors via gcds of k x k minors."""
-    import math
-    out = []
-    prev = 1
-    for k in range(1, min(m.rows, m.cols) + 1):
-        g = 0
-        for rsel in combinations(range(m.rows), k):
-            for csel in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[m.row(i)[j] for j in csel] for i in rsel], cols=k)
-                g = math.gcd(g, determinant(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out
 
 
 def in_rational_span(rows: list[list[int]], v: list[int]) -> bool:
@@ -294,47 +251,35 @@ class TestContains:
             assert contains(b, v) == in_rational_span(rows, v)
 
 
-def diag_extended(diag, rows, cols):
-    out = [[0] * cols for _ in range(rows)]
-    for i, d in enumerate(diag):
-        out[i][i] = d
-    return IntMatrix.from_rows(out, cols=cols)
-
-
 class TestSmithNormalForm:
-    def check(self, m: IntMatrix):
-        snf = smith_normal_form(m)
-        assert abs(determinant(snf.left)) == 1
-        assert abs(determinant(snf.right)) == 1
-        assert matmul(matmul(snf.left, m), snf.right) == diag_extended(snf.diag, m.rows, m.cols)
-        for a, b in zip(snf.diag, snf.diag[1:]):
-            assert a > 0 and b % a == 0
-        return snf
+    """`elementary_divisors` is the diagonal of the Smith normal form."""
+
+    def check(self, m: IntMatrix) -> tuple[int, ...]:
+        diag = elementary_divisors(m)
+        assert all(d > 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0
+        assert diag == determinantal_divisors(m)
+        return diag
 
     def test_two_three(self):
-        snf = self.check(IntMatrix.from_rows([[2, 0], [0, 3]]))
-        assert snf.diag == (1, 6)
+        assert self.check(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
 
     def test_identity(self):
-        snf = self.check(identity(3))
-        assert snf.diag == (1, 1, 1)
+        assert self.check(identity(3)) == (1, 1, 1)
 
     def test_zero(self):
-        snf = self.check(zero(2, 3))
-        assert snf.diag == ()
+        assert self.check(zero(2, 3)) == ()
 
     def test_rank_matches_nonzero_count(self):
-        snf = self.check(CYCLE4)
-        assert len(snf.diag) == rank(CYCLE4) == 3
+        assert len(self.check(CYCLE4)) == rank(CYCLE4) == 3
 
     def test_against_gcd_minor_oracle_randomized(self):
         rng = random.Random(977)
         for _ in range(30):
             nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-            m = IntMatrix.from_rows(
-                [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)], cols=nc)
-            snf = self.check(m)
-            assert list(snf.diag) == gcd_minor_divisors_oracle(m)
+            self.check(IntMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)], cols=nc))
 
 
 def bordered(a, moduli) -> IntMatrix:
@@ -345,7 +290,8 @@ def bordered(a, moduli) -> IntMatrix:
 
 
 class TestElementaryDivisors:
-    """The divisors-only Smith form against the full one and the oracle."""
+    """The Smith elimination, plain and modular, against the
+    determinantal divisors."""
 
     def test_random_matrices(self):
         rng = random.Random(1213)
@@ -353,9 +299,7 @@ class TestElementaryDivisors:
             nr, nc = rng.randint(1, 4), rng.randint(1, 4)
             m = IntMatrix.from_rows(
                 [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)], cols=nc)
-            divisors = elementary_divisors(m)
-            assert divisors == smith_normal_form(m).diag
-            assert list(divisors) == gcd_minor_divisors_oracle(m)
+            assert elementary_divisors(m) == determinantal_divisors(m)
 
     def test_bordered_with_large_moduli(self):
         # [A | diag(m)] with the moduli (ell - 1) ell^(n - 1) of mixed levels;
@@ -367,8 +311,7 @@ class TestElementaryDivisors:
             moduli = [(ell - 1) * ell ** (rng.randint(1, 6) - 1) for _ in range(k)]
             m = bordered([[rng.randint(-3, 3) for _ in range(d)] for _ in range(k)], moduli)
             divisors = elementary_divisors(m)
-            assert divisors == smith_normal_form(m).diag
-            assert list(divisors) == gcd_minor_divisors_oracle(m)
+            assert divisors == determinantal_divisors(m)
             assert len(divisors) == k
             assert elementary_divisors(m, modulus=lcm(*moduli)) == divisors
 
@@ -385,7 +328,9 @@ class TestElementaryDivisors:
 
     def test_modulus_gives_the_divisors_of_the_bordered_matrix(self):
         # for any D the divisors of [m | D*I]: gcd(s_i, D) for the divisors
-        # s_i of m, then D once for each row past the rank
+        # s_i of m, then D once for each row past the rank; the gcds of
+        # the minors of [m | D*I] itself take too long at 7 x 14, so its
+        # plain elimination confirms the rule
         rng = random.Random(1229)
         for _ in range(300):
             nr, nc = rng.randint(0, 7), rng.randint(0, 7)
@@ -395,12 +340,12 @@ class TestElementaryDivisors:
                 rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
             m = IntMatrix.from_rows(rows, cols=nc)
             modulus = rng.choice((1, 2, 12, 30, 97, 360, rng.randint(1, 10 ** 6)))
-            divisors = elementary_divisors(m)
+            divisors = determinantal_divisors(m)
             expected = tuple(gcd(s, modulus) for s in divisors) + \
                 (modulus,) * (nr - len(divisors))
             assert elementary_divisors(m, modulus=modulus) == expected
             if nr:
-                assert expected == smith_normal_form(bordered(rows, [modulus] * nr)).diag
+                assert expected == elementary_divisors(bordered(rows, [modulus] * nr))
 
     def test_modulus_bounds_entry_swell(self):
         # Without a modulus the elimination of this bordered matrix swells
@@ -453,11 +398,11 @@ class TestElementaryDivisors:
     def test_pivot_rule_hand_cases(self, rows, modulus, divisors):
         m = IntMatrix.from_rows(rows)
         assert elementary_divisors(m, modulus=modulus) == divisors
-        assert smith_normal_form(bordered(rows, [modulus] * len(rows))).diag == divisors
+        assert determinantal_divisors(bordered(rows, [modulus] * len(rows))) == divisors
 
     def test_modulus_against_the_bordered_smith_form(self):
-        # elementary_divisors(m, modulus=D) against the Smith form with
-        # transforms of [m | D*I], over rows with zero and dependent rows,
+        # elementary_divisors(m, modulus=D) against the determinantal
+        # divisors of [m | D*I], over rows with zero and dependent rows,
         # for prime powers ell^E and for D = lcm((ell - 1) ell^k_i)
         rng = random.Random(1231)
         for trial in range(240):
@@ -481,14 +426,14 @@ class TestElementaryDivisors:
                     rows.append([scale * rng.randint(-9, 9) for _ in range(nc)])
             m = IntMatrix.from_rows(rows, cols=nc)
             assert elementary_divisors(m, modulus=modulus) == \
-                smith_normal_form(bordered(rows, [modulus] * nr)).diag, (rows, modulus)
+                determinantal_divisors(bordered(rows, [modulus] * nr)), (rows, modulus)
 
     def test_zero_matrix(self):
         assert elementary_divisors(zero(3, 2)) == ()
 
     def test_no_rows(self):
         m = IntMatrix.from_rows([], cols=3)
-        assert elementary_divisors(m) == smith_normal_form(m).diag == ()
+        assert elementary_divisors(m) == determinantal_divisors(m) == ()
 
 
 def hermite_normal_form_reference(m: IntMatrix) -> IntMatrix:
@@ -640,14 +585,28 @@ class TestHermiteDivisors:
         seen = []
         real = el._smith
 
-        def recording(m, transforms, modulus=None):
+        def recording(m, modulus=None):
             seen.append(modulus)
-            return real(m, transforms, modulus)
+            return real(m, modulus)
 
         monkeypatch.setattr(el, "_smith", recording)
         h = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1]])
         assert hermite_divisors(h, hermite_pivots(h)) == elementary_divisors(h) == (1, 1)
         assert seen == [6, None]
+
+
+def random_kernel_inputs(rng: random.Random, count: int):
+    """Random small matrices, then the edge cases: no rows, the zero
+    matrix, full column rank, and no columns."""
+    for _ in range(count):
+        nr, nc = rng.randint(0, 5), rng.randint(1, 6)
+        yield IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)], cols=nc)
+    yield IntMatrix.from_rows([], cols=4)
+    yield zero(3, 4)
+    yield IntMatrix.from_rows([[2, 1], [0, 3], [4, 5]])
+    yield identity(3)
+    yield IntMatrix(2, 0, ())
 
 
 class TestKernel:
@@ -660,19 +619,11 @@ class TestKernel:
         assert tuple(map(abs, x)) == (1, 1, 1, 1)
 
     def test_kernel_is_saturated(self):
+        # annihilates m, has cols - rank rows, all divisors 1 and is its
+        # own Hermite form: this fixes the matrix
         rng = random.Random(4242)
-        for _ in range(25):
-            nr, nc = rng.randint(1, 4), rng.randint(2, 5)
-            m = IntMatrix.from_rows(
-                [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)], cols=nc)
-            k = integer_kernel(m)
-            assert k.rows == nc - rank(m)
-            for i in range(k.rows):
-                assert all(sum(m.row(r)[j] * k.row(i)[j] for j in range(nc)) == 0
-                           for r in range(nr))
-            if k.rows:
-                _, idx = saturate(k)
-                assert idx == 1
+        for m in random_kernel_inputs(rng, 150):
+            check_kernel(m, integer_kernel(m))
 
 
 class TestSaturate:
@@ -728,35 +679,14 @@ class TestSaturate:
             assert again == basis
             assert idx == 1
 
-
-    def test_column_side_from_the_same_smith_form(self):
-        # columns of m @ right over the divisors span the saturated column
-        # lattice: the saturation of the rows of the transpose
-        rng = random.Random(2718)
-        for _ in range(30):
-            nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-            m = IntMatrix.from_rows(
-                [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)], cols=nc)
-            snf = smith_normal_form(m)
-            products = [[sum(m.row(g)[j] * snf.right.column(i)[j] for j in range(nc))
-                         for g in range(nr)] for i in range(len(snf.diag))]
-            transpose = IntMatrix.from_rows([m.column(j) for j in range(nc)], cols=nr)
-            quotients = [[x // d for x in row] for row, d in zip(products, snf.diag)]
-            assert (hermite_normal_form(IntMatrix.from_rows(quotients, cols=nr))
-                    == saturate(transpose)[0])
-
-    def test_inexact_quotient_raises(self, monkeypatch):
-        # (2, 2) / 4 leaves a remainder: the divisors do not fit the products
-        assert saturate(IntMatrix.from_rows([[2, 2]])) == (IntMatrix.from_rows([[1, 1]]), 2)
-        real = el.smith_normal_form
-
-        def doubled(m):
-            snf = real(m)
-            return SmithForm(tuple(2 * d for d in snf.diag), snf.left, snf.right)
-
-        monkeypatch.setattr(el, "smith_normal_form", doubled)
-        with pytest.raises(InvariantError, match="product 0 is not divisible by its divisor 4"):
-            saturate(IntMatrix.from_rows([[2, 2]]))
+    def test_characterization_randomized(self):
+        # contains the rows, has their rank and all divisors 1, and the
+        # index is the product of the divisors of m: this fixes the lattice
+        rng = random.Random(2719)
+        for m in random_kernel_inputs(rng, 150):
+            basis, index = saturate(m)
+            check_saturation(m, basis)
+            assert index == prod(elementary_divisors(m)) == prod(determinantal_divisors(m))
 
 
 class TestIntSpanBasis:

@@ -27,12 +27,7 @@ from cmtorsion.cm_core import (
     InvariantError,
     enumerate_types,
 )
-from cmtorsion.exact_linalg import (
-    IntMatrix,
-    IntSpanBasis,
-    elementary_divisors,
-    smith_normal_form,
-)
+from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors
 from cmtorsion.finite_level import (
     PRIME_TEST_LIMIT,
     StaircaseBounds,
@@ -537,7 +532,7 @@ def staircase_bounds_reference(cs, ell: int, levels) -> StaircaseBounds:
     return StaircaseBounds(
         exponent=exponent,
         span_dim=w,
-        saturation=math.prod(smith_normal_form(rows).diag),
+        saturation=math.prod(elementary_divisors(rows)),
         lower=(ell - 1) ** w * ell ** (exponent - w),
         upper=ell ** exponent,
     )

@@ -10,7 +10,6 @@ from math import prod
 
 import pytest
 
-import cmtorsion.exact_linalg as el
 import cmtorsion.mt_torus as mt
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import (
@@ -25,9 +24,7 @@ from cmtorsion.cm_core import (
 from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
-    SmithForm,
     elementary_divisors,
-    integer_kernel,
     saturate,
 )
 from cmtorsion.mt_torus import (
@@ -37,9 +34,8 @@ from cmtorsion.mt_torus import (
     perp_lattice,
 )
 from cmtorsion.verify import builtin_groups
-from kernel_helpers import contains, identity
+from kernel_helpers import check_kernel, check_saturation, contains, determinant
 from test_acceptance import c2_times_alternating4
-from test_exact_linalg import determinant
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -220,30 +216,31 @@ class TestPerp:
             query(cs, indices)
 
     def test_double_perp_is_saturated_span(self):
+        # every class representative of `run_verify(16)`: the cocharacter
+        # basis is the saturation of the rows of H, the perp of a
+        # selection is its integer kernel, and the span saturation (the
+        # kernel of the perp) is its saturation, as `check_kernel` and
+        # `check_saturation` fix them
         rng = random.Random(2024)
-        groups = [FiniteGroup.abelian([4]), FiniteGroup.abelian([6]),
-                  FiniteGroup.abelian([8]), FiniteGroup.abelian([2, 4]),
-                  FiniteGroup.dicyclic(2)]
-        checked = 0
-        for g in groups:
-            for c in g.central_involutions():
-                for t in enumerate_types(g, c, up_to_translation=True):
+        reps = 0
+        for group in builtin_groups(16):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
                     try:
-                        cs = build_character_system(CMDatum(g, c, (t,)))
+                        cs = build_character_system(CMDatum(group, conj, (t,)))
                     except DuplicateCharactersError:
                         continue
-                    for _ in range(4):
-                        size = rng.randint(1, 2 * cs.genus)
-                        sel = rng.sample(range(2 * cs.genus), size)
-                        perp = perp_lattice(cs, sel)
-                        if perp.rows:
-                            double = integer_kernel(perp)
-                        else:
-                            from cmtorsion.exact_linalg import hermite_normal_form
-                            double = hermite_normal_form(identity(cs.dim))
-                        assert double == character_span_saturation(cs, sel)
-                        checked += 1
-        assert checked >= 20
+                    reps += 1
+                    check_saturation(IntMatrix.from_rows(zip(*cs.char_coords), cols=2 * cs.genus),
+                                     cs.cochar_basis)
+                    sels = [range(cs.genus + 1)] + [
+                        rng.sample(range(2 * cs.genus), rng.randint(1, 2 * cs.genus))
+                        for _ in range(2)]
+                    for sel in sels:
+                        chosen = mt._selected_characters(cs, sel)
+                        check_kernel(chosen, perp_lattice(cs, sel))
+                        check_saturation(chosen, character_span_saturation(cs, sel))
+        assert reps == 381
 
 
 class TestRankBounds:
@@ -334,26 +331,24 @@ class TestInvariantError:
         assert not issubclass(InvariantError, ValueError)
 
     def test_raised_with_asserts_stripped(self):
-        # double the first divisor of the Smith form that saturates the
-        # rows of the build's Hermite form H: row 0 of left @ H is 1 times
-        # a row of the unimodular right^-1, which is primitive, so its
-        # division by 2 leaves a remainder
+        # double the first divisor that `saturate` reads for the index of
+        # the rows of the build's Hermite form: the quartic's index 1
+        # then reads 2
         script = textwrap.dedent("""
             import cmtorsion.exact_linalg as el
             import cmtorsion.mt_torus as mt
             from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
             from cmtorsion.cm_core import InvariantError
-            from cmtorsion.exact_linalg import SmithForm
 
-            real = el.smith_normal_form
-
-            def doubled(m):
-                snf = real(m)
-                return SmithForm((2 * snf.diag[0],) + snf.diag[1:], snf.left, snf.right)
-
-            el.smith_normal_form = doubled
             t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
             cs = mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
+            real = el.elementary_divisors
+
+            def doubled(m, modulus=None):
+                diag = real(m, modulus)
+                return (2 * diag[0],) + diag[1:]
+
+            el.elementary_divisors = doubled
             try:
                 cs.cochar_basis
             except InvariantError as e:
@@ -365,32 +360,11 @@ class TestInvariantError:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == (
-            "InvariantError: Smith product 0 is not divisible by its divisor 2 optimized")
-
-    def test_nonzero_row_past_the_rank_raises(self, monkeypatch):
-        # the rows of H saturate with divisors (1, 1, 1, 1, 2), so H has
-        # no row past its rank 5 < 8; adding row 0 of `left` to its last
-        # row keeps `left` unimodular, but row 4 of left @ H becomes
-        # 2 r_4 + r_0 for rows r_i of the unimodular right^-1, and r_0 is
-        # primitive, so its halving leaves a remainder
-        real = el.smith_normal_form
-
-        def sheared(m):
-            snf = real(m)
-            rows = snf.left.row_lists()
-            rows[-1] = [x + y for x, y in zip(rows[-1], rows[0])]
-            return SmithForm(snf.diag, IntMatrix.from_rows(rows), snf.right)
-
-        datum = single_factor(FiniteGroup.abelian([2, 2, 2]), 1, [0, 2, 4, 7])
-        cs = build_character_system(datum)
-        assert (cs.dim, cs.saturation_index) == (5, 2)
-        monkeypatch.setattr(el, "smith_normal_form", sheared)
-        with pytest.raises(InvariantError, match="product 4 is not divisible by its divisor 2"):
-            cs.cochar_basis
+            "InvariantError: saturation index 2 disagrees with the build's 1 optimized")
 
     def test_saturation_index_disagreement_raises(self, monkeypatch):
-        # the build's divisors of H claim index 2, the Smith form with
-        # transforms that saturates H finds 1
+        # the build's divisors of H claim index 2, the divisors that
+        # `saturate` reads for the rows of H give 1
         real = mt.hermite_divisors
 
         def doubled(m, pivots):

@@ -1,8 +1,11 @@
 """Catalogue construction and the invariant sweep."""
 
+import pytest
+
 import cmtorsion.alpha_engine as alpha_engine
 import cmtorsion.verify as verify
 from cmtorsion.cm_core import FiniteGroup, enumerate_types, is_primitive
+from cmtorsion.exact_linalg import IntMatrix
 from cmtorsion.verify import VerifySummary, _invariant_chains, builtin_groups, run_verify
 
 
@@ -52,7 +55,73 @@ class TestSweep:
         assert s.class_reps_checked == 381
         assert s.translates_checked == 5435
         assert s.duplicates_skipped == 2898
+        assert s.checks == {
+            "genus_upper_bound": 381,
+            "log_threshold_bound": 381,
+            "mod2_distinct": 381,
+            "oracle_agreement": 44,
+            "perp_double_dual": 381,
+            "prime_genus_nondegenerate": 14,
+            "primitive_dimension_bound": 381,
+            "shortcut_available": 341,
+            "span_ratio_lower_bound": 381,
+            "strict_genus_bound": 380,
+            "subspace_counting_bound": 381,
+            "translation_row_permutation": 5435,
+        }
         assert s.failures == []
+
+
+def doubled_row(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries[:m.cols]) + m.entries[m.cols:])
+
+
+def unit_rows(count: int, cols: int, start: int = 0) -> IntMatrix:
+    """The unit vectors e_start, ..., e_(start + count - 1) of Z^cols."""
+    return IntMatrix.from_rows([[int(j == start + i) for j in range(cols)]
+                                for i in range(count)], cols=cols)
+
+
+def dropped_row(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.rows - 1, m.cols, m.entries[:-m.cols]) if m.rows else m
+
+
+class TestDuality:
+    @pytest.mark.parametrize("name, fault", [
+        # not saturated, and not holding the selection
+        ("character_span_saturation", doubled_row),
+        # saturated with the right rank, but not holding the selection
+        ("character_span_saturation", lambda m: unit_rows(m.rows, m.cols, m.cols - m.rows)),
+        # saturated and holding the selection, but too large
+        ("character_span_saturation", lambda m: unit_rows(m.cols, m.cols)),
+        # annihilates with the right rank, but not saturated
+        ("perp_lattice", doubled_row),
+        # saturated with the right rank, but not annihilating
+        ("perp_lattice", lambda m: unit_rows(m.rows, m.cols)),
+        # saturated and annihilating, but a row short
+        ("perp_lattice", dropped_row),
+    ], ids=["span-doubled", "span-elsewhere", "span-whole",
+            "perp-doubled", "perp-elsewhere", "perp-short"])
+    def test_a_wrong_lattice_fails(self, monkeypatch, name, fault):
+        # each fault but the first escapes all but one of the conditions,
+        # and a representative fails exactly when its lattice was
+        # changed; the catalogue's selections are saturated, so a lattice
+        # that holds one and has its rank cannot fail the span's divisor
+        # condition alone
+        real = getattr(verify, name)
+        changed = []
+
+        def faulty(cs, indices):
+            m = real(cs, indices)
+            wrong = fault(m)
+            changed.append(wrong != m)
+            return wrong
+
+        monkeypatch.setattr(verify, name, faulty)
+        s = run_verify(8)
+        assert s.checks["perp_double_dual"] == s.class_reps_checked == len(changed)
+        assert len(s.failures) == sum(changed) > 0
+        assert all(f.startswith("perp_double_dual: ") for f in s.failures)
 
 
 class TestPrimeGenus:
