@@ -9,10 +9,15 @@ Functions and Optimization, 2005): the exponent is the best ratio over
 the 2^r - 1 factor unions.  The witness is the full span when it
 attains it, else the attaining union first in (dim, index set) order,
 which is the first attaining flat in that order (see `alpha_exact`).
-The product envelope reads the same table.  The spans are formed in
-the rank-d coordinates `char_coords`, where every set of characters
-has its |G|-wide rank (see `_factor_unions`); the witness's |G|-wide
-basis is formed only for a document (`witness_basis`).  A report
+The product envelope reads the same table.  A prefix union of the
+factors {0, ..., k-1}, the full set among them, is ranked off the
+pivot columns of the build's Hermite form, where the factor blocks sit
+in order and the rank of the first e columns is the number of pivots
+below column e; so a one-factor report forms no span, and a two-factor
+one forms one.  The other spans are formed in the rank-d coordinates
+`char_coords`, where every set of characters has its |G|-wide rank
+(see `_factor_unions`); the witness's |G|-wide basis is formed only for
+a document (`witness_basis`).  A report
 decides primitivity once, for its shortcut label and its dimension
 bound.  The oracle re-derives the maximum by sheer enumeration of
 subsets.  Everything is exact.
@@ -20,6 +25,7 @@ subsets.  Everything is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -59,13 +65,21 @@ class AlphaReport:
     spans_visited: int = 0
 
 
-def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis]]:
-    """Entry `mask` > 0: the character count and `IntSpanBasis` of that
-    union of factor blocks, formed from the union without its lowest
-    factor.  A union takes no more columns once it reaches the system's
-    rank d, its span being then the span of all characters, and a union
-    whose parent has rank d shares the parent's basis; no entry is
-    changed once it is in the table.
+def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
+    """Entry `mask` > 0: the character count and the rank of that union
+    of factor blocks.
+
+    A prefix union {0, ..., k-1} (mask 2^k - 1, the full set among them)
+    is read off the pivots of the build's Hermite form H.  The blocks
+    occupy consecutive columns of H, the first e of them for the prefix,
+    and H is in echelon form, so the rank of its first e columns is the
+    number of pivots in columns below e; for the full set it is the
+    system's rank d.  Every other union is spanned from the union without
+    its lowest factor, whose basis it copies.  That parent never is a
+    prefix, which holds the lowest factor, so the prefixes form no span,
+    and a basis is kept only for an even mask, the parent of later ones.
+    A union takes no more columns once it reaches rank d, and a union
+    whose parent has rank d has rank d and forms no span.
 
     The spans are formed over `char_coords`, d wide, not over the
     |G|-wide characters, at the same ranks.  The build's Hermite form is
@@ -83,18 +97,54 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, IntSpanBasis]]:
     blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
     for coords, (fi, _) in zip(cs.char_coords, cs.column_labels):
         blocks[fi].append(coords)
-    table = [(0, IntSpanBasis(d))]
+    pivot_columns = [j for j, _ in cs.pivots]
+    table = [(0, 0)]
+    spans: list[Optional[IntSpanBasis]] = [None] * 2 ** r
+    end = 0
     for mask in range(1, 2 ** r):
         low = mask & -mask
         block = blocks[low.bit_length() - 1]
-        n, basis = table[mask ^ low]
-        if basis.dim < d:
-            basis = basis.copy()
+        n, rank = table[mask ^ low]
+        if not mask & (mask + 1):
+            # a prefix, on the first `end` columns
+            end += len(blocks[mask.bit_length() - 1])
+            rank = bisect_left(pivot_columns, end)
+        elif rank < d:
+            parent = spans[mask ^ low]
+            span = parent.copy() if parent else IntSpanBasis(d)
             for col in block:
-                if basis.insert(col) and basis.dim == d:
+                if span.insert(col) and span.dim == d:
                     break
-        table.append((n + len(block), basis))
+            rank = span.dim
+            if not mask & 1:
+                spans[mask] = span
+        table.append((n + len(block), rank))
     return table
+
+
+def _exponent(cs: CharacterSystem) -> tuple[Fraction, SubspaceWitness, int]:
+    """The exponent, its witness and the number of unions ranked (see
+    `alpha_exact`)."""
+    unions = _factor_unions(cs)
+    alpha = max(Fraction(n, rank) for n, rank in unions[1:])
+    m, dim = unions[-1]
+    if Fraction(m, dim) == alpha:
+        contained = tuple(range(m))
+    else:
+        factor_of = [fi for fi, _ in cs.column_labels]
+        # least in (dim, index set) order
+        dim, contained = min(
+            (rank, tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1))
+            for mask, (n, rank) in enumerate(unions)
+            if mask and Fraction(n, rank) == alpha)
+    witness = SubspaceWitness(generating_indices=contained, n=len(contained),
+                              dim=dim, ratio=alpha)
+    return alpha, witness, len(unions) - 1
+
+
+# the build checks that characters are 0/1 with |G|/2 ones: on a span W
+# they project injectively to {0,1}^(dim W - 1), so n(W) <= 2^(dim W - 1)
+_COUNTING_BOUND = {"subspace_counting_bound": True}
 
 
 def alpha_exact(cs: CharacterSystem) -> AlphaReport:
@@ -125,32 +175,10 @@ def alpha_exact(cs: CharacterSystem) -> AlphaReport:
       then its own: it is that atom.  The attaining flats of least
       dimension are therefore the attaining unions of least dimension.
     """
-    unions = _factor_unions(cs)
-    alpha = max(Fraction(n, span.dim) for n, span in unions[1:])
-    m, full = unions[-1]
-    if Fraction(m, full.dim) == alpha:
-        contained, dim = tuple(range(m)), full.dim
-    else:
-        factor_of = [fi for fi, _ in cs.column_labels]
-        # least in (dim, index set) order
-        dim, contained = min(
-            (span.dim, tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1))
-            for mask, (n, span) in enumerate(unions)
-            if mask and Fraction(n, span.dim) == alpha)
-    return AlphaReport(
-        alpha=alpha,
-        gamma=alpha,
-        witness=SubspaceWitness(generating_indices=contained, n=len(contained),
-                                dim=dim, ratio=alpha),
-        genus=cs.genus,
-        dim=cs.dim,
-        defect=cs.defect,
-        shortcut_used=None,
-        # the build checks that characters are 0/1 with |G|/2 ones: on a span
-        # W they project injectively to {0,1}^(dim W - 1), so n(W) <= 2^(dim W - 1)
-        bound_checks={"subspace_counting_bound": True},
-        spans_visited=len(unions) - 1,
-    )
+    alpha, witness, visited = _exponent(cs)
+    return AlphaReport(alpha=alpha, gamma=alpha, witness=witness, genus=cs.genus,
+                       dim=cs.dim, defect=cs.defect, bound_checks=dict(_COUNTING_BOUND),
+                       spans_visited=visited)
 
 
 def witness_basis(cs: CharacterSystem, witness: SubspaceWitness) -> tuple[tuple[int, ...], ...]:
@@ -219,19 +247,12 @@ def shortcut_label(cs: CharacterSystem, primitive: bool) -> Optional[str]:
     return None
 
 
-def check_bounds(report: AlphaReport, cs: CharacterSystem, primitive: bool) -> AlphaReport:
-    """Evaluate the named exponent bounds exactly; no floating point.
-
-    The irrational threshold 2g/(2 + log2 g) is decided through the
-    equivalent integer comparison g^p <= 2^(2gq - 2p) for alpha = p/q.
-    `primitive` says whether the system is one primitive factor over
-    the trivial subgroup, the case of the dimension bound.
-    """
+def _add_bound_checks(checks: dict, alpha: Fraction, cs: CharacterSystem,
+                      primitive: bool) -> dict:
+    # the named bounds of `check_bounds`, added to `checks` in order
     g = cs.genus
-    alpha = report.alpha
     p, q = alpha.numerator, alpha.denominator
     exponent = 2 * g * q - 2 * p
-    checks = dict(report.bound_checks)
     checks["log_threshold_bound"] = exponent >= 0 and g ** p <= 2 ** exponent
     checks["genus_upper_bound"] = alpha <= g
     checks["span_ratio_lower_bound"] = alpha >= Fraction(2 * g, cs.dim)
@@ -240,19 +261,35 @@ def check_bounds(report: AlphaReport, cs: CharacterSystem, primitive: bool) -> A
     checks["mod2_distinct"] = True
     if primitive:
         checks["primitive_dimension_bound"] = 2 ** (cs.dim - 2) >= g
+    return checks
+
+
+def check_bounds(report: AlphaReport, cs: CharacterSystem, primitive: bool) -> AlphaReport:
+    """Evaluate the named exponent bounds exactly; no floating point.
+
+    The irrational threshold 2g/(2 + log2 g) is decided through the
+    equivalent integer comparison g^p <= 2^(2gq - 2p) for alpha = p/q.
+    `primitive` says whether the system is one primitive factor over
+    the trivial subgroup, the case of the dimension bound.
+    """
+    checks = _add_bound_checks(dict(report.bound_checks), report.alpha, cs, primitive)
     return replace(report, bound_checks=checks)
 
 
 def build_report(cs: CharacterSystem) -> AlphaReport:
     """Full pipeline: exact exponent, shortcut cross-check, bound evaluation."""
-    report = alpha_exact(cs)
+    alpha, witness, visited = _exponent(cs)
     factors = cs.datum.factors
     primitive = (len(factors) == 1 and len(factors[0].space.subgroup) == 1
                  and is_primitive(factors[0], cs.datum.conj))
     label = shortcut_label(cs, primitive)
-    if label is not None and report.alpha != Fraction(2 * cs.genus, cs.dim):
+    if label is not None and alpha != Fraction(2 * cs.genus, cs.dim):
         raise InvariantError("shortcut value disagrees with the exact exponent")
-    return check_bounds(replace(report, shortcut_used=label), cs, primitive)
+    return AlphaReport(
+        alpha=alpha, gamma=alpha, witness=witness, genus=cs.genus, dim=cs.dim,
+        defect=cs.defect, shortcut_used=label,
+        bound_checks=_add_bound_checks(dict(_COUNTING_BOUND), alpha, cs, primitive),
+        spans_visited=visited)
 
 
 @dataclass(frozen=True)
@@ -297,11 +334,11 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     upper = sum((n * rep.alpha for n, rep in zip(ns, reports)), Fraction(0))
     lower = Fraction(0)
     question2 = Fraction(0)
-    for mask, (count, basis) in enumerate(_factor_unions(joint)[1:], start=1):
+    for mask, (count, rank) in enumerate(_factor_unions(joint)[1:], start=1):
         subset = [i for i in range(r) if mask >> i & 1]
-        lower = max(lower, min(ns[i] for i in subset) * Fraction(count, basis.dim))
+        lower = max(lower, min(ns[i] for i in subset) * Fraction(count, rank))
         dim_total = sum(ns[i] * genus_of[i] for i in subset)
-        question2 = max(question2, Fraction(2 * dim_total, basis.dim))
+        question2 = max(question2, Fraction(2 * dim_total, rank))
     if lower > upper:
         raise InvariantError("product envelope lower bound exceeds the upper")
     return ProductEnvelope(lower=lower, upper=upper, question2=question2)

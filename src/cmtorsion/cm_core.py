@@ -313,14 +313,12 @@ def is_primitive(t: CMType, conj: int) -> bool:
     if len(t.space.subgroup) != 1:
         raise UnsupportedInputError(
             "primitivity is only decided for factors over the trivial subgroup")
-    group = t.space.group
-    phi = t.phi
-    if {t.space.act(conj, s) for s in phi} & phi:
+    space, phi = t.space, t.phi
+    if not phi.isdisjoint(map(space.action_row(conj).__getitem__, phi)):
         raise ValueError("type is not valid for the given conjugation")
-    for g in range(1, group.order):
-        if all(t.space.act(g, s) in phi for s in phi):
-            return False
-    return True
+    # g.phi = phi for some g != 1, read through g's action row
+    return not any(phi.issuperset(map(space.action_row(g).__getitem__, phi))
+                   for g in range(1, space.group.order))
 
 
 def _type_key(t: CMType) -> tuple[int, ...]:

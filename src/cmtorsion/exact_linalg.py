@@ -19,7 +19,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
-from operator import sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 
@@ -320,6 +320,15 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
     return _smith(m, modulus=modulus)
 
 
+def _minus_multiple(row: Sequence[int], q: int, head: Sequence[int]) -> list[int]:
+    # row - q * head, by plain subtraction or addition when q = 1 or -1
+    if q == 1:
+        return list(map(sub, row, head))
+    if q == -1:
+        return list(map(add, row, head))
+    return [x - q * y for x, y in zip(row, head)]
+
+
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     """Canonical row Hermite form of the row lattice (zero rows dropped).
 
@@ -327,7 +336,9 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     [0, pivot), so equal lattices produce identical matrices.  Column by
     column, the Euclidean steps work only on the rows that are nonzero
     in that column (the others cannot take part in them), and a row
-    leaves the elimination once it becomes zero.
+    leaves the elimination once it becomes zero.  A quotient of 1 or -1,
+    the common one on 0/1 rows, subtracts or adds the row without
+    multiplying.
     """
     nc = m.cols
     live = [row for row in m.row_lists() if any(row)]
@@ -348,8 +359,7 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
             nxt = [head]
             for row in active:
                 if row is not head:
-                    q = row[c] // p
-                    row = [x - q * y for x, y in zip(row, head)]
+                    row = _minus_multiple(row, row[c] // p, head)
                     if row[c]:
                         nxt.append(row)
                     elif any(row):
@@ -362,7 +372,7 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
         for k, row in enumerate(done):
             q = row[c] // p
             if q:
-                done[k] = [x - q * y for x, y in zip(row, head)]
+                done[k] = _minus_multiple(row, q, head)
         done.append(head)
         if not live:
             break
@@ -432,11 +442,19 @@ def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     """Saturation of the row lattice: (rational row span) meet Z^cols.
 
     Returns the Hermite basis of the saturation together with the index
-    of the input lattice inside it.  The saturation is the kernel of the
-    kernel; the index is the product of the nonzero elementary divisors
-    of the input, from the divisors-only elimination.
+    of the input lattice inside it (see `saturate_hermite`).
     """
     # the Hermite form has the row lattice of m in rank-many rows, so
-    # both eliminations below run on fewer rows and reduced entries
-    m = hermite_normal_form(m)
-    return integer_kernel(integer_kernel(m)), prod(elementary_divisors(m))
+    # both eliminations run on fewer rows and reduced entries
+    return saturate_hermite(hermite_normal_form(m))
+
+
+def saturate_hermite(h: IntMatrix) -> tuple[IntMatrix, int]:
+    """`saturate` of a `hermite_normal_form` output, which it does not
+    eliminate again.
+
+    The saturation is the kernel of the kernel; the index is the product
+    of the nonzero elementary divisors of `h`, from the divisors-only
+    elimination.
+    """
+    return integer_kernel(integer_kernel(h)), prod(elementary_divisors(h))

@@ -8,13 +8,14 @@ exponent, finite-level degrees) is computed from this integer matrix.
 The build runs one Hermite elimination H = U M of it, U unimodular
 (Cohen, A Course in Computational Algebraic Number Theory, 2.4): the
 rows of H are a basis of the row lattice, so their number is the rank,
-column j of H holds the coordinates of character j in the saturated
-character lattice, and the divisors of H are kept, with their product,
-the saturation index.  The elimination takes only one row of each pair
+and column j of H holds the coordinates of character j in the saturated
+character lattice.  The elimination takes only one row of each pair
 {g, c.g} and the all-ones row, which span the same lattice
-(`_half_rows`), and the divisors are read off the pivots of H
-(`exact_linalg.hermite_divisors`).  The saturated cocharacter lattice is
-computed from the rows of H on first read.
+(`_half_rows`), straight from the orbit rows.  The system keeps H and
+the characters; the rest is computed on first read: the orbit matrix
+from the characters, the divisors of H (with their product, the
+saturation index) off its pivots (`exact_linalg.hermite_divisors`), and
+the saturated cocharacter lattice from the rows of H.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exact_linalg import (
     hermite_normal_form,
     hermite_pivots,
     integer_kernel,
-    saturate,
+    saturate_hermite,
 )
 
 
@@ -52,28 +53,44 @@ class DuplicateCharactersError(Exception):
 
 @dataclass(frozen=True)
 class CharacterSystem:
-    """Orbit matrix plus the derived lattice data of a CM datum.
+    """The characters of a CM datum plus the derived lattice data.
 
-    `char_coords` are the columns of the Hermite form H = U M of the
-    orbit matrix: each character in the basis of the saturated character
-    lattice formed by the first `dim` columns of U^-1.  Callers may read
-    only quantities that do not depend on the choice of that basis.
-    `divisors` are the nonzero elementary divisors of H, which are those
-    of the 2g x dim matrix of all `char_coords` (its transpose), and
-    `saturation_index` is their product.  `cochar_basis` is computed on
-    first read.
+    `hermite` is the build's Hermite form H = U M of the orbit matrix,
+    and `char_coords` are its columns: each character in the basis of
+    the saturated character lattice formed by the first `dim` columns of
+    U^-1.  Callers may read only quantities that do not depend on the
+    choice of that basis.  The orbit matrix, the divisors and the
+    cocharacter basis are computed on first read, from the characters
+    and from H, so a system whose `char_coords` are replaced by another
+    basis keeps them.
     """
 
     datum: CMDatum
     genus: int
-    orbit_matrix: IntMatrix
     dim: int
     characters: tuple[tuple[int, ...], ...]
     conj_pairing: tuple[int, ...]
     weight: tuple[int, ...]
     column_labels: tuple[tuple[int, int], ...]
     char_coords: tuple[tuple[int, ...], ...]
-    divisors: tuple[int, ...]
+    hermite: IntMatrix
+
+    @cached_property
+    def orbit_matrix(self) -> IntMatrix:
+        """Row g, column (factor, coset s): 1 when s lies in g.phi."""
+        return IntMatrix.from_rows(zip(*self.characters), cols=2 * self.genus)
+
+    @cached_property
+    def pivots(self) -> list[tuple[int, int]]:
+        """(column, value) of the pivot of each row of H."""
+        return hermite_pivots(self.hermite)
+
+    @cached_property
+    def divisors(self) -> tuple[int, ...]:
+        """The nonzero elementary divisors of H, which are those of the
+        2g x dim matrix of all `char_coords` (its transpose), read off
+        its pivots."""
+        return hermite_divisors(self.hermite, self.pivots)
 
     @property
     def saturation_index(self) -> int:
@@ -88,21 +105,20 @@ class CharacterSystem:
     def cochar_basis(self) -> IntMatrix:
         """Hermite basis of the saturated cocharacter lattice.
 
-        Saturates the rows of the build's Hermite form; raises
+        Saturates the rows of H, which is already a Hermite form; raises
         InvariantError when the index of that saturation, from the plain
-        Smith elimination, is not the build's `saturation_index`, read
-        off the pivots.
+        Smith elimination, is not `saturation_index`, read off the
+        pivots.
         """
-        basis, index = saturate(
-            IntMatrix.from_rows(zip(*self.char_coords), cols=2 * self.genus))
+        basis, index = saturate_hermite(self.hermite)
         if index != self.saturation_index:
             raise InvariantError(
                 f"saturation index {index} disagrees with the build's {self.saturation_index}")
         return basis
 
 
-def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
-    """Column labels, orbit matrix and its columns (the characters).
+def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
+    """Column labels, rows and columns (the characters) of the orbit matrix.
 
     Row g marks the translated halves g.phi_i: column (i, s) holds 1
     exactly when g^-1 s lies in phi_i, so the row is the 0/1 indicator
@@ -124,7 +140,6 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
     rows = [tuple(chain.from_iterable(itemgetter(*space.action_row(ginv))(indicator)
                                       for indicator, space in indicators))
             for ginv in datum.group.inverses]
-    matrix = IntMatrix.from_rows(rows, cols=len(labels))
 
     columns = tuple(zip(*rows))
     copies: dict[tuple[int, ...], list[int]] = {}
@@ -135,11 +150,11 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, IntMatrix, tuple]:
     repeated = next((js for js in copies.values() if len(js) > 1), None)
     if repeated:
         raise DuplicateCharactersError(repeated[0], repeated[1])
-    return tuple(labels), matrix, columns
+    return tuple(labels), rows, columns
 
 
-def _half_rows(datum: CMDatum, matrix: IntMatrix) -> IntMatrix:
-    """One row of each pair {g, c.g} of the orbit matrix, then all ones.
+def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> IntMatrix:
+    """One of each pair {g, c.g} of the orbit matrix's `rows`, then all ones.
 
     Lemma: row c.g is the all-ones row minus row g.  Column (i, s) of row
     c.g holds 1 when s lies in c.g.phi_i = g.(c.phi_i), c being central,
@@ -149,13 +164,13 @@ def _half_rows(datum: CMDatum, matrix: IntMatrix) -> IntMatrix:
     row is the sum of rows g and c.g, so both span the same lattice.
     """
     group, c = datum.group, datum.conj
-    rows = [matrix.row(g) for g in range(group.order) if g < group.mul(c, g)]
-    rows.append((1,) * matrix.cols)
-    return IntMatrix.from_rows(rows, cols=matrix.cols)
+    half = [rows[g] for g in range(group.order) if g < group.mul(c, g)]
+    half.append((1,) * len(rows[0]))
+    return IntMatrix.from_rows(half)
 
 
 def build_character_system(datum: CMDatum) -> CharacterSystem:
-    """Build and sanity-check the full character system of a datum.
+    """Build and sanity-check the character system of a datum.
 
     Raises ValueError for invalid data, DuplicateCharactersError when
     two columns coincide, and InvariantError when a sanity check fails.
@@ -165,7 +180,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     problems = validate(datum)
     if problems:
         raise ValueError("invalid datum: " + "; ".join(problems))
-    labels, matrix, columns = _orbit_matrix(datum)
+    labels, rows, columns = _orbit_matrix(datum)
     group = datum.group
     n = group.order
     genus = len(labels) // 2
@@ -198,7 +213,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     # of H[i][j] times column i of U^-1.  Row c.g is the all-ones row
     # minus row g (see `_half_rows`), so half the rows and that one span
     # the row lattice of M, and H is its canonical Hermite form.
-    hermite = hermite_normal_form(_half_rows(datum, matrix))
+    hermite = hermite_normal_form(_half_rows(datum, rows))
     d = hermite.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
@@ -206,14 +221,13 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     return CharacterSystem(
         datum=datum,
         genus=genus,
-        orbit_matrix=matrix,
         dim=d,
         characters=columns,
         conj_pairing=pairing,
         weight=weight,
         column_labels=labels,
         char_coords=tuple(zip(*map(hermite.row, range(d)))),
-        divisors=hermite_divisors(hermite, hermite_pivots(hermite)),
+        hermite=hermite,
     )
 
 

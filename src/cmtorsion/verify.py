@@ -94,10 +94,6 @@ class VerifySummary:
             self.failures.append(f"{name}: {context}")
 
 
-def _row_multiset(m: IntMatrix) -> tuple:
-    return tuple(sorted(m.row(i) for i in range(m.rows)))
-
-
 def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMType):
     label = f"{group.name} conj {conj} phi {sorted(rep.phi)}"
     space = rep.space
@@ -153,7 +149,7 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
         and not any(sum(map(mul, p, row)) for p in perp.row_lists() for row in rows)
         and elementary_divisors(perp) == (1,) * perp.rows, label)
 
-    rep_rows = _row_multiset(rep_cs.orbit_matrix)
+    rep_rows = sorted(zip(*rep_cs.characters))
     for phi in translates:
         if phi == rep.phi:
             continue
@@ -166,7 +162,7 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
             continue
         summary.translates_checked += 1
         summary.count("translation_row_permutation",
-                      _row_multiset(other) == rep_rows,
+                      sorted(other) == rep_rows,
                       f"{label} translate {sorted(phi)}")
 
 

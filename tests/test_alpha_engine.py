@@ -1,5 +1,6 @@
 """Exponent engine: frozen values, oracle agreement, bound checks."""
 
+import json
 import random
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from typing import Sequence
 
 import pytest
 
+import cmtorsion.exact_linalg as el
 from cmtorsion import alpha_engine
 from cmtorsion.alpha_engine import (
     AlphaReport,
@@ -30,6 +32,7 @@ from cmtorsion.cm_core import (
     enumerate_types,
     is_primitive,
 )
+from cmtorsion.documents import datum_to_dict, load_datum
 from cmtorsion.exact_linalg import IntSpanBasis
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
@@ -131,6 +134,19 @@ def small_sweep_systems(max_order: int):
                     yield cs
 
 
+def adjacent_joints(systems):
+    """The buildable two-factor joint of each pair of consecutive
+    systems over the same group and conjugation."""
+    for a, b in zip(systems, systems[1:]):
+        if (a.datum.group, a.datum.conj) != (b.datum.group, b.datum.conj):
+            continue
+        try:
+            yield build_character_system(replace(
+                a.datum, factors=a.datum.factors + b.datum.factors))
+        except DuplicateCharactersError:
+            continue
+
+
 class TestFrozenValues:
     def test_elliptic(self):
         report = build_report(elliptic())
@@ -221,8 +237,11 @@ class TestOracleAgreement:
 
 class TestCoordinateWidth:
     def test_single_factor_spans_are_d_wide(self, monkeypatch):
-        # every IntSpanBasis a report forms, copies included, is as wide
-        # as the character lattice's rank, not as the group's order
+        # a one-factor report forms no span, its one union being the
+        # full set, whose rank is read off the build's Hermite form;
+        # every IntSpanBasis the report of a joint of two such factors
+        # forms, copies included, is as wide as the character lattice's
+        # rank, not as the group's order
         systems = list(small_sweep_systems(14))
         widths: list[int] = []
         real = IntSpanBasis.__init__
@@ -236,9 +255,78 @@ class TestCoordinateWidth:
         for cs in systems:
             widths.clear()
             build_report(cs)
-            assert widths and set(widths) == {cs.dim}, cs.datum
+            assert widths == [], cs.datum
             narrower += cs.dim < cs.datum.group.order
         assert (len(systems), narrower) == (53, 52)
+
+        joints = 0
+        for joint in adjacent_joints(systems):
+            widths.clear()
+            build_report(joint)
+            assert widths == [joint.dim], joint.datum
+            joints += joint.dim < joint.datum.group.order
+        assert joints > 10
+
+
+class TestWorkCounts:
+    def test_single_factor_report_forms_no_span_and_runs_no_smith(self, monkeypatch):
+        # parse, build and report of one factor: its one union is the
+        # full set, ranked off the build's Hermite pivots, and nothing
+        # reads the divisors, though some would take an elimination
+        inserts, smiths = [], []
+        real_insert, real_smith = IntSpanBasis.insert, el._smith
+
+        def counting_insert(self, vec):
+            inserts.append(vec)
+            return real_insert(self, vec)
+
+        def counting_smith(m, modulus=None):
+            smiths.append(modulus)
+            return real_smith(m, modulus)
+
+        monkeypatch.setattr(IntSpanBasis, "insert", counting_insert)
+        monkeypatch.setattr(el, "_smith", counting_smith)
+        reports = eliminating = 0
+        for group in builtin_groups(16):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
+                    text = json.dumps(datum_to_dict(CMDatum(group, conj, (t,))))
+                    try:
+                        cs = build_character_system(load_datum(text))
+                    except DuplicateCharactersError:
+                        continue
+                    build_report(cs)
+                    assert (inserts, smiths) == ([], []), cs.datum
+                    cs.divisors
+                    eliminating += len(smiths)
+                    smiths.clear()
+                    reports += 1
+        assert reports == 381 and eliminating > 10
+
+    def test_two_factor_envelope_forms_one_union_span(self, monkeypatch):
+        # masks 1 and 3 are prefixes of the factors, ranked off the
+        # joint's Hermite pivots; only mask 2 is spanned
+        joints = list(adjacent_joints(list(small_sweep_systems(12))))
+        group = FiniteGroup.abelian([8])
+        space = CosetSpace(group, [0])
+        joints.append(build_character_system(CMDatum(group, 4, (
+            CMType(space, frozenset([0, 1, 2, 3])), CMType(space, frozenset([0, 1, 3, 6]))))))
+        widths: list[int] = []
+        real = IntSpanBasis.__init__
+
+        def recording(self, width):
+            widths.append(width)
+            real(self, width)
+
+        monkeypatch.setattr(IntSpanBasis, "__init__", recording)
+        for joint in joints:
+            datum = joint.datum
+            reports = [build_report(build_character_system(replace(datum, factors=(f,))))
+                       for f in datum.factors]
+            widths.clear()
+            product_envelope(reports, [1, 2], joint)
+            assert widths == [joint.dim], datum
+        assert len(joints) > 10
 
 
 class TestWitnessBasisGuard:
@@ -394,19 +482,25 @@ class TestPowerAndProduct:
 
     def test_product_envelope_c8_pair(self):
         # the benchmark's warm-up product; each one-factor union of the
-        # joint must carry its factor report's exponent and dimension
+        # joint must carry its factor report's exponent and dimension,
+        # and every union the count and rank of the uncapped table
         group = FiniteGroup.abelian([8])
         space = CosetSpace(group, [0])
         factors = (CMType(space, frozenset([0, 1, 2, 3])),
                    CMType(space, frozenset([0, 1, 3, 6])))
+        # imported here: that module imports this one through test_acceptance
+        from test_search_reference import factor_unions_uncapped
+
         joint = build_character_system(CMDatum(group, 4, factors))
         systems = [build_character_system(CMDatum(group, 4, (f,))) for f in factors]
         reports = [build_report(cs) for cs in systems]
         unions = _factor_unions(joint)
+        assert unions == [(n, b.dim) for n, b in
+                          factor_unions_uncapped(joint, joint.characters)]
         for i, report in enumerate(reports):
-            n, basis = unions[1 << i]
-            assert (n, Fraction(n, basis.dim)) == (2 * report.genus, report.alpha)
-            assert basis.dim == report.dim
+            n, rank = unions[1 << i]
+            assert (n, Fraction(n, rank)) == (2 * report.genus, report.alpha)
+            assert rank == report.dim
         env = product_envelope(reports, [1, 1], joint)
         assert env.lower == env.upper == env.question2 == Fraction(16, 5)
 

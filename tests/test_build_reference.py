@@ -7,8 +7,9 @@ its left transform, kept here) and `hermite_coordinates`: one
 Smith form of the orbit matrix for the cocharacter lattice, a second
 one of its transpose for the character lattice, and one back-substitution
 per character.  The build must give the same orbit matrix, characters,
-rank, cocharacter lattice and saturation index, and name the same pair
-of duplicate characters.  Its character coordinates are read in another
+rank, cocharacter lattice, divisors and saturation index, the ones it
+computes on first read included, and name the same pair of duplicate
+characters.  Its character coordinates are read in another
 basis of the same character lattice, so they must agree with the
 reference ones up to GL_d(Z), and every finite-level query must give the
 same answer on either set of coordinates.
@@ -121,13 +122,13 @@ def smith_normal_form(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix]:
     return tuple(a[i][i] for i in range(t)), IntMatrix.from_rows(left, cols=nr)
 
 
-def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
+def saturate(m: IntMatrix) -> tuple[IntMatrix, tuple[int, ...]]:
     diag, left = smith_normal_form(m)
     cols = list(zip(*m.row_lists()))
     sat = IntMatrix.from_rows(
         [[sum(a * b for a, b in zip(left.row(i), col)) // d for col in cols]
          for i, d in enumerate(diag)], cols=m.cols)
-    return hermite_normal_form(sat), prod(diag)
+    return hermite_normal_form(sat), diag
 
 
 def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[list[int]]:
@@ -149,14 +150,14 @@ def hermite_coordinates(basis: IntMatrix, vector: Sequence[int]) -> Optional[lis
 
 def saturation_reference(matrix: IntMatrix, columns: tuple, genus: int, n: int):
     # the saturation of the row lattice has the rank of the matrix
-    cochar_basis, sat_rows = saturate(matrix)
+    cochar_basis, divisors = saturate(matrix)
     d = cochar_basis.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
 
     col_matrix = IntMatrix.from_rows(columns, cols=n)
-    char_lattice, sat_cols = saturate(col_matrix)
-    if sat_rows != sat_cols:
+    char_lattice, col_divisors = saturate(col_matrix)
+    if prod(divisors) != prod(col_divisors):
         raise InvariantError("row and column saturation indices must agree")
     coords = []
     for col in columns:
@@ -164,17 +165,17 @@ def saturation_reference(matrix: IntMatrix, columns: tuple, genus: int, n: int):
         if sol is None:
             raise InvariantError("a character lies outside the character lattice")
         coords.append(tuple(sol))
-    return d, cochar_basis, char_lattice, tuple(coords), sat_rows
+    return d, cochar_basis, char_lattice, tuple(coords), divisors
 
 
 def build_reference(datum: CMDatum) -> dict:
     labels, matrix, columns = _orbit_matrix_reference(datum)
-    d, cochar_basis, char_lattice, coords, index = saturation_reference(
+    d, cochar_basis, char_lattice, coords, divisors = saturation_reference(
         matrix, columns, len(labels) // 2, datum.group.order)
     return {"orbit_matrix": matrix, "characters": columns, "dim": d,
             "cochar_basis": cochar_basis,
             "char_lattice": char_lattice, "char_coords": coords,
-            "saturation_index": index}
+            "divisors": divisors, "saturation_index": prod(divisors)}
 
 
 def coordinate_lattice(coords) -> IntMatrix:
@@ -191,9 +192,11 @@ def outcome(build, datum: CMDatum):
     except DuplicateCharactersError as e:
         return ("duplicate", e.indices)
     if not isinstance(out, dict):
+        # the orbit matrix, the divisors, the index and the cocharacter
+        # basis are first read here
         out = {key: getattr(out, key) for key in (
             "orbit_matrix", "characters", "dim", "cochar_basis", "char_coords",
-            "saturation_index")}
+            "divisors", "saturation_index")}
     out.pop("char_lattice", None)
     out["char_coords"] = coordinate_lattice(out["char_coords"])
     return out
@@ -266,6 +269,9 @@ class TestAgainstReference:
                 continue
             ref = replace(cs, char_coords=build_reference(datum)["char_coords"])
             changed += ref.char_coords != cs.char_coords
+            # the replaced system keeps the build's Hermite form, so its
+            # first-read divisors are the build's
+            assert (ref.divisors, ref.saturation_index) == (cs.divisors, cs.saturation_index)
             report = build_report(cs)
             for level in (1, 2, 3):
                 assert (exponent_sweep(cs, ells, level, report)
@@ -285,8 +291,9 @@ class TestAgainstReference:
 
 class TestOneElimination:
     def test_build_runs_one_smith_elimination(self, monkeypatch):
-        # the build takes the divisors of its Hermite form alone, from
-        # one elimination of the rows with non-unit pivots, without the
+        # the build runs no Smith elimination; the first read of the
+        # divisors takes those of its Hermite form alone, from one
+        # elimination of the rows with non-unit pivots, without the
         # unit-pivot columns, modulo their pivot product, when there are
         # two such rows or more; the first read of `cochar_basis` runs
         # one plain elimination of H for its saturation index
@@ -313,6 +320,9 @@ class TestOneElimination:
             block = [p for p in pivots if p > 1]
             divisors_call = [(len(block), 2 * cs.genus - cs.dim + len(block), prod(block))] \
                 if len(block) > 1 else []
+            assert calls == []
+            cs.divisors
+            cs.saturation_index
             assert calls == divisors_call
             cs.cochar_basis
             cs.cochar_basis
@@ -353,7 +363,7 @@ class TestHalfRows:
                 [[int(f.space.act(group.inv(g), s) in f.phi)
                   for f in datum.factors for s in range(f.space.size)]
                  for g in range(group.order)])
-            half = _half_rows(datum, matrix)
+            half = _half_rows(datum, [matrix.row(g) for g in range(matrix.rows)])
             assert half.rows == group.order // 2 + 1
             assert (hermite_normal_form(half) == hermite_normal_form(matrix)
                     == hermite_normal_form_reference(matrix)), datum

@@ -18,6 +18,7 @@ from cmtorsion.cm_core import (
     product,
     validate,
 )
+from cmtorsion.verify import builtin_groups
 from kernel_helpers import element_order, element_tuple
 
 
@@ -265,7 +266,41 @@ class TestValidate:
         assert any("no factors" in p for p in problems)
 
 
+def is_primitive_reference(t: CMType, conj: int) -> bool:
+    """The earlier `is_primitive` loop, through `CosetSpace.act` calls."""
+    group = t.space.group
+    phi = t.phi
+    if {t.space.act(conj, s) for s in phi} & phi:
+        raise ValueError("type is not valid for the given conjugation")
+    for g in range(1, group.order):
+        if all(t.space.act(g, s) in phi for s in phi):
+            return False
+    return True
+
+
+def verdict(decide, t: CMType, conj: int):
+    try:
+        return decide(t, conj)
+    except ValueError as e:
+        return str(e)
+
+
 class TestPrimitivity:
+    def test_same_verdict_as_the_reference_up_to_order_16(self):
+        # every type over the trivial subgroup, and one half of each
+        # group that meets its conjugate
+        verdicts = {}
+        for group in builtin_groups(16):
+            space = CosetSpace(group, [0])
+            for conj in group.central_involutions():
+                invalid = CMType(space, frozenset([0, conj]))
+                for t in enumerate_types(group, conj) + [invalid]:
+                    got = verdict(is_primitive, t, conj)
+                    assert got == verdict(is_primitive_reference, t, conj), (group.name, t)
+                    verdicts[got] = verdicts.get(got, 0) + 1
+        assert set(verdicts) == {True, False, "type is not valid for the given conjugation"}
+        assert verdicts[True] > 1000 and verdicts[False] > 1000
+
     def test_quartic_primitive(self):
         g = FiniteGroup.abelian([4])
         assert is_primitive(trivial_type(g, [0, 1]), 2)

@@ -17,7 +17,7 @@ import pytest
 
 import cmtorsion.exact_linalg as el
 from cmtorsion.cm_core import CMDatum
-from cmtorsion.mt_torus import DuplicateCharactersError, _orbit_matrix
+from cmtorsion.mt_torus import DuplicateCharactersError, _half_rows, _orbit_matrix
 from cmtorsion.verify import builtin_groups
 from cmtorsion.cm_core import enumerate_types
 from cmtorsion.exact_linalg import (
@@ -497,7 +497,7 @@ def catalogue_orbit_matrices(max_order: int):
         for conj in group.central_involutions():
             for t in enumerate_types(group, conj, up_to_translation=True):
                 try:
-                    yield _orbit_matrix(CMDatum(group, conj, (t,)))[1]
+                    yield IntMatrix.from_rows(_orbit_matrix(CMDatum(group, conj, (t,)))[1])
                 except DuplicateCharactersError:
                     continue
 
@@ -539,6 +539,45 @@ class TestHermite:
             assert hermite_normal_form(m) == hermite_normal_form_reference(m)
             count += 1
         assert count == 44
+
+    def test_matches_the_reference_on_unit_quotient_inputs(self, monkeypatch):
+        # 0/1/-1 matrices and the build's half rows, where quotients of 1
+        # and -1 dominate, then each again with a few large entries
+        quotients = {1: 0, -1: 0, "other": 0}
+        real = el._minus_multiple
+
+        def counting(row, q, head):
+            quotients[q if q in (1, -1) else "other"] += 1
+            return real(row, q, head)
+
+        monkeypatch.setattr(el, "_minus_multiple", counting)
+        rng = random.Random(606)
+        inputs = []
+        for _ in range(300):
+            cols = rng.randint(1, 8)
+            inputs.append([[rng.choice((-1, 0, 0, 1)) for _ in range(cols)]
+                           for _ in range(rng.randint(1, 9))])
+        for group in builtin_groups(12):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
+                    datum = CMDatum(group, conj, (t,))
+                    try:
+                        rows = _orbit_matrix(datum)[1]
+                    except DuplicateCharactersError:
+                        continue
+                    inputs.append(_half_rows(datum, rows).row_lists())
+        for rows in inputs[:]:
+            mixed = [list(row) for row in rows]
+            for _ in range(rng.randint(1, 3)):
+                mixed[rng.randrange(len(mixed))][rng.randrange(len(mixed[0]))] = (
+                    rng.choice((-1, 1)) * rng.randint(2, 10 ** 20))
+            inputs.append(mixed)
+        for rows in inputs:
+            m = IntMatrix.from_rows(rows)
+            assert hermite_normal_form(m) == hermite_normal_form_reference(m), m
+        assert len(inputs) == 2 * (300 + 44)
+        assert quotients[1] + quotients[-1] > quotients["other"], quotients
+        assert min(quotients[1], quotients[-1]) > 1000, quotients
 
     def test_zero_and_empty_inputs(self):
         for m in (IntMatrix.from_rows([[0, 0], [0, 0]]), IntMatrix(0, 3, ()),

@@ -10,6 +10,7 @@ from math import prod
 
 import pytest
 
+import cmtorsion.exact_linalg as el
 import cmtorsion.mt_torus as mt
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import (
@@ -154,7 +155,7 @@ class TestOrbitMatrixDefinition:
         built = spaces = 0
         for datum in orbit_matrix_data():
             try:
-                labels, matrix, columns = mt._orbit_matrix(datum)
+                labels, rows, columns = mt._orbit_matrix(datum)
             except DuplicateCharactersError:
                 continue
             group = datum.group
@@ -164,7 +165,7 @@ class TestOrbitMatrixDefinition:
             for g in range(group.order):
                 halves = [{f.space.act(g, t) for t in f.phi} for f in datum.factors]
                 expected.append([int(s in halves[fi]) for fi, s in labels])
-            assert matrix == IntMatrix.from_rows(expected), datum
+            assert rows == [tuple(row) for row in expected], datum
             assert columns == tuple(zip(*expected))
             built += 1
             spaces += group.name == "C2xA4"
@@ -240,6 +241,39 @@ class TestPerp:
                         chosen = mt._selected_characters(cs, sel)
                         check_kernel(chosen, perp_lattice(cs, sel))
                         check_saturation(chosen, character_span_saturation(cs, sel))
+        assert reps == 381
+
+
+class TestCocharBasisFromH:
+    def test_no_second_hermite_form_and_the_same_basis(self, monkeypatch):
+        # every class representative of `run_verify(16)`: the first read
+        # of `cochar_basis` saturates the build's Hermite form H as it
+        # is, one Hermite form fewer than `saturate` of the rows of H,
+        # and gives its basis, with the index `saturate` gives
+        calls = []
+        real = el.hermite_normal_form
+
+        def counting(m):
+            calls.append(m.rows)
+            return real(m)
+
+        monkeypatch.setattr(el, "hermite_normal_form", counting)
+        reps = 0
+        for group in builtin_groups(16):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
+                    try:
+                        cs = build_character_system(CMDatum(group, conj, (t,)))
+                    except DuplicateCharactersError:
+                        continue
+                    calls.clear()
+                    basis = cs.cochar_basis
+                    first = len(calls)
+                    calls.clear()
+                    assert (basis, cs.saturation_index) == saturate(
+                        IntMatrix.from_rows(zip(*cs.char_coords), cols=2 * cs.genus))
+                    assert first == len(calls) - 1 == 2
+                    reps += 1
         assert reps == 381
 
 
@@ -386,15 +420,13 @@ class TestInvariantError:
             import cmtorsion.mt_torus as mt
             from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
             from cmtorsion.cm_core import InvariantError
-            from cmtorsion.exact_linalg import IntMatrix
 
             real = mt._orbit_matrix
 
             def swapped(datum):
-                labels, matrix, columns = real(datum)
+                labels, rows, columns = real(datum)
                 columns = tuple(columns[j] for j in (1, 0, 3, 2))
-                rows = [[col[g] for col in columns] for g in range(matrix.rows)]
-                return labels, IntMatrix.from_rows(rows), columns
+                return labels, list(zip(*columns)), columns
 
             mt._orbit_matrix = swapped
             t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))

@@ -339,33 +339,60 @@ JOINTS = {
 }
 
 
+def formed_unions(cs) -> tuple[list[tuple[int, int]], list[IntSpanBasis]]:
+    """`_factor_unions(cs)` and every `IntSpanBasis` it forms, copies
+    included, in the order it forms them."""
+    formed = []
+    real = IntSpanBasis.__init__
+
+    def recording(self, width):
+        formed.append(self)
+        real(self, width)
+
+    IntSpanBasis.__init__ = recording
+    try:
+        table = _factor_unions(cs)
+    finally:
+        IntSpanBasis.__init__ = real
+    return table, formed
+
+
 def check_unions(joint):
     """`_factor_unions` has the counts and ranks of the uncapped table
-    over the |G|-wide characters, and the counts, ranks and keys of the
+    over the |G|-wide characters.  It forms one span, d wide, for each
+    union that is not a prefix {0, ..., k-1} of the factors and whose
+    parent (the union without its lowest factor) has rank below d, in
+    mask order, and none other; each has the key of that union in the
     uncapped table over the same d-wide `char_coords`."""
-    capped = _factor_unions(joint)
-    assert all(b.width == joint.dim for _, b in capped)
-    shape = [(n, b.dim) for n, b in capped]
-    assert shape == [(n, b.dim) for n, b in factor_unions_uncapped(joint, joint.characters)]
-    assert [(n, b.dim, b.key()) for n, b in capped] == [
-        (n, b.dim, b.key()) for n, b in factor_unions_uncapped(joint, joint.char_coords)]
-    assert shape[-1][1] == joint.dim
-    # a union shares its parent's basis exactly when the parent
-    # has full rank
-    for mask in range(1, len(capped)):
-        parent = capped[mask ^ (mask & -mask)][1]
-        assert (capped[mask][1] is parent) == (parent.dim == joint.dim)
+    table, formed = formed_unions(joint)
+    d = joint.dim
+    assert table == [(n, b.dim) for n, b in factor_unions_uncapped(joint, joint.characters)]
+    assert table[-1][1] == d
+    masks = [mask for mask in range(1, len(table))
+             if mask & (mask + 1) and table[mask ^ (mask & -mask)][1] < d]
+    narrow = factor_unions_uncapped(joint, joint.char_coords)
+    assert [b.width for b in formed] == [d] * len(masks)
+    assert [b.key() for b in formed] == [narrow[mask][1].key() for mask in masks]
+    return masks
 
 
 class TestRankCappedUnions:
     @pytest.mark.parametrize("make", JOINTS.values(), ids=list(JOINTS))
     def test_same_table_as_uncapped(self, make):
-        check_unions(make())
+        joint = make()
+        masks = check_unions(joint)
+        if len(joint.datum.factors) == 2:
+            assert masks == [2]
 
     def test_same_table_on_random_joints(self):
         joints = random_joints(20261019, 150)
+        formed = {}
         for joint in joints:
-            check_unions(joint)
+            formed.setdefault(len(joint.datum.factors), set()).add(len(check_unions(joint)))
+        # r factors have 2^r - 1 - r unions that are not prefixes; a
+        # parent of rank d spares some of them their spans
+        assert formed[1] == {0} and formed[2] == {1}
+        assert formed[3] == {2, 4} and min(formed[4]) < 11 == max(formed[4])
         assert {len(j.datum.factors) for j in joints} == {1, 2, 3, 4}
         assert any(len(f.space.subgroup) > 1 for j in joints for f in j.datum.factors)
         assert any(j.datum.group.name == "C2xA4" for j in joints)
