@@ -41,12 +41,18 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, text: str) -> int:
+    """Writes `text` to `path` ('-' for stdout): EXIT_OK, or EXIT_INVALID
+    after printing the error when the path cannot be written."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as e:
+        return _fail(str(e), EXIT_INVALID)
+    return EXIT_OK
 
 
 def _load_system(path: str):
@@ -77,7 +83,9 @@ def cmd_analyze(args) -> int:
         return code
     report = build_report(cs)
     if args.json:
-        _write_text(args.json, dumps_document(report_to_dict(report, cs)))
+        code = _write_text(args.json, dumps_document(report_to_dict(report, cs)))
+        if code:
+            return code
     datum = cs.datum
     kind = ("nondegenerate" if report.defect == 0
             else "defect one" if report.defect == 1 else "degenerate")
@@ -151,7 +159,9 @@ def cmd_enumerate(args) -> int:
                 entries.append(entry)
 
     if args.json:
-        _write_text(args.json, dumps_document({"types": entries}))
+        code = _write_text(args.json, dumps_document({"types": entries}))
+        if code:
+            return code
     built = sum(1 for e in entries if e["status"] == "ok")
     for e in entries:
         head = (f"{e['group']} conj {e['conj']} phi {e['phi']}: ")
@@ -182,10 +192,8 @@ def cmd_simulate(args) -> int:
     except ValueError as e:
         return _fail(str(e), EXIT_INVALID)
     if args.json:
-        _write_text(args.json, dumps_document(sweep_rows_to_json(rows)))
-    else:
-        _write_text(args.csv or "-", sweep_rows_to_csv(rows))
-    return EXIT_OK
+        return _write_text(args.json, dumps_document(sweep_rows_to_json(rows)))
+    return _write_text(args.csv or "-", sweep_rows_to_csv(rows))
 
 
 def cmd_verify(args) -> int:

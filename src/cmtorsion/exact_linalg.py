@@ -2,15 +2,14 @@
 
 Everything here is computed with arbitrary-precision integers; no
 floating point and no fractions are used anywhere.  The kernel provides
-the handful of lattice operations the rest of the package is built on,
-one elimination per job: the fraction-free echelon basis of a rational
-span (rank, membership and its canonical key), the elementary divisors
-of the Smith normal form (plain, or modulo a multiple of the last one)
-and Hermite normal form (canonical lattice bases, whose divisors
-`hermite_divisors` reads off the pivots, with entries kept below the
-product of the pivots other than 1).  Kernels and saturation come from
-one Hermite form: the kernel of m from that of [m^T | I], and the
-saturation as the kernel of the kernel.
+the handful of lattice operations the rest of the package is built on:
+the fraction-free echelon basis of a rational span (rank, membership
+and its canonical key), and the Hermite normal form (canonical lattice
+bases), the one lattice elimination.  The rest is read off Hermite
+forms: the elementary divisors off alternating row and column forms
+(plain, or modulo a multiple of the last one) or off the pivots of one
+(`hermite_divisors`), the kernel of m off one form of [m^T | I], and
+the saturation as the kernel of the kernel.
 """
 
 from __future__ import annotations
@@ -173,153 +172,6 @@ class IntSpanBasis:
         return tuple(tuple(r) for r in self.rows)
 
 
-def _smith(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
-    """The one Smith elimination: the nonzero elementary divisors.
-
-    With a modulus D the elimination runs on [m | D*I] (see
-    `elementary_divisors`): the entries scanned for a pivot are reduced
-    modulo D, a column operation with the D*e_i columns, which are then
-    joined to the pivots by a gcd at the end.  The pivot is an entry x
-    whose g = gcd(x, D) is least (the scan stops at g = 1).  When g
-    divides every remaining entry, one pass subtracts q = (c/g) u times
-    the pivot row from each row with c in the pivot column, u the
-    inverse of x/g modulo D/g (a unit, as gcd(x/g, D/g) = 1), so that
-    q x = c modulo D.  The column lattice then holds g e_t, which clears
-    the pivot row, and g divides everything left, so g is the next
-    divisor and the row and column are dropped.  Only the least g can
-    divide all the others, so no other pivot is tried; when it does not
-    (never for a prime power D) the step is the Euclidean one of the
-    plain elimination.
-    """
-    nr, nc = m.rows, m.cols
-    a = m.row_lists()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row dst -= q * row src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-
-    def add_col(src, dst, q):
-        for r in a:
-            r[dst] -= q * r[src]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        if modulus:
-            # the least gcd(x, D) and the gcd of all of them
-            best, common = None, modulus
-            for i in range(t, nr):
-                row = a[i]
-                for j in range(t, nc):
-                    v = row[j] = row[j] % modulus
-                    if v:
-                        g = gcd(v, modulus)
-                        common = gcd(common, g)
-                        if best is None or g < best[0]:
-                            best = (g, i, j)
-                if best is not None and best[0] == 1:
-                    break
-            if best is None:
-                break
-            g, bi, bj = best
-            if g == common:
-                if bi != t:
-                    swap_rows(t, bi)
-                if bj != t:
-                    swap_cols(t, bj)
-                u = pow(a[t][t] // g, -1, modulus // g)
-                for i in range(t + 1, nr):
-                    c = a[i][t]
-                    if c:
-                        add_row(t, i, c // g * u % modulus)
-                t += 1
-                continue
-        # pick the first nonzero entry of smallest magnitude as pivot
-        best = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide every remaining entry (a unit always does)
-            piv = a[t][t]
-            stain = None if abs(piv) == 1 else next(
-                (i for i in range(t + 1, nr) if any(x % piv for x in a[i][t + 1:nc])), None)
-            if stain is None:
-                break
-            add_row(stain, t, -1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        t += 1
-
-    if modulus:
-        # every row left without a pivot keeps only its column D*e_i
-        return tuple(gcd(a[i][i], modulus) for i in range(t)) + (modulus,) * (nr - t)
-    return tuple(a[i][i] for i in range(t) if a[i][i])
-
-
-def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
-    """The nonzero elementary divisors of `m`, each positive and dividing
-    the next: the diagonal of its Smith form, no transform built.
-
-    With a `modulus` D > 0 it returns the divisors of [m | D*I]
-    instead: gcd(s_i, D) for each divisor s_i of `m`, then D once for
-    each row past the rank, and the elimination keeps its entries below
-    D.  When D*Z^rows already lies in the column lattice of `m` these
-    are the divisors of `m`.  Modulo D each pivot is an entry of least
-    gcd g with D; when g divides all remaining entries its column is
-    cleared in one pass, exactly, since x/g is a unit modulo D/g (see
-    `_smith`), and otherwise by Euclidean steps.  A modulus that is not
-    a positive int (bools included) raises ValueError before any
-    elimination.
-    """
-    if modulus is not None:
-        if not isinstance(modulus, int) or isinstance(modulus, bool):
-            raise ValueError(f"modulus must be an integer, got {modulus!r}")
-        if modulus < 1:
-            raise ValueError("modulus must be positive")
-    return _smith(m, modulus=modulus)
-
-
 def _minus_multiple(row: Sequence[int], q: int, head: Sequence[int]) -> list[int]:
     # row - q * head, by plain subtraction or addition when q = 1 or -1
     if q == 1:
@@ -377,6 +229,53 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
         if not live:
             break
     return IntMatrix.from_rows(done, cols=nc)
+
+
+def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
+    """The nonzero elementary divisors of `m`, each positive and dividing
+    the next: the diagonal of its Smith form, no transform built.
+
+    Row and column Hermite forms alternate until the form is diagonal
+    (Kannan and Bachem, SIAM J. Comput. 8, 1979): the first is that of
+    the columns of `m`, each next one that of the columns of the last,
+    and every form is equivalent to `m`.  From the second on the form is
+    square, r x r for r the rank, and upper triangular.  If its leading
+    pivot p divides the rest of its row, the next form is p beside the
+    form of the other rows and columns, both being canonical, and row
+    and column 0 stay cleared from then on; otherwise the next leading
+    pivot is the gcd of that row, a proper divisor of p.  So the rounds
+    end, with no cap.  Pairwise (gcd, lcm) make the diagonal a chain.
+
+    With a `modulus` D > 0 it returns the divisors of [m | D*I]
+    instead: gcd(s_i, D) for each divisor s_i of `m`, then D once for
+    each row past the rank.  When D*Z^rows already lies in the column
+    lattice of `m` these are the divisors of `m`.  The entries of `m`
+    are reduced modulo D and the rows D*e_i join every round, so every
+    lattice holds D*Z^rows, every pivot divides D and no entry of a form
+    exceeds D.  A modulus that is not a positive int (bools
+    included) raises ValueError before any elimination.
+    """
+    if modulus is not None:
+        if not isinstance(modulus, int) or isinstance(modulus, bool):
+            raise ValueError(f"modulus must be an integer, got {modulus!r}")
+        if modulus < 1:
+            raise ValueError("modulus must be positive")
+    h, border = m, []
+    if modulus:
+        h = IntMatrix(m.rows, m.cols, tuple(x % modulus for x in m.entries))
+        border = [(0,) * i + (modulus,) + (0,) * (m.rows - i - 1) for i in range(m.rows)]
+    while True:
+        h = hermite_normal_form(IntMatrix.from_rows(
+            [h.entries[j::h.cols] for j in range(h.cols)] + border, cols=h.rows))
+        r = h.rows
+        if r == h.cols and sum(map(bool, h.entries)) == r:
+            break
+    d = list(h.entries[::r + 1])
+    for i in range(r):
+        for j in range(i + 1, r):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d)
 
 
 def hermite_pivots(h: IntMatrix) -> list[tuple[int, int]]:
@@ -454,7 +353,6 @@ def saturate_hermite(h: IntMatrix) -> tuple[IntMatrix, int]:
     eliminate again.
 
     The saturation is the kernel of the kernel; the index is the product
-    of the nonzero elementary divisors of `h`, from the divisors-only
-    elimination.
+    of the nonzero elementary divisors of `h`.
     """
     return integer_kernel(integer_kernel(h)), prod(elementary_divisors(h))

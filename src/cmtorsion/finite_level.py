@@ -5,11 +5,12 @@ form ((Z/ell^n)^x)^d, a product of cyclic groups of order
 (ell-1) ell^(n-1).  The degree of the field cut out by a torsion
 subgroup is the size of the image of Z^d -> prod Z/m_i under the active
 characters.  In general Z/m_i embeds in Z/M, M = lcm(m), by
-x -> (M/m_i) x, so the size is prod M / gcd(M, s_j) over the Smith
-divisors s_j of the rows scaled by M/m_i.  At one level, one modulus
-m, it is prod m / gcd(m, s_j) over the divisors of the rows themselves,
-so a sweep needs only those: the build's when its witness holds every
-character, else those of the witness's Hermite form below.
+x -> (M/m_i) x, so the size is prod M / gcd(M, s_j) over the
+elementary divisors s_j of the rows scaled by M/m_i.  At one level,
+one modulus m, it is prod m / gcd(m, s_j) over the divisors of the
+rows themselves, so a sweep needs only those: the build's when its
+witness holds every character, else those of the witness's Hermite
+form below.
 
 A mixed-level query first takes the Hermite form H of the active
 coordinates as columns, in decreasing level order (index breaking
@@ -35,12 +36,12 @@ with no further elimination:
   unipotent change of coordinates that subtracts those combinations
   maps the ell-part onto sum_t Z/ell^(n_{p_t} - 1).
 
-When ell divides the pivot product the degree takes one Smith form of
-the scaled rows modulo M.  Either way a size that does not divide the
-group order raises InvariantError.  Primality of ell is decided exactly
-by Miller-Rabin below `PRIME_TEST_LIMIT`, and the verdicts on the 256
-most recently tested numbers are kept.  Floats appear only in the
-display column of sweep rows.
+When ell divides the pivot product the degree takes the elementary
+divisors of the scaled rows modulo M.  Either way a size that does not
+divide the group order raises InvariantError.  Primality of ell is
+decided exactly by Miller-Rabin below `PRIME_TEST_LIMIT`, and the
+verdicts on the 256 most recently tested numbers are kept.  Floats
+appear only in the display column of sweep rows.
 """
 
 from __future__ import annotations

@@ -106,9 +106,9 @@ class CharacterSystem:
         """Hermite basis of the saturated cocharacter lattice.
 
         Saturates the rows of H, which is already a Hermite form; raises
-        InvariantError when the index of that saturation, from the plain
-        Smith elimination, is not `saturation_index`, read off the
-        pivots.
+        InvariantError when the index of that saturation, the product of
+        the plain elementary divisors of H, is not `saturation_index`,
+        read off the pivots.
         """
         basis, index = saturate_hermite(self.hermite)
         if index != self.saturation_index:

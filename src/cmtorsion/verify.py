@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .alpha_engine import ORACLE_CAP, alpha_oracle, build_report
 from .cm_core import (
@@ -33,6 +33,7 @@ from .cm_core import (
 from .exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors, hermite_normal_form
 from .finite_level import _miller_rabin
 from .mt_torus import (
+    CharacterSystem,
     DuplicateCharactersError,
     _orbit_matrix,
     _selected_characters,
@@ -40,6 +41,11 @@ from .mt_torus import (
     character_span_saturation,
     perp_lattice,
 )
+
+
+# a group of order n has 2^(n/2) raw CM types per involution, which
+# `enumerate_types` lists before it picks the translation classes
+MAX_VERIFY_ORDER = 32
 
 
 def _invariant_chains(order: int, minimum: int = 2) -> Iterator[tuple[int, ...]]:
@@ -94,6 +100,23 @@ class VerifySummary:
             self.failures.append(f"{name}: {context}")
 
 
+def _duality_conditions(cs: CharacterSystem, sel: Sequence[int]) -> tuple[bool, ...]:
+    """The six conditions of the duality check on the characters `sel`,
+    in the order of the module docstring."""
+    rows = _selected_characters(cs, sel).row_lists()
+    span = IntSpanBasis(cs.dim)
+    for row in rows:
+        span.insert(row)
+    sat = character_span_saturation(cs, sel)
+    perp = perp_lattice(cs, sel)
+    return (sat.rows == span.dim,
+            hermite_normal_form(IntMatrix.from_rows(sat.row_lists() + rows)) == sat,
+            elementary_divisors(sat) == (1,) * sat.rows,
+            not any(sum(map(mul, p, row)) for p in perp.row_lists() for row in rows),
+            perp.rows == cs.dim - span.dim,
+            elementary_divisors(perp) == (1,) * perp.rows)
+
+
 def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMType):
     label = f"{group.name} conj {conj} phi {sorted(rep.phi)}"
     space = rep.space
@@ -130,24 +153,8 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
     if 2 * g <= ORACLE_CAP:
         summary.count("oracle_agreement",
                       alpha_oracle(rep_cs, cap=ORACLE_CAP) == report.alpha, label)
-    # lattice duality on a fixed deterministic selection (see the
-    # module docstring)
-    sel = range(g + 1)
-    chosen = _selected_characters(rep_cs, sel)
-    rows = chosen.row_lists()
-    span = IntSpanBasis(chosen.cols)
-    for row in rows:
-        span.insert(row)
-    sat = character_span_saturation(rep_cs, sel)
-    perp = perp_lattice(rep_cs, sel)
-    summary.count(
-        "perp_double_dual",
-        sat.rows == span.dim
-        and hermite_normal_form(IntMatrix.from_rows(sat.row_lists() + rows)) == sat
-        and elementary_divisors(sat) == (1,) * sat.rows
-        and perp.rows == rep_cs.dim - span.dim
-        and not any(sum(map(mul, p, row)) for p in perp.row_lists() for row in rows)
-        and elementary_divisors(perp) == (1,) * perp.rows, label)
+    # lattice duality on a fixed deterministic selection
+    summary.count("perp_double_dual", all(_duality_conditions(rep_cs, range(g + 1))), label)
 
     rep_rows = sorted(zip(*rep_cs.characters))
     for phi in translates:
@@ -167,7 +174,15 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
 
 
 def run_verify(max_group_order: int = 12) -> VerifySummary:
-    """Check every invariant across all built-in data up to the order."""
+    """Check every invariant across all built-in data up to the order.
+
+    An order above `MAX_VERIFY_ORDER` raises ValueError before any
+    enumeration.
+    """
+    n = max_group_order
+    if n > MAX_VERIFY_ORDER:
+        raise ValueError(f"max_group_order must be at most {MAX_VERIFY_ORDER}: order {n} "
+                         f"has 2^{n // 2} raw CM types per involution")
     summary = VerifySummary(max_group_order=max_group_order)
     for group in builtin_groups(max_group_order):
         convs = group.central_involutions()

@@ -273,19 +273,19 @@ class TestWorkCounts:
         # parse, build and report of one factor: its one union is the
         # full set, ranked off the build's Hermite pivots, and nothing
         # reads the divisors, though some would take an elimination
-        inserts, smiths = [], []
-        real_insert, real_smith = IntSpanBasis.insert, el._smith
+        inserts, eliminations = [], []
+        real_insert, real_divisors = IntSpanBasis.insert, el.elementary_divisors
 
         def counting_insert(self, vec):
             inserts.append(vec)
             return real_insert(self, vec)
 
-        def counting_smith(m, modulus=None):
-            smiths.append(modulus)
-            return real_smith(m, modulus)
+        def counting_divisors(m, modulus=None):
+            eliminations.append(modulus)
+            return real_divisors(m, modulus)
 
         monkeypatch.setattr(IntSpanBasis, "insert", counting_insert)
-        monkeypatch.setattr(el, "_smith", counting_smith)
+        monkeypatch.setattr(el, "elementary_divisors", counting_divisors)
         reports = eliminating = 0
         for group in builtin_groups(16):
             for conj in group.central_involutions():
@@ -296,10 +296,10 @@ class TestWorkCounts:
                     except DuplicateCharactersError:
                         continue
                     build_report(cs)
-                    assert (inserts, smiths) == ([], []), cs.datum
+                    assert (inserts, eliminations) == ([], []), cs.datum
                     cs.divisors
-                    eliminating += len(smiths)
-                    smiths.clear()
+                    eliminating += len(eliminations)
+                    eliminations.clear()
                     reports += 1
         assert reports == 381 and eliminating > 10
 

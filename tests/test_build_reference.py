@@ -291,20 +291,20 @@ class TestAgainstReference:
 
 class TestOneElimination:
     def test_build_runs_one_smith_elimination(self, monkeypatch):
-        # the build runs no Smith elimination; the first read of the
+        # the build reads no elementary divisors; the first read of the
         # divisors takes those of its Hermite form alone, from one
-        # elimination of the rows with non-unit pivots, without the
-        # unit-pivot columns, modulo their pivot product, when there are
-        # two such rows or more; the first read of `cochar_basis` runs
-        # one plain elimination of H for its saturation index
+        # `elementary_divisors` of the rows with non-unit pivots, without
+        # the unit-pivot columns, modulo their pivot product, when there
+        # are two such rows or more; the first read of `cochar_basis`
+        # takes the plain divisors of H for its saturation index
         calls = []
-        real = el._smith
+        real = el.elementary_divisors
 
         def counting(m, modulus=None):
             calls.append((m.rows, m.cols, modulus))
             return real(m, modulus)
 
-        monkeypatch.setattr(el, "_smith", counting)
+        monkeypatch.setattr(el, "elementary_divisors", counting)
         built = 0
         blocks = set()
         for datum in chain(subgroup_joint_data(8), single_factor_data(16)):

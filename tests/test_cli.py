@@ -37,6 +37,16 @@ FALLBACK = """\
 """
 
 
+def assert_write_error(capsys, path):
+    # an output path that cannot be written is invalid input: exit 2,
+    # one error line naming the path, nothing on stdout
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not path.exists()
+
+
 @pytest.fixture
 def default_str_digits():
     # the interpreter's default limit on the digits str() writes of an int
@@ -133,6 +143,12 @@ class TestAnalyze:
         assert main(["analyze", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_json_path(self, quartic_file, tmp_path, capsys):
+        # the OSError used to end in a traceback with exit 1
+        out = tmp_path / "missing" / "report.json"
+        assert main(["analyze", quartic_file, "--json", str(out)]) == 2
+        assert_write_error(capsys, out)
+
 
 class TestSimulate:
     def test_csv_stdout(self, quartic_file, capsys):
@@ -161,6 +177,12 @@ class TestSimulate:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["rows"][0]["degree"] == 8000
         assert doc["rows"][0]["ell"] == 5
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json"])
+    def test_unwritable_output_path(self, quartic_file, tmp_path, capsys, flag):
+        out = tmp_path / "missing" / "sweep"
+        assert main(["simulate", quartic_file, "--ell", "5", flag, str(out)]) == 2
+        assert_write_error(capsys, out)
 
     def test_rejects_even_ell(self, quartic_file, capsys):
         assert main(["simulate", quartic_file, "--ell", "4"]) == 2
@@ -261,6 +283,11 @@ class TestEnumerate:
         names = {e["group"] for e in doc["types"]}
         assert names == {"C2", "C4", "C2xC2"}
 
+    def test_unwritable_json_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "types.json"
+        assert main(["enumerate", "--max-order", "4", "--json", str(out)]) == 2
+        assert_write_error(capsys, out)
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -268,6 +295,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "translation classes fully checked: 3" in out
+
+    def test_refuses_orders_above_32_before_enumerating(self, capsys):
+        # order 64 would list 2^32 raw types per involution
+        start = time.perf_counter()
+        assert main(["verify", "--max-group-order", "64"]) == 2
+        assert main(["verify", "--max-group-order", "33"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2^32 raw CM types" in captured.err
 
     def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
         assert main(["verify", "--max-group-order", "8"]) == 0

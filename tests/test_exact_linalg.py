@@ -290,7 +290,7 @@ def bordered(a, moduli) -> IntMatrix:
 
 
 class TestElementaryDivisors:
-    """The Smith elimination, plain and modular, against the
+    """The alternating Hermite forms, plain and modular, against the
     determinantal divisors."""
 
     def test_random_matrices(self):
@@ -348,9 +348,10 @@ class TestElementaryDivisors:
                 assert expected == elementary_divisors(bordered(rows, [modulus] * nr))
 
     def test_modulus_bounds_entry_swell(self):
-        # Without a modulus the elimination of this bordered matrix swells
-        # to entries of about 126000 bits and takes seconds; the divisors
-        # below are the ones it gives.
+        # Without a modulus the earlier pivot-and-swap Smith elimination
+        # of this bordered matrix swelled to entries of about 126000 bits
+        # and took seconds; the divisors below are the ones it gave.  The
+        # Hermite forms, which reduce above each pivot, do not swell.
         moduli = [58, 11911982, 11911982, 702806938, 58, 11911982, 3422, 58,
                   41465609342, 201898]
         a = [[2, 2, 1, -2, -2, -1], [2, -2, 0, -1, 2, 2], [2, -1, 1, 1, 0, 2],
@@ -360,6 +361,7 @@ class TestElementaryDivisors:
         m = bordered(a, moduli)
         start = time.perf_counter()
         divisors = elementary_divisors(m, modulus=lcm(*moduli))
+        assert elementary_divisors(m) == divisors
         assert time.perf_counter() - start < 1.0
         assert divisors == (1, 1, 1, 1, 1, 1, 58, 58, 58, 3422)
 
@@ -381,17 +383,18 @@ class TestElementaryDivisors:
         def no_elimination(*args, **kwargs):
             raise AssertionError("eliminated")
 
-        monkeypatch.setattr(el, "_smith", no_elimination)
+        monkeypatch.setattr(el, "hermite_normal_form", no_elimination)
         with pytest.raises(ValueError, match="modulus must be an integer"):
             elementary_divisors(m, modulus=modulus)
 
     @pytest.mark.parametrize("rows, modulus, divisors", [
-        # gcd(2, 6) = 2 is least but does not divide 3: a Euclidean step
+        # a modulus that is not a prime power: gcd(2, 6) = 2 is least but
+        # does not divide 3
         ([[2, 3]], 6, (1,)),
         ([[2], [3]], 6, (1, 6)),
         ([[4, 6], [6, 9]], 12, (1, 12)),
         ([[2, 0], [0, 3]], 6, (1, 6)),
-        # a prime power: every step is one pass
+        # a prime power
         ([[9, 3], [27, 6]], 81, (3, 9)),
         ([[0, 0], [0, 0]], 5, (5, 5)),
     ])
@@ -616,22 +619,24 @@ class TestHermiteDivisors:
         def no_elimination(*args, **kwargs):
             raise AssertionError("elimination with unit pivots")
 
-        monkeypatch.setattr(el, "_smith", no_elimination)
+        monkeypatch.setattr(el, "elementary_divisors", no_elimination)
+        monkeypatch.setattr(el, "hermite_normal_form", no_elimination)
         h = IntMatrix.from_rows([[1, 5, -3, 2], [0, 0, 1, 7]])
         assert hermite_divisors(h, hermite_pivots(h)) == (1, 1)
 
     def test_the_pivot_product_is_the_modulus(self, monkeypatch):
         seen = []
-        real = el._smith
+        real = el.elementary_divisors
 
         def recording(m, modulus=None):
-            seen.append(modulus)
+            seen.append((m.rows, m.cols, modulus))
             return real(m, modulus)
 
-        monkeypatch.setattr(el, "_smith", recording)
+        monkeypatch.setattr(el, "elementary_divisors", recording)
         h = IntMatrix.from_rows([[2, 1, 0], [0, 3, 1]])
         assert hermite_divisors(h, hermite_pivots(h)) == elementary_divisors(h) == (1, 1)
-        assert seen == [6, None]
+        # one elimination of the whole 2 x 3 block, modulo 2 * 3
+        assert seen == [(2, 3, 6)]
 
 
 def random_kernel_inputs(rng: random.Random, count: int):

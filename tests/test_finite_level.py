@@ -708,27 +708,29 @@ class TestScaledImage:
 
     def test_one_hermite_form_per_pattern(self, monkeypatch):
         # a degree and its staircase on one pattern share one Hermite
-        # form; the degree takes the closed form with no modular Smith
-        # form when ell does not divide the pivot product, else exactly
-        # one `_image` of the rows scaled modulo lcm(m)
+        # form; the degree takes the closed form with no modular
+        # elementary divisors when ell does not divide the pivot product,
+        # else exactly one `_image` of the rows scaled modulo lcm(m).
+        # `elementary_divisors` is recorded where `finite_level` and
+        # where `hermite_divisors` call it.
         calls = []
 
         def recording(module, name):
             real = getattr(module, name)
 
             def call(*args, **kwargs):
-                calls.append(name if name not in ("elementary_divisors", "_smith")
+                calls.append(name if name != "elementary_divisors"
                              else (name, kwargs.get("modulus")))
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
         for name in ("hermite_normal_form", "hermite_divisors", "elementary_divisors", "_image"):
             recording(fl, name)
-        recording(el, "_smith")
+        recording(el, "elementary_divisors")
         c10 = build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
         big = unit_group_order(3, 2)
         cases = [
-            # pivot product 1: no Smith form at all
+            # pivot product 1: no elementary divisors at all
             (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_normal_form", "hermite_divisors"]),
             # pivot product 2, ell = 3: the divisors of H, from the
             # content of its one row with a non-unit pivot
@@ -737,7 +739,7 @@ class TestScaledImage:
             # pivot product 3, ell = 3: the fallback
             (c10, 3, {0: 2, 1: 1, 2: 1, 4: 1, 8: 1},
              ["hermite_normal_form", "hermite_divisors", "_image",
-              ("elementary_divisors", big), ("_smith", big)]),
+              ("elementary_divisors", big)]),
         ]
         for cs, ell, levels, expected in cases:
             fl._active_lattice.cache_clear()

@@ -249,15 +249,26 @@ class TestCocharBasisFromH:
         # every class representative of `run_verify(16)`: the first read
         # of `cochar_basis` saturates the build's Hermite form H as it
         # is, one Hermite form fewer than `saturate` of the rows of H,
-        # and gives its basis, with the index `saturate` gives
-        calls = []
-        real = el.hermite_normal_form
+        # and gives its basis, with the index `saturate` gives.  Hermite
+        # forms are counted outside `elementary_divisors`, which reads
+        # the index off forms of its own.
+        calls, inside = [], []
+        real, real_divisors = el.hermite_normal_form, el.elementary_divisors
 
         def counting(m):
-            calls.append(m.rows)
+            if not inside:
+                calls.append(m.rows)
             return real(m)
 
+        def divisors(m, modulus=None):
+            inside.append(m)
+            try:
+                return real_divisors(m, modulus)
+            finally:
+                inside.pop()
+
         monkeypatch.setattr(el, "hermite_normal_form", counting)
+        monkeypatch.setattr(el, "elementary_divisors", divisors)
         reps = 0
         for group in builtin_groups(16):
             for conj in group.central_involutions():

@@ -4,8 +4,9 @@ import pytest
 
 import cmtorsion.alpha_engine as alpha_engine
 import cmtorsion.verify as verify
-from cmtorsion.cm_core import FiniteGroup, enumerate_types, is_primitive
-from cmtorsion.exact_linalg import IntMatrix
+from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types, is_primitive
+from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form
+from cmtorsion.mt_torus import _selected_characters, build_character_system, character_span_saturation
 from cmtorsion.verify import VerifySummary, _invariant_chains, builtin_groups, run_verify
 
 
@@ -36,6 +37,15 @@ class TestCatalogue:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("order", [33, 64])
+    def test_orders_above_32_refused_before_enumerating(self, monkeypatch, order):
+        def no_enumeration(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(verify, "builtin_groups", no_enumeration)
+        with pytest.raises(ValueError, match="at most 32"):
+            run_verify(order)
+
     def test_order_8_summary(self):
         s = run_verify(8)
         assert s.class_reps_checked == 17
@@ -107,7 +117,7 @@ class TestDuality:
         # and a representative fails exactly when its lattice was
         # changed; the catalogue's selections are saturated, so a lattice
         # that holds one and has its rank cannot fail the span's divisor
-        # condition alone
+        # condition alone (see `test_an_unsaturated_selection`)
         real = getattr(verify, name)
         changed = []
 
@@ -122,6 +132,23 @@ class TestDuality:
         assert s.checks["perp_double_dual"] == s.class_reps_checked == len(changed)
         assert len(s.failures) == sum(changed) > 0
         assert all(f.startswith("perp_double_dual: ") for f in s.failures)
+
+    def test_an_unsaturated_selection(self, monkeypatch):
+        # a two-factor joint whose first g + 1 characters span a lattice
+        # of index 2 in its saturation, which no catalogue class reaches:
+        # all six conditions hold, and with the selection's Hermite form
+        # standing in for the saturation the span's divisor condition
+        # alone fails
+        group = FiniteGroup.abelian([12])
+        space = CosetSpace(group, [0])
+        cs = build_character_system(CMDatum(group, 6, tuple(
+            CMType(space, frozenset(phi)) for phi in ([0, 1, 2, 3, 5, 10], [0, 1, 2, 4, 5, 9]))))
+        sel = range(cs.genus + 1)
+        hermite = hermite_normal_form(_selected_characters(cs, sel))
+        assert hermite != character_span_saturation(cs, sel)
+        assert verify._duality_conditions(cs, sel) == (True,) * 6
+        monkeypatch.setattr(verify, "character_span_saturation", lambda cs, indices: hermite)
+        assert verify._duality_conditions(cs, sel) == (True, True, False, True, True, True)
 
 
 class TestPrimeGenus:
