@@ -187,13 +187,20 @@ def witness_basis(cs: CharacterSystem, witness: SubspaceWitness) -> tuple[tuple[
     This is `IntSpanBasis.key()`: one primitive row per dimension, its
     first nonzero entry a positive pivot, and every pivot column zero in
     the other rows.  Dividing each row by its pivot gives the reduced
-    rational echelon basis, so equal spans give equal bases.  The
-    witness's characters are inserted in index order until the span
-    reaches the system's rank, which no span of characters exceeds.
-    Raises InvariantError when the span's dimension is not `witness.dim`.
+    rational echelon basis, so equal spans give equal bases.  A witness
+    of every character spans what the characters at the pivot columns of
+    the build's Hermite form span: they are independent, since H has the
+    column dependencies of the orbit matrix (see `_factor_unions`), and
+    there are `cs.dim` of them.  Any other witness's characters are
+    inserted in index order until the span reaches the system's rank,
+    which no span of characters exceeds.  Raises InvariantError when the
+    span's dimension is not `witness.dim`.
     """
+    indices = witness.generating_indices
+    if len(indices) == len(cs.characters):
+        indices = [j for j, _ in cs.pivots]
     basis = IntSpanBasis(len(cs.characters[0]))
-    for i in witness.generating_indices:
+    for i in indices:
         if basis.insert(cs.characters[i]) and basis.dim == cs.dim:
             break
     if basis.dim != witness.dim:

@@ -11,6 +11,7 @@ Groups are represented by explicit multiplication tables, with element
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Optional, Sequence
 
@@ -273,9 +274,20 @@ class CMDatum:
     def genus(self) -> int:
         return sum(len(f.phi) for f in self.factors)
 
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """The datum's structural violations, found on first read: the
+        parse and the build of one datum check it once."""
+        return tuple(_problems(self))
+
 
 def validate(datum: CMDatum) -> list[str]:
-    """All structural violations of a datum, as human-readable strings."""
+    """All structural violations of a datum, as human-readable strings,
+    in a list of the caller's own."""
+    return list(datum.problems)
+
+
+def _problems(datum: CMDatum) -> list[str]:
     g = datum.group
     problems = []
     c = datum.conj

@@ -13,21 +13,36 @@ space is built and checked in full on every miss, and a refusal is never
 kept.  The memo takes groups of order at most `MEMO_MAX_ORDER` (64) and
 keeps the `MEMO_GROUPS` (32) groups and `MEMO_SPACES` (64) coset spaces
 used last: under 5 MB, the size of 64 spaces over order-64 tables of as
-many names.  Larger groups are built for every document.
+many names.  Larger groups are built for every document.  A table or a
+phi list is type-checked in one pass over its entries; its rows or
+indices are walked one by one only to name the first bad one.
 
 The canonical text is the one `json.dumps(doc, indent=2,
 ensure_ascii=False)` writes, plus a trailing newline.  `dumps_document`
 writes it with its own emitter: `json` uses its C encoder only when
-`indent` is None and otherwise walks every token in pure Python.
+`indent` is None and otherwise walks every token in pure Python.  The
+emitter takes each list after one type pass over its items: a list of
+exact ints is read off a text table of 0 .. 255, and a grid, a list of
+rows whose items are all exact ints (a Cayley table) or all dicts of
+exact strs (a witness basis), after a type pass over every entry, key
+and value, is written from a memo of grid texts.  The memo keeps the
+MEMO_GRIDS (40) grids written last whose texts hold at most
+GRID_TEXT_MAX (16384) characters; a key holds the ints or strs its text
+spells out, at most about six times the text's size in bytes, so the
+memo stays under 5 MB for ASCII texts.  The analyze-stream pools of
+seeds 1-10 keep the same 31 grids, in about 240 kB.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice
 from json.encoder import encode_basestring
+from operator import countOf
 from typing import Any
 
 from .alpha_engine import AlphaReport, witness_basis
@@ -116,9 +131,13 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
         order = len(table)
         _expect(order <= MAX_GROUP_ORDER, f"{path}.table",
                 f"group order exceeds {MAX_GROUP_ORDER}")
-        for i, row in enumerate(table):
-            _expect(isinstance(row, list) and _ints(row),
-                    f"{path}.table[{i}]", "must be a list of integers")
+        # one type pass over every entry; the rows are walked only to
+        # name the first bad one, or to admit int subclasses
+        if not (countOf(map(type, table), list) == order
+                and countOf(map(type, chain.from_iterable(table)), int) == sum(map(len, table))):
+            for i, row in enumerate(table):
+                _expect(isinstance(row, list) and _ints(row),
+                        f"{path}.table[{i}]", "must be a list of integers")
         name = node.get("name", "custom")
         _expect(isinstance(name, str), f"{path}.name", "must be a string")
         key = (tuple(map(tuple, table)), name)
@@ -172,15 +191,17 @@ def parse_datum(doc: Any) -> CMDatum:
         phi_node = fnode.get("phi")
         _expect(isinstance(phi_node, list) and phi_node, f"{fpath}.phi",
                 "must be a nonempty list of coset indices")
-        phi = []
-        for j, x in enumerate(phi_node):
-            _expect(_ints([x]) and 0 <= x < space.size,
-                    f"{fpath}.phi[{j}]",
-                    f"coset index out of range 0..{space.size - 1}")
-            phi.append(x)
-        _expect(len(set(phi)) == len(phi), f"{fpath}.phi",
+        # one pass, as for the table
+        if not (countOf(map(type, phi_node), int) == len(phi_node)
+                and 0 <= min(phi_node) and max(phi_node) < space.size):
+            for j, x in enumerate(phi_node):
+                _expect(_ints([x]) and 0 <= x < space.size,
+                        f"{fpath}.phi[{j}]",
+                        f"coset index out of range 0..{space.size - 1}")
+        phi = frozenset(phi_node)
+        _expect(len(phi) == len(phi_node), f"{fpath}.phi",
                 "coset indices must be distinct")
-        factors.append(CMType(space, frozenset(phi)))
+        factors.append(CMType(space, phi))
     datum = CMDatum(group, conj, tuple(factors))
     problems = validate(datum)
     if problems:
@@ -223,12 +244,20 @@ def encode_fraction(v: Fraction) -> dict:
     return {"num": str(v.numerator), "den": str(v.denominator)}
 
 
+# The cells of -16 .. 16 over 1, copied into each document: the rows of
+# a witness basis hold mostly 0 and +-1.
+_UNIT_CELLS = {x: {"num": str(x), "den": "1"} for x in range(-16, 17)}
+
+
 def _reduced_cells(row: tuple[int, ...]) -> list[dict]:
     # x / pivot in lowest terms; the pivot is positive (`witness_basis`),
     # and a unit pivot leaves every entry in lowest terms
     pivot = next(filter(None, row))
     if pivot == 1:
-        return [{"num": str(x), "den": "1"} for x in row]
+        try:
+            return list(map(dict.copy, map(_UNIT_CELLS.__getitem__, row)))
+        except KeyError:
+            return [{"num": str(x), "den": "1"} for x in row]
     cells = []
     for x in row:
         g = math.gcd(x, pivot)
@@ -278,6 +307,92 @@ _SCALAR_TEXT = {
     type(None): lambda v: "null",
 }
 
+# The texts of the ints 0 .. 255, read by key: an int list is written
+# from here after a type pass has kept bools and floats out, which hash
+# and compare like the ints they equal.
+_INT_TEXT = {i: str(i) for i in range(256)}
+
+# The texts of grids written last: lists of rows whose items are all
+# exact ints (Cayley tables) or all dicts of exact strs (witness bases),
+# keyed by the indent and the rows' content after a type pass.  A str
+# equals no value of another type, and the type pass keeps bools and
+# floats out of int keys, so equal keys write equal texts.  A text of at
+# most GRID_TEXT_MAX characters is kept, and the first kept leaves a
+# full memo first (see the module docstring for the bytes).
+MEMO_GRIDS = 40
+GRID_TEXT_MAX = 1 << 14
+_grid_text: dict = {}
+_grid_lock = threading.Lock()
+
+
+def _int_texts(values) -> list[str]:
+    # `values` holds only exact ints
+    try:
+        return list(map(_INT_TEXT.__getitem__, values))
+    except KeyError:
+        return list(map(int.__repr__, values))
+
+
+def _join(parts, newline: str, inner: str, brackets: str) -> str:
+    return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+
+
+def _grid(rows, inner: str):
+    # the rows' texts joined, for rows of exact ints or of dicts of exact
+    # strs; else None
+    entries = list(chain.from_iterable(rows))
+    lens = tuple(map(len, rows))
+    kind = type(entries[0]) if entries else int
+    if countOf(map(type, entries), kind) != len(entries):
+        return None
+    if kind is int:
+        key = (inner, lens, tuple(entries))
+    elif kind is dict:
+        keys = list(chain.from_iterable(entries))
+        values = list(chain.from_iterable(map(dict.values, entries)))
+        if countOf(map(type, keys), str) + countOf(map(type, values), str) != 2 * len(keys):
+            return None
+        key = (inner, lens, tuple(map(len, entries)), tuple(keys), tuple(values))
+    else:
+        return None
+    text = _grid_text.get(key)
+    if text is None:
+        field = inner + "  "
+        if kind is int:
+            texts = iter(_int_texts(entries))
+        else:
+            items = iter([f"{k}: {v}" for k, v in zip(map(encode_basestring, keys),
+                                                       map(encode_basestring, values))])
+            cell = field + "  "
+            texts = iter([_join(islice(items, size), field, cell, "{}") if size else "{}"
+                          for size in key[2]])
+        text = ("," + inner).join([_join(islice(texts, size), inner, field, "[]") if size else "[]"
+                                   for size in lens])
+        if len(text) <= GRID_TEXT_MAX:
+            with _grid_lock:
+                if len(_grid_text) >= MEMO_GRIDS:
+                    del _grid_text[next(iter(_grid_text))]
+                _grid_text[key] = text
+    return text
+
+
+def _items_texts(value, inner: str):
+    # the texts of the items of a nonempty list or tuple, each on a line
+    # of its own at `inner`
+    kinds = set(map(type, value))
+    if len(kinds) == 1:
+        kind = next(iter(kinds))
+        if kind is int:
+            return _int_texts(value)
+        text = _SCALAR_TEXT.get(kind)
+        if text is not None:
+            return map(text, value)
+    if kinds <= {list, tuple}:
+        text = _grid(value, inner)
+        if text is not None:
+            return (text,)
+    return [_emit(v, inner) for v in value]
+
 
 def _emit(value, newline: str) -> str:
     # `newline` is "\n" plus the indent of the line holding `value`
@@ -289,15 +404,14 @@ def _emit(value, newline: str) -> str:
         if not value:
             return "{}"
         # encode_basestring raises TypeError on a key that is no str
-        parts = [f"{encode_basestring(k)}: {_emit(v, inner)}" for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+        parts = [f"{encode_basestring(k)}: "
+                 f"{text(v) if (text := _SCALAR_TEXT.get(type(v))) else _emit(v, inner)}"
+                 for k, v in value.items()]
+        return _join(parts, newline, inner, "{}")
     if type(value) is list or type(value) is tuple:
         if not value:
             return "[]"
-        kinds = set(map(type, value))
-        text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-        parts = map(text, value) if text is not None else [_emit(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+        return _join(_items_texts(value, inner), newline, inner, "[]")
     raise TypeError(f"{type(value).__name__} is not a document value")
 
 

@@ -67,13 +67,9 @@ class IntMatrix:
 
 
 def _content(v: Sequence[int]) -> int:
-    # gcd of the entries, the scan stopping at 1
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    return g
+    # gcd of the entries, in one C call: faster than a Python scan that
+    # stops at 1, even when the first entry is a unit
+    return gcd(*v)
 
 
 class IntSpanBasis:
@@ -84,8 +80,7 @@ class IntSpanBasis:
     in all other rows.  This is the reduced rational echelon form with
     denominators cleared, so `key()` identifies the subspace exactly.
     A step against a pivot 1 subtracts a multiple of its row, with no
-    scaling and no gcd; a row is divided only by a content above 1, and
-    each gcd scan stops at 1.
+    scaling and no gcd; a row is divided only by a content above 1.
     """
 
     __slots__ = ("width", "pivots", "rows")

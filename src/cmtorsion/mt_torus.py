@@ -196,7 +196,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     for k, pk in enumerate(pairing):
         if pairing[pk] != k:
             raise InvariantError(f"conjugation does not pair character {k} back")
-        if tuple(map(add, columns[k], columns[pk])) != weight:
+        # pk < k added the same two columns already
+        if k <= pk and tuple(map(add, columns[k], columns[pk])) != weight:
             raise InvariantError("conjugate characters must sum to the weight")
 
     # |phi| |H| = |G|/2 ones per column, whatever the subgroup H
@@ -212,8 +213,14 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     # one Hermite form H = U M: since M = U^-1 H, character j is the sum
     # of H[i][j] times column i of U^-1.  Row c.g is the all-ones row
     # minus row g (see `_half_rows`), so half the rows and that one span
-    # the row lattice of M, and H is its canonical Hermite form.
-    hermite = hermite_normal_form(_half_rows(datum, rows))
+    # the row lattice of M, and H is its canonical Hermite form.  A
+    # repeated row adds nothing to the lattice, so one copy of each goes
+    # into the elimination.
+    half = _half_rows(datum, rows)
+    unique = dict.fromkeys(map(half.row, range(half.rows)))
+    if len(unique) < half.rows:
+        half = IntMatrix(len(unique), half.cols, tuple(chain.from_iterable(unique)))
+    hermite = hermite_normal_form(half)
     d = hermite.rows
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")

@@ -12,7 +12,7 @@ import pytest
 from cmtorsion.alpha_engine import build_report, witness_basis
 from cmtorsion.cli import main
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types
-from cmtorsion import documents
+from cmtorsion import cm_core, documents
 from cmtorsion.documents import (
     CSV_HEADER,
     MAX_FACTORS,
@@ -28,6 +28,7 @@ from cmtorsion.documents import (
     sweep_rows_to_csv,
     sweep_rows_to_json,
 )
+from cmtorsion.exact_linalg import IntSpanBasis
 from cmtorsion.finite_level import SweepRow, exponent_sweep
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
@@ -437,6 +438,16 @@ class TestEmitter:
                 expected.append([encode_fraction(Fraction(x, pivot)) for x in row])
             assert cells == expected
 
+    def test_full_span_basis_from_the_pivot_characters(self, catalogue):
+        # every catalogue witness is the full span, whose basis comes from
+        # the characters at the pivot columns of H
+        for report, cs in catalogue:
+            assert len(report.witness.generating_indices) == len(cs.characters)
+            span = IntSpanBasis(len(cs.characters[0]))
+            for col in cs.characters:
+                span.insert(col)
+            assert witness_basis(cs, report.witness) == span.key()
+
     def test_sweep_rows(self, catalogue):
         for report, cs in catalogue[::20]:
             doc = sweep_rows_to_json(exponent_sweep(cs, [3, 101, 10 ** 18 + 3], 2, report))
@@ -473,3 +484,151 @@ class TestEmitter:
     def test_refuses_other_types(self, doc):
         with pytest.raises(TypeError):
             dumps_document(doc)
+
+
+PLAIN_CELL = {"num": "1", "den": "1"}
+
+
+class Text(str):
+    pass
+
+
+class Int(int):
+    pass
+
+
+class TestGridMemo:
+    """Tables and witness bases are written from a memo of grid texts;
+    a grid that only looks like a kept one gets its own text."""
+
+    @pytest.fixture(autouse=True)
+    def warm_memo(self):
+        # the memo holds plain cells and a plain table, at the depths the
+        # cases use, before each case
+        documents._grid_text.clear()
+        for depth in range(3):
+            docs = [[[PLAIN_CELL]], [[PLAIN_CELL, {"num": "0", "den": "1"}]], [[0, 1], [1, 0]]]
+            for _ in range(depth):
+                docs = [{"a": doc} for doc in docs]
+            for doc in docs:
+                dumps_document(doc)
+        yield
+        documents._grid_text.clear()
+
+    @pytest.mark.parametrize("doc", [
+        [[{"num": 1, "den": "1"}]], [[{"num": True, "den": "1"}]],
+        [[{"num": 1.0, "den": "1"}]], [[{"num": "1", "den": 1}]],
+        [[{"den": "1", "num": "1"}]], [[{"num": "1", "den": "1", "x": "2"}]],
+        [[{"num": "1"}, PLAIN_CELL]], [[{}, PLAIN_CELL]], [[PLAIN_CELL], []],
+        [[PLAIN_CELL, 1]], [[PLAIN_CELL], [1]], [PLAIN_CELL, {"num": "0", "den": "1"}],
+        [[{"num": "é\"\\\n", "den": "中"}]],
+        {"a": [[PLAIN_CELL]], "b": {"c": [[PLAIN_CELL]]}, "d": [[[PLAIN_CELL]]]},
+        [-1, 0, 255, 256, 1024, 2 ** 70, -(2 ** 70)], [0, True], [0, 1.0],
+        [[0, 1], [1, 0]], [[0, True], [1, 0]], [[0, 1.0], [1, 0]], [[False, 1], [1, 0]],
+        [[-1, 1024], [2 ** 70, 0]], [[0, 1], []], [[], []], [[0], [1, 2, 3]],
+        ((0, 1), (1, 0)), [(0, 1), [1, 0]], [[0, 1], [1, None]], [[[0, 1]], [[1, 0]]],
+        {"a": [[0, 1], [1, 0]], "b": {"c": [[0, 1], [1, 0]]}},
+    ])
+    def test_cases_match_json(self, doc):
+        assert dumps_document(doc) == reference_text(doc)
+        assert dumps_document(doc) == reference_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [[{"num": Text("1"), "den": "1"}]], [[{"num": "1", "den": Text("1")}]],
+        [[PLAIN_CELL, {"num": Text("0"), "den": "1"}]],
+        [[0, Int(1)], [1, 0]], [[0, 1], [Int(1), 0]],
+    ], ids=["str-num", "str-den", "second-cell", "int-first-row", "int-second-row"])
+    def test_subclasses_are_refused_after_their_equals(self, doc):
+        with pytest.raises(TypeError):
+            dumps_document(doc)
+
+    def test_memo_is_bounded(self):
+        for i in range(10 ** 4):
+            doc = [[{"num": str(i), "den": "1"}]]
+            assert dumps_document(doc) == reference_text(doc)
+        assert len(documents._grid_text) == documents.MEMO_GRIDS
+        for i in range(100):
+            doc = {"table": [[0, i], [i, 0]]}
+            assert dumps_document(doc) == reference_text(doc)
+        assert len(documents._grid_text) == documents.MEMO_GRIDS
+        kept = dict(documents._grid_text)
+        long = [list(range(256)) * 8]
+        assert dumps_document(long) == reference_text(long)
+        assert documents._grid_text == kept
+
+    def test_report_grids_are_kept(self, catalogue):
+        for report, cs in catalogue[::40]:
+            doc = report_to_dict(report, cs)
+            assert dumps_document(doc) == dumps_document(doc) == reference_text(doc)
+        assert len(documents._grid_text) > 6
+
+
+class TestOnePassParse:
+    """A table or a phi list is type-checked in one pass; the first bad
+    row or index is still the one named, and no refusal is kept."""
+
+    def c2xa4_doc(self) -> dict:
+        group, conj, sub = c2_times_alternating4()
+        return {"group": {"kind": "table", "name": "C2xA4",
+                          "table": [list(r) for r in group.table]},
+                "conj": conj, "factors": [{"subgroup": sub, "phi": [0, 1, 2, 3]}]}
+
+    @pytest.mark.usefixtures("cold_memo")
+    @pytest.mark.parametrize("bad,path", [
+        (lambda t: t[17].__setitem__(5, True), "$.group.table[17]"),
+        (lambda t: t[17].__setitem__(5, 5.0), "$.group.table[17]"),
+        (lambda t: (t[20].__setitem__(0, True), t[17].__setitem__(23, "x")),
+         "$.group.table[17]"),
+        (lambda t: t.__setitem__(9, tuple(t[9])), "$.group.table[9]"),
+        (lambda t: t.__setitem__(9, "row"), "$.group.table[9]"),
+        (lambda t: t[3].pop(), "$.group.table"),
+    ], ids=["bool", "float", "first-bad-row", "tuple-row", "str-row", "ragged"])
+    def test_first_bad_row_named_and_nothing_kept(self, bad, path):
+        doc = self.c2xa4_doc()
+        bad(doc["group"]["table"])
+        for _ in range(2):
+            with pytest.raises(DatumParseError) as err:
+                parse_datum(doc)
+            assert err.value.path == path
+        assert documents._memo_group.cache_info().currsize == 0
+        assert parse_datum(self.c2xa4_doc()).group.order == 24
+        assert documents._memo_group.cache_info().currsize == 1
+
+    def test_int_subclass_entries_still_parse(self):
+        doc = table_doc([[Int(0), 1], [1, Int(0)]])
+        assert parse_datum(doc).group.table == ((0, 1), (1, 0))
+
+    @pytest.mark.parametrize("phi,path", [
+        ([0, 1, 2, True], "$.factors[0].phi[3]"), ([0, 8, 1, -1], "$.factors[0].phi[1]"),
+        ([0, -1], "$.factors[0].phi[1]"), ([0, 1.0], "$.factors[0].phi[1]"),
+        ([0, 1, 1, 2], "$.factors[0].phi"),
+    ])
+    def test_phi_first_bad_index_named(self, phi, path):
+        doc = self.c2xa4_doc()
+        doc["factors"][0]["phi"] = phi
+        with pytest.raises(DatumParseError) as err:
+            parse_datum(doc)
+        assert err.value.path == path
+
+
+def test_one_validation_per_request(monkeypatch):
+    calls = []
+    real = cm_core._problems
+
+    def counting(datum):
+        calls.append(datum)
+        return real(datum)
+
+    monkeypatch.setattr(cm_core, "_problems", counting)
+    text = json.dumps(QUARTIC_DOC)
+    build_character_system(load_datum(text))
+    assert len(calls) == 1
+    datum = load_datum(text)
+    first, second = cm_core.validate(datum), cm_core.validate(datum)
+    assert first == second == [] and first is not second
+    first.append("changed")
+    assert cm_core.validate(datum) == []
+    assert len(calls) == 2
+    bad = CMDatum(datum.group, 1, datum.factors)
+    assert cm_core.validate(bad) is not cm_core.validate(bad)
+    assert cm_core.validate(bad) == real(bad) != []

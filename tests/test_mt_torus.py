@@ -26,6 +26,7 @@ from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
     elementary_divisors,
+    hermite_normal_form,
     saturate,
 )
 from cmtorsion.mt_torus import (
@@ -170,6 +171,23 @@ class TestOrbitMatrixDefinition:
             built += 1
             spaces += group.name == "C2xA4"
         assert (built, spaces) == (395, 14)
+
+
+def test_repeated_half_rows_leave_the_hermite_form_alone():
+    # every buildable C2xA4 type repeats half rows; the build eliminates
+    # one copy of each, and H is the form of all of them
+    repeated = 0
+    for datum in orbit_matrix_data():
+        if datum.group.name != "C2xA4":
+            continue
+        try:
+            cs = build_character_system(datum)
+        except DuplicateCharactersError:
+            continue
+        half = mt._half_rows(datum, mt._orbit_matrix(datum)[1])
+        repeated += len(set(map(half.row, range(half.rows)))) < half.rows
+        assert cs.hermite == hermite_normal_form(half), datum
+    assert repeated == 14
 
 
 class TestClassify:
