@@ -21,23 +21,22 @@ The canonical text is the one `json.dumps(doc, indent=2,
 ensure_ascii=False)` writes, plus a trailing newline.  `dumps_document`
 writes it with its own emitter: `json` uses its C encoder only when
 `indent` is None and otherwise walks every token in pure Python.  The
-emitter takes each list after one type pass over its items: a list of
-exact ints is read off a text table of 0 .. 255, and a grid, a list of
-rows whose items are all exact ints (a Cayley table) or all dicts of
-exact strs (a witness basis), after a type pass over every entry, key
-and value, is written from a memo of grid texts.  The memo keeps the
-MEMO_GRIDS (40) grids written last whose texts hold at most
-GRID_TEXT_MAX (16384) characters; a key holds the ints or strs its text
-spells out, at most about six times the text's size in bytes, so the
-memo stays under 5 MB for ASCII texts.  The analyze-stream pools of
-seeds 1-10 keep the same 31 grids, in about 240 kB.
+emitter takes each list after one type pass over its items, and a grid,
+a list of rows whose items are all exact ints (a Cayley table) or all
+dicts of exact strs (a witness basis), after a type pass over every
+entry, key and value, from a memo of grid texts keyed by the indent and
+the entries.  The memo keeps the `MEMO_GRIDS` (40) grids used last whose
+keys hold at most `GRID_MAX_SCALARS` (1024) ints or strs, the tables of
+groups up to order 32 and bases of up to 256 cells: under 3 MB at a
+report's depths when the ints are below 2^53 and the strs hold at most
+16 characters.  The analyze-stream pools of seeds 1-10 keep the same 31
+grids, in about 240 kB.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
@@ -307,34 +306,40 @@ _SCALAR_TEXT = {
     type(None): lambda v: "null",
 }
 
-# The texts of the ints 0 .. 255, read by key: an int list is written
-# from here after a type pass has kept bools and floats out, which hash
-# and compare like the ints they equal.
-_INT_TEXT = {i: str(i) for i in range(256)}
-
 # The texts of grids written last: lists of rows whose items are all
 # exact ints (Cayley tables) or all dicts of exact strs (witness bases),
 # keyed by the indent and the rows' content after a type pass.  A str
 # equals no value of another type, and the type pass keeps bools and
-# floats out of int keys, so equal keys write equal texts.  A text of at
-# most GRID_TEXT_MAX characters is kept, and the first kept leaves a
-# full memo first (see the module docstring for the bytes).
+# floats out of int keys, so equal keys write equal texts.  A grid whose
+# key holds more than GRID_MAX_SCALARS ints or strs (a cell's keys and
+# values both count) is written without the memo; see the module
+# docstring for the bytes.
 MEMO_GRIDS = 40
-GRID_TEXT_MAX = 1 << 14
-_grid_text: dict = {}
-_grid_lock = threading.Lock()
-
-
-def _int_texts(values) -> list[str]:
-    # `values` holds only exact ints
-    try:
-        return list(map(_INT_TEXT.__getitem__, values))
-    except KeyError:
-        return list(map(int.__repr__, values))
+GRID_MAX_SCALARS = 1024
 
 
 def _join(parts, newline: str, inner: str, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(parts) + newline + brackets[1]
+
+
+def _build_grid(key: tuple) -> str:
+    # key: the indent, the rows' lengths and their ints; or the indent,
+    # the rows' lengths and their cells' sizes, keys and values
+    inner, lens = key[0], key[1]
+    field = inner + "  "
+    if len(key) == 3:
+        texts = map(int.__repr__, key[2])
+    else:
+        items = iter([f"{k}: {v}" for k, v in zip(map(encode_basestring, key[3]),
+                                                   map(encode_basestring, key[4]))])
+        cell = field + "  "
+        texts = iter([_join(islice(items, size), field, cell, "{}") if size else "{}"
+                      for size in key[2]])
+    return ("," + inner).join([_join(islice(texts, size), inner, field, "[]") if size else "[]"
+                               for size in lens])
+
+
+_memo_grid = lru_cache(maxsize=MEMO_GRIDS)(_build_grid)
 
 
 def _grid(rows, inner: str):
@@ -347,33 +352,18 @@ def _grid(rows, inner: str):
         return None
     if kind is int:
         key = (inner, lens, tuple(entries))
+        scalars = len(entries)
     elif kind is dict:
         keys = list(chain.from_iterable(entries))
         values = list(chain.from_iterable(map(dict.values, entries)))
-        if countOf(map(type, keys), str) + countOf(map(type, values), str) != 2 * len(keys):
+        scalars = 2 * len(keys)
+        if countOf(map(type, keys), str) + countOf(map(type, values), str) != scalars:
             return None
         key = (inner, lens, tuple(map(len, entries)), tuple(keys), tuple(values))
     else:
         return None
-    text = _grid_text.get(key)
-    if text is None:
-        field = inner + "  "
-        if kind is int:
-            texts = iter(_int_texts(entries))
-        else:
-            items = iter([f"{k}: {v}" for k, v in zip(map(encode_basestring, keys),
-                                                       map(encode_basestring, values))])
-            cell = field + "  "
-            texts = iter([_join(islice(items, size), field, cell, "{}") if size else "{}"
-                          for size in key[2]])
-        text = ("," + inner).join([_join(islice(texts, size), inner, field, "[]") if size else "[]"
-                                   for size in lens])
-        if len(text) <= GRID_TEXT_MAX:
-            with _grid_lock:
-                if len(_grid_text) >= MEMO_GRIDS:
-                    del _grid_text[next(iter(_grid_text))]
-                _grid_text[key] = text
-    return text
+    build = _memo_grid if scalars <= GRID_MAX_SCALARS else _build_grid
+    return build(key)
 
 
 def _items_texts(value, inner: str):
@@ -381,10 +371,7 @@ def _items_texts(value, inner: str):
     # of its own at `inner`
     kinds = set(map(type, value))
     if len(kinds) == 1:
-        kind = next(iter(kinds))
-        if kind is int:
-            return _int_texts(value)
-        text = _SCALAR_TEXT.get(kind)
+        text = _SCALAR_TEXT.get(next(iter(kinds)))
         if text is not None:
             return map(text, value)
     if kinds <= {list, tuple}:

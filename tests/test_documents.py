@@ -505,7 +505,7 @@ class TestGridMemo:
     def warm_memo(self):
         # the memo holds plain cells and a plain table, at the depths the
         # cases use, before each case
-        documents._grid_text.clear()
+        documents._memo_grid.cache_clear()
         for depth in range(3):
             docs = [[[PLAIN_CELL]], [[PLAIN_CELL, {"num": "0", "den": "1"}]], [[0, 1], [1, 0]]]
             for _ in range(depth):
@@ -513,7 +513,7 @@ class TestGridMemo:
             for doc in docs:
                 dumps_document(doc)
         yield
-        documents._grid_text.clear()
+        documents._memo_grid.cache_clear()
 
     @pytest.mark.parametrize("doc", [
         [[{"num": 1, "den": "1"}]], [[{"num": True, "den": "1"}]],
@@ -546,21 +546,22 @@ class TestGridMemo:
         for i in range(10 ** 4):
             doc = [[{"num": str(i), "den": "1"}]]
             assert dumps_document(doc) == reference_text(doc)
-        assert len(documents._grid_text) == documents.MEMO_GRIDS
+        assert documents._memo_grid.cache_info().currsize == documents.MEMO_GRIDS
         for i in range(100):
             doc = {"table": [[0, i], [i, 0]]}
             assert dumps_document(doc) == reference_text(doc)
-        assert len(documents._grid_text) == documents.MEMO_GRIDS
-        kept = dict(documents._grid_text)
-        long = [list(range(256)) * 8]
-        assert dumps_document(long) == reference_text(long)
-        assert documents._grid_text == kept
+        info = documents._memo_grid.cache_info()
+        assert info.currsize == documents.MEMO_GRIDS
+        # 2048 ints, and 257 cells of two keys and two values
+        for wide in ([list(range(256)) * 8], [[PLAIN_CELL] * 257]):
+            assert dumps_document(wide) == reference_text(wide)
+            assert documents._memo_grid.cache_info() == info
 
     def test_report_grids_are_kept(self, catalogue):
         for report, cs in catalogue[::40]:
             doc = report_to_dict(report, cs)
             assert dumps_document(doc) == dumps_document(doc) == reference_text(doc)
-        assert len(documents._grid_text) > 6
+        assert documents._memo_grid.cache_info().currsize > 6
 
 
 class TestOnePassParse:
