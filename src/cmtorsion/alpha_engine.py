@@ -26,12 +26,12 @@ subsets.  Everything is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cm_core import InvariantError, is_primitive
-from .exact_linalg import IntSpanBasis
+from .exact_linalg import IntSpanBasis, all_ints
 from .mt_torus import CharacterSystem
 
 # Largest character count the brute-force oracle accepts.
@@ -254,33 +254,29 @@ def shortcut_label(cs: CharacterSystem, primitive: bool) -> Optional[str]:
     return None
 
 
-def _add_bound_checks(checks: dict, alpha: Fraction, cs: CharacterSystem,
-                      primitive: bool) -> dict:
-    # the named bounds of `check_bounds`, added to `checks` in order
-    g = cs.genus
-    p, q = alpha.numerator, alpha.denominator
-    exponent = 2 * g * q - 2 * p
-    checks["log_threshold_bound"] = exponent >= 0 and g ** p <= 2 ** exponent
-    checks["genus_upper_bound"] = alpha <= g
-    checks["span_ratio_lower_bound"] = alpha >= Fraction(2 * g, cs.dim)
-    # the build writes 0/1 characters, each its own residue mod 2, and
-    # refuses equal ones, so they stay distinct mod 2
-    checks["mod2_distinct"] = True
-    if primitive:
-        checks["primitive_dimension_bound"] = 2 ** (cs.dim - 2) >= g
-    return checks
-
-
-def check_bounds(report: AlphaReport, cs: CharacterSystem, primitive: bool) -> AlphaReport:
-    """Evaluate the named exponent bounds exactly; no floating point.
+def bound_checks(alpha: Fraction, cs: CharacterSystem, primitive: bool) -> dict:
+    """The named exponent bounds at `alpha`, evaluated exactly; no
+    floating point.
 
     The irrational threshold 2g/(2 + log2 g) is decided through the
     equivalent integer comparison g^p <= 2^(2gq - 2p) for alpha = p/q.
     `primitive` says whether the system is one primitive factor over
     the trivial subgroup, the case of the dimension bound.
     """
-    checks = _add_bound_checks(dict(report.bound_checks), report.alpha, cs, primitive)
-    return replace(report, bound_checks=checks)
+    g = cs.genus
+    p, q = alpha.numerator, alpha.denominator
+    exponent = 2 * g * q - 2 * p
+    checks = {
+        "log_threshold_bound": exponent >= 0 and g ** p <= 2 ** exponent,
+        "genus_upper_bound": alpha <= g,
+        "span_ratio_lower_bound": alpha >= Fraction(2 * g, cs.dim),
+        # the build writes 0/1 characters, each its own residue mod 2,
+        # and refuses equal ones, so they stay distinct mod 2
+        "mod2_distinct": True,
+    }
+    if primitive:
+        checks["primitive_dimension_bound"] = 2 ** (cs.dim - 2) >= g
+    return checks
 
 
 def build_report(cs: CharacterSystem) -> AlphaReport:
@@ -295,7 +291,7 @@ def build_report(cs: CharacterSystem) -> AlphaReport:
     return AlphaReport(
         alpha=alpha, gamma=alpha, witness=witness, genus=cs.genus, dim=cs.dim,
         defect=cs.defect, shortcut_used=label,
-        bound_checks=_add_bound_checks(dict(_COUNTING_BOUND), alpha, cs, primitive),
+        bound_checks={**_COUNTING_BOUND, **bound_checks(alpha, cs, primitive)},
         spans_visited=visited)
 
 
@@ -303,14 +299,13 @@ def build_report(cs: CharacterSystem) -> AlphaReport:
 class ProductEnvelope:
     """Exponent bounds for a product with multiplicities.
 
-    `question2` is the conjectural closed-form value; it is reported
-    for comparison only and never feeds any verified bound.
+    `question2` is the conjectural closed-form value, always so; it is
+    reported for comparison only and never feeds any verified bound.
     """
 
     lower: Fraction
     upper: Fraction
     question2: Fraction
-    question2_is_conjectural: bool = True
 
 
 def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[int],
@@ -331,7 +326,7 @@ def product_envelope(reports: Sequence[AlphaReport], multiplicities: Sequence[in
     r = len(factors)
     if not (len(reports) == len(multiplicities) == r):
         raise ValueError("reports, multiplicities and joint factors must align")
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in multiplicities):
+    if not all_ints(multiplicities):
         raise ValueError("multiplicities must be ints")
     ns = list(multiplicities)
     if any(x < 1 for x in ns):

@@ -61,6 +61,8 @@ def _load_system(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         return None, _fail(str(e), EXIT_INVALID)
+    except UnicodeDecodeError as e:
+        return None, _fail(f"{path}: not UTF-8 text: {e}", EXIT_INVALID)
     try:
         datum = load_datum(text)
     except DatumParseError as e:

@@ -150,48 +150,28 @@ class FiniteGroup:
         """Symmetries of the n-gon, order 2n; indices: i -> r^i, n+i -> s r^i."""
         if n < 3:
             raise ValueError("dihedral constructor expects n >= 3")
-        m = 2 * n
-
-        def mul(a, b):
-            ra, fa = a % n, a >= n
-            rb, fb = b % n, b >= n
-            if not fa and not fb:
-                return (ra + rb) % n
-            if not fa and fb:
-                return n + (rb - ra) % n
-            if fa and not fb:
-                return n + (ra + rb) % n
-            return (rb - ra) % n
-
-        table = [[mul(a, b) for b in range(m)] for a in range(m)]
-        return cls(table, name=f"Dih{n}")
+        return cls(_inverting_table(n, 0), name=f"Dih{n}")
 
     @classmethod
     def dicyclic(cls, m: int) -> "FiniteGroup":
         """Dicyclic group of order 4m; indices: i -> a^i, 2m+i -> b a^i."""
         if m < 2:
             raise ValueError("dicyclic constructor expects m >= 2")
-        n = 2 * m
-        size = 4 * m
+        return cls(_inverting_table(2 * m, m), name="Q8" if m == 2 else f"Dic{m}")
 
-        def mul(x, y):
-            rx, fx = x % n, x >= n
-            ry, fy = y % n, y >= n
-            if not fx and not fy:
-                return (rx + ry) % n
-            if not fx and fy:
-                return n + (ry - rx) % n
-            if fx and not fy:
-                return n + (rx + ry) % n
-            return (m + ry - rx) % n
 
-        table = [[mul(a, b) for b in range(size)] for a in range(size)]
-        name = "Q8" if m == 2 else f"Dic{m}"
-        return cls(table, name=name)
+def _inverting_table(n: int, square: int) -> list[list[int]]:
+    """Table of the group of order 2n made of a rotation r of order n and
+    a flip s with s r s^-1 = r^-1 and s^2 = r^square; indices: i -> r^i,
+    n+i -> s r^i.  Square 0 gives the dihedral group, n/2 the dicyclic."""
 
-    @classmethod
-    def from_table(cls, table: Sequence[Sequence[int]], name: str = "") -> "FiniteGroup":
-        return cls(table, name=name)
+    def mul(a, b):
+        ra, rb = a % n, b % n
+        if a < n:
+            return n + (rb - ra) % n if b >= n else (ra + rb) % n
+        return (square + rb - ra) % n if b >= n else n + (ra + rb) % n
+
+    return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
 
 
 class CosetSpace:
@@ -333,10 +313,6 @@ def is_primitive(t: CMType, conj: int) -> bool:
                    for g in range(1, space.group.order))
 
 
-def _type_key(t: CMType) -> tuple[int, ...]:
-    return t.phi_sorted()
-
-
 def _translation_orbit(space: CosetSpace, phi: frozenset[int]) -> list[frozenset[int]]:
     return [frozenset(space.act(g, s) for s in phi) for g in range(space.group.order)]
 
@@ -367,7 +343,7 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
     raw = []
     for picks in iter_product(*pairs):
         raw.append(CMType(space, frozenset(picks)))
-    raw.sort(key=_type_key)
+    raw.sort(key=CMType.phi_sorted)
     if not up_to_translation:
         return raw
     reps = []

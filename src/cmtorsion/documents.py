@@ -46,6 +46,7 @@ from typing import Any
 
 from .alpha_engine import AlphaReport, witness_basis
 from .cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, validate
+from .exact_linalg import all_ints
 from .finite_level import SweepRow
 from .mt_torus import CharacterSystem
 
@@ -77,11 +78,6 @@ class DatumParseError(ValueError):
         self.path = path
 
 
-def _ints(values: list) -> bool:
-    # no bools, which JSON true and false parse to; each type asked once
-    return all(issubclass(t, int) and t is not bool for t in set(map(type, values)))
-
-
 def _expect(condition: bool, path: str, message: str):
     if not condition:
         raise DatumParseError(path, message)
@@ -92,7 +88,7 @@ def _build_group(kind: str, key: tuple) -> FiniteGroup:
     if kind == "abelian":
         return FiniteGroup.abelian(key)
     table, name = key
-    return FiniteGroup.from_table(table, name=name)
+    return FiniteGroup(table, name=name)
 
 
 _memo_group = lru_cache(maxsize=MEMO_GROUPS)(_build_group)
@@ -117,7 +113,7 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
         _expect(isinstance(inv, list) and inv, f"{path}.invariants",
                 "must be a nonempty list")
         for i, x in enumerate(inv):
-            _expect(_ints([x]) and x >= 2, f"{path}.invariants[{i}]",
+            _expect(all_ints((x,)) and x >= 2, f"{path}.invariants[{i}]",
                     "must be an integer >= 2")
         order = math.prod(inv)
         _expect(order <= MAX_GROUP_ORDER, f"{path}.invariants",
@@ -135,7 +131,7 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
         if not (countOf(map(type, table), list) == order
                 and countOf(map(type, chain.from_iterable(table)), int) == sum(map(len, table))):
             for i, row in enumerate(table):
-                _expect(isinstance(row, list) and _ints(row),
+                _expect(isinstance(row, list) and all_ints(row),
                         f"{path}.table[{i}]", "must be a list of integers")
         name = node.get("name", "custom")
         _expect(isinstance(name, str), f"{path}.name", "must be a string")
@@ -148,12 +144,12 @@ def _parse_group(node: Any, path: str) -> FiniteGroup:
 
 
 def _parse_element(node: Any, group: FiniteGroup, path: str) -> int:
-    if _ints([node]):
+    if all_ints((node,)):
         _expect(0 <= node < group.order, path,
                 f"element index out of range 0..{group.order - 1}")
         return node
     if isinstance(node, list):
-        _expect(_ints(node), path,
+        _expect(all_ints(node), path,
                 "coordinates must be integers")
         try:
             return group.index_of_tuple(tuple(node))
@@ -194,7 +190,7 @@ def parse_datum(doc: Any) -> CMDatum:
         if not (countOf(map(type, phi_node), int) == len(phi_node)
                 and 0 <= min(phi_node) and max(phi_node) < space.size):
             for j, x in enumerate(phi_node):
-                _expect(_ints([x]) and 0 <= x < space.size,
+                _expect(all_ints((x,)) and 0 <= x < space.size,
                         f"{fpath}.phi[{j}]",
                         f"coset index out of range 0..{space.size - 1}")
         phi = frozenset(phi_node)
@@ -213,6 +209,11 @@ def load_datum(text: str) -> CMDatum:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DatumParseError("$", f"not valid JSON: {e}")
+    except RecursionError:
+        raise DatumParseError("$", "JSON nested too deeply")
+    except ValueError as e:
+        # an int literal past the interpreter's digit limit
+        raise DatumParseError("$", f"unreadable JSON: {e}")
     return parse_datum(doc)
 
 

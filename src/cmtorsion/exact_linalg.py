@@ -9,7 +9,8 @@ bases), the one lattice elimination.  The rest is read off Hermite
 forms: the elementary divisors off alternating row and column forms
 (plain, or modulo a multiple of the last one) or off the pivots of one
 (`hermite_divisors`), the kernel of m off one form of [m^T | I], and
-the saturation as the kernel of the kernel.
+the saturation as the kernel of the kernel.  It also holds the
+package's one test of an integer input, `all_ints`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,19 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def all_ints(values: Iterable) -> bool:
+    """Whether every value is an int and none a bool, though bool
+    subclasses int: the package's one test of an integer input.  Int
+    subclasses pass, and each distinct type is asked once, after one
+    comparison that settles the common set of plain ints."""
+    types = set(map(type, values))
+    return types <= _INT_ONLY or all(issubclass(t, int) and t is not bool for t in types)
 
 
 @dataclass(frozen=True)
@@ -35,10 +48,7 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match dimensions")
-        # isinstance(e, int) per entry, bools refused, asked once per
-        # distinct type
-        if not all(issubclass(t, int) and t is not bool
-                   for t in set(map(type, self.entries))):
+        if not all_ints(self.entries):
             raise ValueError("integer matrix with non-integer entry")
 
     @classmethod
@@ -251,7 +261,7 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
     included) raises ValueError before any elimination.
     """
     if modulus is not None:
-        if not isinstance(modulus, int) or isinstance(modulus, bool):
+        if not all_ints((modulus,)):
             raise ValueError(f"modulus must be an integer, got {modulus!r}")
         if modulus < 1:
             raise ValueError("modulus must be positive")
@@ -332,20 +342,10 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
         [row[nr:] for row in h.row_lists() if not any(row[:nr])], cols=nc)
 
 
-def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
-    """Saturation of the row lattice: (rational row span) meet Z^cols.
-
-    Returns the Hermite basis of the saturation together with the index
-    of the input lattice inside it (see `saturate_hermite`).
-    """
-    # the Hermite form has the row lattice of m in rank-many rows, so
-    # both eliminations run on fewer rows and reduced entries
-    return saturate_hermite(hermite_normal_form(m))
-
-
 def saturate_hermite(h: IntMatrix) -> tuple[IntMatrix, int]:
-    """`saturate` of a `hermite_normal_form` output, which it does not
-    eliminate again.
+    """Saturation of the row lattice of `h`, a `hermite_normal_form`
+    output: (rational row span) meet Z^cols, in its Hermite basis, with
+    the index of the row lattice inside it.
 
     The saturation is the kernel of the kernel; the index is the product
     of the nonzero elementary divisors of `h`.

@@ -50,12 +50,14 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
 from .cm_core import InvariantError
 from .exact_linalg import (
     IntMatrix,
+    all_ints,
     elementary_divisors,
     hermite_divisors,
     hermite_normal_form,
@@ -80,12 +82,8 @@ _BASE_COUNTS = (
 )
 
 
-_INT_ONLY = frozenset((int,))
-
-
 def _require_int(value, what: str, low: Optional[int] = None):
-    # refuse bools too, though isinstance(True, int) holds
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not all_ints((value,)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{what} must be at least {low}, got {value}")
@@ -142,43 +140,17 @@ def _unit_order(ell: int, n: int) -> int:
     return (ell - 1) * ell ** (n - 1)
 
 
-def unit_group_order(ell: int, n: int) -> int:
-    """Order of (Z/ell^n)^x for odd prime ell; the group is cyclic."""
-    _require_odd_prime(ell)
-    _require_int(n, "level", 1)
-    return _unit_order(ell, n)
-
-
-def torus_point_count(dim: int, ell: int, n: int) -> int:
-    """Number of level-n points of a split torus of the given rank."""
-    _require_int(dim, "dimension", 1)
-    return unit_group_order(ell, n) ** dim
-
-
 def _image_size(divisors: Sequence[int], m: int) -> int:
     # A = U diag(s) V, U and V unimodular, has the image of diag(s) in
     # (Z/m)^k; a row past the rank (no divisor, or m) adds a factor 1
     return math.prod(m // math.gcd(m, s) for s in divisors)
 
 
-def lattice_image_size(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
-    """Size of the image of Z^d -> prod Z/m_i, x -> (row_i . x mod m_i).
-
-    Multiplication by M/m_i embeds Z/m_i in Z/M, M = lcm(m), so this is
-    the `_image_size` of the rows scaled by M/m_i, from one elimination
-    modulo M.  The image is a subgroup of prod Z/m_i: a size that does
-    not divide prod m_i raises InvariantError.
-    """
-    if not rows or len(rows) != len(moduli):
-        raise ValueError("need matching nonempty rows and moduli")
-    for m in moduli:
-        _require_int(m, "modulus", 1)
-    IntMatrix.from_rows(rows)  # refuses ragged rows, non-integer and bool entries
-    return _image(rows, moduli)
-
-
 def _image(rows: Sequence[Sequence[int]], moduli: Sequence[int]) -> int:
-    # `lattice_image_size` on checked rows and positive int moduli
+    # the size of the image of Z^d -> prod Z/m_i, x -> (row_i . x mod m_i),
+    # for integer rows and positive int moduli: multiplication by M/m_i
+    # embeds Z/m_i in Z/M, M = lcm(m), so it is the `_image_size` of the
+    # rows scaled by M/m_i, from one elimination modulo M
     big = math.lcm(*moduli)
     scaled = IntMatrix.from_rows([[big // m * x for x in row]
                                   for row, m in zip(rows, moduli)])
@@ -209,9 +181,9 @@ def _active_lattice(coords: tuple[tuple[int, ...], ...], idx: tuple[int, ...]):
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:
     if not levels:
         raise ValueError("at least one character must carry a level")
-    # one type-set test and the bounds; the per-entry loop, which also
-    # admits subclasses of int, runs only to name the first bad entry
-    if not ({*map(type, levels), *map(type, levels.values())} == _INT_ONLY
+    # one type test and the bounds; the per-entry loop runs only to name
+    # the first bad entry
+    if not (all_ints(chain(levels, levels.values()))
             and min(levels) >= 0 and max(levels) < 2 * cs.genus
             and min(levels.values()) >= 1):
         for i, n in levels.items():

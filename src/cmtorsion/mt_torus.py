@@ -12,10 +12,10 @@ and column j of H holds the coordinates of character j in the saturated
 character lattice.  The elimination takes only one row of each pair
 {g, c.g} and the all-ones row, which span the same lattice
 (`_half_rows`), straight from the orbit rows.  The system keeps H and
-the characters; the rest is computed on first read: the orbit matrix
-from the characters, the divisors of H (with their product, the
-saturation index) off its pivots (`exact_linalg.hermite_divisors`), and
-the saturated cocharacter lattice from the rows of H.
+the characters, the columns of the orbit matrix; the rest is computed
+on first read: the divisors of H (with their product, the saturation
+index) off its pivots (`exact_linalg.hermite_divisors`), and the
+saturated cocharacter lattice from the rows of H.
 """
 
 from __future__ import annotations
@@ -59,26 +59,19 @@ class CharacterSystem:
     and `char_coords` are its columns: each character in the basis of
     the saturated character lattice formed by the first `dim` columns of
     U^-1.  Callers may read only quantities that do not depend on the
-    choice of that basis.  The orbit matrix, the divisors and the
-    cocharacter basis are computed on first read, from the characters
-    and from H, so a system whose `char_coords` are replaced by another
-    basis keeps them.
+    choice of that basis.  The `characters` are the columns of the
+    orbit matrix.  The divisors and the cocharacter basis are computed
+    on first read, from H, so a system whose `char_coords` are replaced
+    by another basis keeps them.
     """
 
     datum: CMDatum
     genus: int
     dim: int
     characters: tuple[tuple[int, ...], ...]
-    conj_pairing: tuple[int, ...]
-    weight: tuple[int, ...]
     column_labels: tuple[tuple[int, int], ...]
     char_coords: tuple[tuple[int, ...], ...]
     hermite: IntMatrix
-
-    @cached_property
-    def orbit_matrix(self) -> IntMatrix:
-        """Row g, column (factor, coset s): 1 when s lies in g.phi."""
-        return IntMatrix.from_rows(zip(*self.characters), cols=2 * self.genus)
 
     @cached_property
     def pivots(self) -> list[tuple[int, int]]:
@@ -230,8 +223,6 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         genus=genus,
         dim=d,
         characters=columns,
-        conj_pairing=pairing,
-        weight=weight,
         column_labels=labels,
         char_coords=tuple(zip(*map(hermite.row, range(d)))),
         hermite=hermite,

@@ -8,6 +8,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
+import cmtorsion.exact_linalg as el
 from cmtorsion.cm_core import FiniteGroup
 from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors, hermite_normal_form
 
@@ -113,6 +114,22 @@ def check_saturation(m: IntMatrix, basis: IntMatrix) -> None:
         basis.row_lists() + m.row_lists(), cols=m.cols)) == basis
     assert basis.rows == rank(m)
     assert elementary_divisors(basis) == (1,) * basis.rows
+
+
+def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """The Hermite basis of the saturation of the row lattice of `m`,
+    (rational row span) meet Z^cols, and the index of the row lattice
+    inside it: `saturate_hermite` of the Hermite form of `m`.
+
+    Both are read through the module, so a test that replaces
+    `el.hermite_normal_form` counts all three forms this takes.
+    """
+    return el.saturate_hermite(el.hermite_normal_form(m))
+
+
+def unit_order(ell: int, n: int) -> int:
+    """Order of (Z/ell^n)^x for an odd prime ell; the group is cyclic."""
+    return (ell - 1) * ell ** (n - 1)
 
 
 def contains(basis: IntSpanBasis, vec: Sequence[int]) -> bool:

@@ -34,18 +34,13 @@ from cmtorsion.cm_core import (
 )
 from cmtorsion.documents import dumps_document, report_to_dict
 from cmtorsion.exact_linalg import IntSpanBasis
-from cmtorsion.finite_level import (
-    degree_of_subgroup,
-    exponent_sweep,
-    torus_point_count,
-    unit_group_order,
-)
+from cmtorsion.finite_level import _image, degree_of_subgroup, exponent_sweep
 from cmtorsion.mt_torus import (
     DuplicateCharactersError,
     build_character_system,
 )
 from cmtorsion.verify import builtin_groups
-from kernel_helpers import contains
+from kernel_helpers import contains, identity, unit_order
 from test_alpha_engine import abel_inequality_check
 from test_cm_core import automorphisms
 
@@ -113,7 +108,7 @@ def c2_times_alternating4():
         return ((z1 + z2) % 2, tuple(p[q[i]] for i in range(4)))
 
     table = [[index[mul(a, b)] for b in elems] for a in elems]
-    group = FiniteGroup.from_table(table, name="C2xA4")
+    group = FiniteGroup(table, name="C2xA4")
     rot = index[(0, (1, 2, 0, 3))]
     conj = index[(1, (0, 1, 2, 3))]
     return group, conj, [0, rot, group.mul(rot, rot)]
@@ -283,8 +278,11 @@ def test_criterion_7_split_torus_point_counts():
     for ell in (3, 5, 7, 101):
         for n in (1, 2, 3):
             for dim in range(1, 9):
-                count = torus_point_count(dim, ell, n)
-                assert count == unit_group_order(ell, n) ** dim
+                # the level-n points of the split rank-dim torus: the
+                # image of Z^dim in ((Z/ell^n)^x)^dim under the identity
+                m = unit_order(ell, n)
+                count = _image(identity(dim).row_lists(), [m] * dim)
+                assert count == m ** dim
                 lower = Fraction(ell - 1, ell) ** dim * ell ** (n * dim)
                 assert lower <= count <= ell ** (n * dim)
                 cases += 1

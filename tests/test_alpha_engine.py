@@ -18,8 +18,8 @@ from cmtorsion.alpha_engine import (
     _factor_unions,
     alpha_exact,
     alpha_oracle,
+    bound_checks,
     build_report,
-    check_bounds,
     product_envelope,
     shortcut_label,
     witness_basis,
@@ -435,18 +435,13 @@ class TestBoundChecks:
         # genus 4: the threshold is 8/(2 + 2) = 2 exactly
         group = FiniteGroup.abelian([8])
         cs = build_character_system(single_factor(group, 4, [0, 1, 2, 3]))
-        base = alpha_exact(cs)
-        at = check_bounds(replace(base, alpha=Fraction(2)), cs, primitive=False)
-        assert at.bound_checks["log_threshold_bound"]
-        above = check_bounds(replace(base, alpha=Fraction(2000001, 1000000)), cs,
-                             primitive=False)
-        assert not above.bound_checks["log_threshold_bound"]
+        assert bound_checks(Fraction(2), cs, primitive=False)["log_threshold_bound"]
+        above = bound_checks(Fraction(2000001, 1000000), cs, primitive=False)
+        assert not above["log_threshold_bound"]
 
     def test_genus_bound_flags_violation(self):
         cs = quartic()
-        base = alpha_exact(cs)
-        bad = check_bounds(replace(base, alpha=Fraction(5, 2)), cs, primitive=False)
-        assert not bad.bound_checks["genus_upper_bound"]
+        assert not bound_checks(Fraction(5, 2), cs, primitive=False)["genus_upper_bound"]
 
     def test_dimension_bound_only_for_primitive_single_factor(self):
         group = FiniteGroup.abelian([2, 2])
@@ -471,7 +466,6 @@ class TestPowerAndProduct:
         assert env.lower == Fraction(4, 3)
         assert env.upper == 2
         assert env.question2 == Fraction(4, 3)
-        assert env.question2_is_conjectural
 
         # one quadratic times the n-th power of the other
         for n in (2, 3, 5):

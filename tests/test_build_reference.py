@@ -192,11 +192,14 @@ def outcome(build, datum: CMDatum):
     except DuplicateCharactersError as e:
         return ("duplicate", e.indices)
     if not isinstance(out, dict):
-        # the orbit matrix, the divisors, the index and the cocharacter
-        # basis are first read here
+        # the divisors, the index and the cocharacter basis are first
+        # read here; the orbit matrix is the one the characters are the
+        # columns of
         out = {key: getattr(out, key) for key in (
-            "orbit_matrix", "characters", "dim", "cochar_basis", "char_coords",
+            "characters", "dim", "cochar_basis", "char_coords",
             "divisors", "saturation_index")}
+        out["orbit_matrix"] = IntMatrix.from_rows(
+            zip(*out["characters"]), cols=len(out["characters"]))
     out.pop("char_lattice", None)
     out["char_coords"] = coordinate_lattice(out["char_coords"])
     return out

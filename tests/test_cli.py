@@ -150,6 +150,28 @@ class TestAnalyze:
         assert_write_error(capsys, out)
 
 
+# Files that ended in a traceback and exit 1, the code of failed checks,
+# before they were refused as invalid input
+UNREADABLE = {
+    "not-utf8": b'{"group": {"kind": "table", "name": "\xff\xfe"}}',
+    "nested-200000-deep": b"[" * 200000 + b"]" * 200000,
+    "int-of-5000-digits": (b'{"group": {"kind": "abelian", "invariants": [' + b"9" * 5000
+                           + b']}, "conj": 1, "factors": [{"phi": [0]}]}'),
+}
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["simulate", "--ell", "5"], ["oracle"]],
+                         ids=["analyze", "simulate", "oracle"])
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_unreadable_file_is_invalid_input(tmp_path, capsys, default_str_digits, name, command):
+    p = tmp_path / "datum.json"
+    p.write_bytes(UNREADABLE[name])
+    assert main([command[0], str(p)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 class TestSimulate:
     def test_csv_stdout(self, quartic_file, capsys):
         assert main(["simulate", quartic_file, "--ell", "5,13,101"]) == 0

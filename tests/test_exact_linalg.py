@@ -28,7 +28,6 @@ from cmtorsion.exact_linalg import (
     hermite_normal_form,
     hermite_pivots,
     integer_kernel,
-    saturate,
 )
 from kernel_helpers import (
     check_kernel,
@@ -38,6 +37,7 @@ from kernel_helpers import (
     determinantal_divisors,
     identity,
     rank,
+    saturate,
     zero,
 )
 
@@ -162,6 +162,23 @@ class TestIntMatrix:
         # [[True, False]] had the Smith divisors (True,) before
         with pytest.raises(ValueError, match="non-integer"):
             IntMatrix.from_rows(rows)
+
+    def test_from_rows_refuses_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_the_one_integer_test(self):
+        # ints and their subclasses pass, bools do not, though they
+        # subclass int; the parse, the matrices, the moduli, the
+        # multiplicities and the levels all ask `all_ints`
+        class Level(int):
+            pass
+
+        assert el.all_ints([0, -3, 2 ** 80, Level(2)])
+        assert el.all_ints([])
+        for bad in (True, False, 1.0, Fraction(2), "1", None):
+            assert not el.all_ints([1, bad])
+        assert IntMatrix.from_rows([[Level(2), 1]]).entries == (2, 1)
 
 
 class TestRank:

@@ -34,13 +34,11 @@ from cmtorsion.finite_level import (
     SweepRow,
     degree_of_subgroup,
     exponent_sweep,
-    lattice_image_size,
     staircase_bounds,
-    torus_point_count,
-    unit_group_order,
 )
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
+from kernel_helpers import unit_order
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -63,22 +61,27 @@ def quaternion():
 
 class TestUnitGroups:
     def test_orders(self):
-        assert unit_group_order(3, 1) == 2
-        assert unit_group_order(7, 2) == 42
-        assert unit_group_order(101, 1) == 100
+        assert fl._unit_order(3, 1) == 2
+        assert fl._unit_order(7, 2) == 42
+        assert fl._unit_order(101, 1) == 100
 
     def test_rejects_non_odd_primes(self):
+        cs = elliptic()
         for bad in (1, 2, 4, 9, 15, 21, 25, 91):
             with pytest.raises(ValueError):
-                unit_group_order(bad, 1)
+                degree_of_subgroup(cs, bad, {0: 1})
         with pytest.raises(ValueError):
-            unit_group_order(5, 0)
+            degree_of_subgroup(cs, 5, {0: 0})
 
     def test_point_count(self):
-        assert torus_point_count(2, 7, 2) == 42 ** 2 == 1764
-        assert torus_point_count(4, 5, 1) == 256
-        with pytest.raises(ValueError):
-            torus_point_count(0, 5, 1)
+        # every character at level n on a saturated system: the degree
+        # is the number of level-n points of the split rank-d torus
+        for cs in (elliptic(), quartic()):
+            assert cs.saturation_index == 1
+            for ell, n in ((3, 1), (5, 1), (7, 2), (101, 3)):
+                full = {i: n for i in range(2 * cs.genus)}
+                assert degree_of_subgroup(cs, ell, full) == unit_order(ell, n) ** cs.dim
+        assert degree_of_subgroup(elliptic(), 7, {0: 2, 1: 2}) == 42 ** 2 == 1764
 
 
 class TestDegrees:
@@ -110,9 +113,8 @@ class TestDegrees:
             identity = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
             for ell in (3, 5, 7, 101):
                 for n in (1, 2, 3):
-                    m = unit_group_order(ell, n)
-                    assert lattice_image_size(identity, [m] * d) == \
-                        torus_point_count(d, ell, n)
+                    m = unit_order(ell, n)
+                    assert fl._image(identity, [m] * d) == m ** d
 
     def test_nested_specs_give_divisible_degrees(self):
         cs = quartic()
@@ -204,7 +206,7 @@ class TestSweep:
         cs = elliptic()
         rows = exponent_sweep(cs, [5, 101], 2)
         assert rows[0].subgroup_order == 5 ** 4
-        assert rows[0].degree == unit_group_order(5, 2) ** 2
+        assert rows[0].degree == unit_order(5, 2) ** 2
         last = rows[-1]
         assert abs(last.estimate_decimal - 1.0) <= 0.01
 
@@ -311,13 +313,13 @@ class TestPrimality:
         assert math.prod(factors) == bound and min(factors) > 1
         assert all(strong_probable_prime(bound, a) for a in fl._PRIME_BASES[:count])
         with pytest.raises(ValueError):
-            unit_group_order(bound, 1)
+            fl._require_odd_prime(bound)
 
     def test_agrees_with_trial_division(self):
         for n in range(-3, 5000):
             expected = n % 2 == 1 and is_prime_reference(n)
             try:
-                unit_group_order(n, 1)
+                fl._require_odd_prime(n)
                 accepted = True
             except ValueError:
                 accepted = False
@@ -326,7 +328,7 @@ class TestPrimality:
     def test_large_prime_accepted_quickly(self):
         ell = 10 ** 18 + 3  # 19 digits, prime
         start = time.perf_counter()
-        assert unit_group_order(ell, 2) == (ell - 1) * ell
+        fl._require_odd_prime(ell)
         rows = exponent_sweep(quartic(), [ell], 1)
         assert time.perf_counter() - start < 1.0
         assert rows[0].degree == (ell - 1) ** 3
@@ -339,7 +341,7 @@ class TestPrimality:
     ])
     def test_pseudoprimes_rejected(self, n):
         with pytest.raises(ValueError, match="odd prime"):
-            unit_group_order(n, 1)
+            fl._require_odd_prime(n)
 
     def test_pseudoprime_factors(self):
         assert 561 == 3 * 11 * 17
@@ -353,7 +355,7 @@ class TestPrimality:
     def test_limit_refused(self):
         for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2, 10 ** 30 + 57):
             with pytest.raises(ValueError, match="below"):
-                unit_group_order(n, 1)
+                fl._require_odd_prime(n)
             with pytest.raises(ValueError):
                 exponent_sweep(quartic(), [n], 1)
 
@@ -419,14 +421,12 @@ class TestValidation:
         lambda cs: exponent_sweep(cs, [5], level=2.0),
         lambda cs: exponent_sweep(cs, [5.0], level=1),
         lambda cs: exponent_sweep(cs, [5], level=True),
-        lambda cs: unit_group_order(5, 1.5),
-        lambda cs: unit_group_order(5, True),
-        lambda cs: torus_point_count(2.5, 5, 1),
-        lambda cs: torus_point_count(True, 5, 1),
+        lambda cs: degree_of_subgroup(cs, 5, {0: 1.5}),
+        lambda cs: degree_of_subgroup(cs, 5, {0: True}),
     ], ids=["staircase-float-level", "staircase-fractional-level", "staircase-bool-level",
             "degree-float-ell", "degree-float-index", "degree-bool-index",
             "degree-str-index", "sweep-float-level", "sweep-float-ell", "sweep-bool-level",
-            "unit-float-level", "unit-bool-level", "torus-float-dim", "torus-bool-dim"])
+            "degree-float-level", "degree-bool-level"])
     def test_non_integer_arguments(self, call):
         # each gave a float answer or a TypeError before
         with pytest.raises(ValueError, match="must be an integer"):
@@ -474,30 +474,6 @@ class TestValidation:
             call(cs, 5, levels)
             assert seen == ["ell"]
 
-    def test_lattice_image_size_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
-            lattice_image_size([[1, 2], [3]], [4, 4])
-
-    def test_lattice_image_size_rejects_mismatched_moduli(self):
-        with pytest.raises(ValueError):
-            lattice_image_size([[1, 2], [3, 4]], [4])
-        with pytest.raises(ValueError):
-            lattice_image_size([], [])
-
-    def test_lattice_image_size_rejects_nonpositive_moduli(self):
-        for bad in (0, -6):
-            with pytest.raises(ValueError):
-                lattice_image_size([[1, 2], [3, 4]], [4, bad])
-
-    @pytest.mark.parametrize("rows, moduli", [
-        ([[2.5]], [4]), ([[2]], [4.0]), ([[2]], [True]), ([[True]], [4]), ([[1, False]], [6]),
-    ])
-    def test_lattice_image_size_rejects_non_integers(self, rows, moduli):
-        # int() would truncate 2.5 to 2 and answer for [[2]]; [[True]]
-        # was read as [[1]] and gave 4
-        with pytest.raises(ValueError):
-            lattice_image_size(rows, moduli)
-
 
 # ---------------------------------------------------------------------------
 # Differential tests against the bordered Smith-form computations
@@ -517,7 +493,7 @@ def lattice_image_size_reference(rows, moduli) -> int:
 def degree_reference(cs, ell: int, levels) -> int:
     pairs = sorted(levels.items())
     return lattice_image_size_reference([cs.char_coords[i] for i, _ in pairs],
-                                        [unit_group_order(ell, n) for _, n in pairs])
+                                        [unit_order(ell, n) for _, n in pairs])
 
 
 def staircase_bounds_reference(cs, ell: int, levels) -> StaircaseBounds:
@@ -678,7 +654,7 @@ def random_moduli(rng, k: int) -> list[int]:
     if kind == "ones":
         return [1] * k
     ell = rng.choice((3, 5, 101))
-    return [unit_group_order(ell, rng.randint(1, 5)) for _ in range(k)]
+    return [unit_order(ell, rng.randint(1, 5)) for _ in range(k)]
 
 
 class TestScaledImage:
@@ -690,7 +666,7 @@ class TestScaledImage:
         for _ in range(400):
             k, d = rng.randint(1, 5), rng.randint(1, 4)
             rows, moduli = random_rows(rng, k, d), random_moduli(rng, k)
-            assert lattice_image_size(rows, moduli) == \
+            assert fl._image(rows, moduli) == \
                 lattice_image_size_reference(rows, moduli), (rows, moduli)
 
     @pytest.mark.parametrize("rows, moduli, size", [
@@ -703,7 +679,7 @@ class TestScaledImage:
         ([[2], [3]], [4, 9], 6),
     ])
     def test_small_cases(self, rows, moduli, size):
-        assert lattice_image_size(rows, moduli) == size
+        assert fl._image(rows, moduli) == size
         assert lattice_image_size_reference(rows, moduli) == size
 
     def test_one_hermite_form_per_pattern(self, monkeypatch):
@@ -728,7 +704,7 @@ class TestScaledImage:
             recording(fl, name)
         recording(el, "elementary_divisors")
         c10 = build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
-        big = unit_group_order(3, 2)
+        big = unit_order(3, 2)
         cases = [
             # pivot product 1: no elementary divisors at all
             (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_normal_form", "hermite_divisors"]),
@@ -762,4 +738,4 @@ class TestScaledImage:
         # size of 144 is caught
         monkeypatch.setattr(fl, "elementary_divisors", lambda m, modulus=None: (1,) * m.rows)
         with pytest.raises(InvariantError, match="does not divide the group order"):
-            lattice_image_size([[1], [1]], [4, 6])
+            fl._image([[1], [1]], [4, 6])

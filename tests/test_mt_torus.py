@@ -27,7 +27,6 @@ from cmtorsion.exact_linalg import (
     IntSpanBasis,
     elementary_divisors,
     hermite_normal_form,
-    saturate,
 )
 from cmtorsion.mt_torus import (
     DuplicateCharactersError,
@@ -36,7 +35,7 @@ from cmtorsion.mt_torus import (
     perp_lattice,
 )
 from cmtorsion.verify import builtin_groups
-from kernel_helpers import check_kernel, check_saturation, contains, determinant
+from kernel_helpers import check_kernel, check_saturation, contains, determinant, saturate
 from test_acceptance import c2_times_alternating4
 
 
@@ -71,8 +70,8 @@ class TestBuild:
         assert cs.genus == 1
         assert cs.dim == 2
         assert set(cs.characters) == {(1, 0), (0, 1)}
-        assert cs.conj_pairing == (1, 0)
-        assert cs.weight == (1, 1)
+        # the conjugate characters sum to the weight
+        assert tuple(map(sum, zip(*cs.characters))) == (1, 1)
         assert cs.saturation_index == 1
 
     def test_quartic_system(self):
@@ -80,16 +79,15 @@ class TestBuild:
         assert cs.genus == 2
         assert cs.dim == 3
         # row g of the orbit matrix marks the translate g + phi
-        for g in range(4):
+        for g, row in enumerate(zip(*cs.characters)):
             expect = tuple(1 if s in ((g + 0) % 4, (g + 1) % 4) else 0 for s in range(4))
-            assert cs.orbit_matrix.row(g) == expect
+            assert row == expect
         assert set(cs.characters) == {
             (1, 0, 0, 1), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)}
         # conjugation pairs s with s+2 and paired columns sum to the weight
-        assert cs.conj_pairing == (2, 3, 0, 1)
-        for k, pk in enumerate(cs.conj_pairing):
-            s = tuple(a + b for a, b in zip(cs.characters[k], cs.characters[pk]))
-            assert s == cs.weight
+        for k in range(4):
+            s = tuple(a + b for a, b in zip(cs.characters[k], cs.characters[(k + 2) % 4]))
+            assert s == (1, 1, 1, 1)
         assert cs.saturation_index == 1
 
     def test_duplicate_characters_rejected(self):
@@ -370,20 +368,21 @@ class TestNoSwell:
         start = time.perf_counter()
         cs = build_character_system(datum)
         assert time.perf_counter() - start < 5
-        divisors = orbit_divisors(cs.orbit_matrix)
+        orbit = IntMatrix.from_rows(zip(*cs.characters))
+        divisors = orbit_divisors(orbit)
         assert len(divisors) == cs.dim
         assert cs.divisors == divisors
         assert cs.saturation_index == prod(divisors)
         if datum is SWELLING[0]:
             assert divisors[-3:] == (1, 23, 46)
-        assert cs.cochar_basis == saturate(cs.orbit_matrix)[0]
+        assert cs.cochar_basis == saturate(orbit)[0]
         # a saturated lattice of the same rational span: all its
         # divisors are 1, and it holds the rows of M in its span
         assert elementary_divisors(cs.cochar_basis) == (1,) * cs.dim
-        span = IntSpanBasis(cs.orbit_matrix.cols)
+        span = IntSpanBasis(orbit.cols)
         for i in range(cs.dim):
             span.insert(cs.cochar_basis.row(i))
-        assert all(contains(span, cs.orbit_matrix.row(g)) for g in range(cs.orbit_matrix.rows))
+        assert all(contains(span, orbit.row(g)) for g in range(orbit.rows))
 
 
 class TestInvariantError:
@@ -394,9 +393,9 @@ class TestInvariantError:
         assert not issubclass(InvariantError, ValueError)
 
     def test_raised_with_asserts_stripped(self):
-        # double the first divisor that `saturate` reads for the index of
-        # the rows of the build's Hermite form: the quartic's index 1
-        # then reads 2
+        # double the first divisor that `saturate_hermite` reads for the
+        # index of the rows of the build's Hermite form: the quartic's
+        # index 1 then reads 2
         script = textwrap.dedent("""
             import cmtorsion.exact_linalg as el
             import cmtorsion.mt_torus as mt
@@ -427,7 +426,7 @@ class TestInvariantError:
 
     def test_saturation_index_disagreement_raises(self, monkeypatch):
         # the build's divisors of H claim index 2, the divisors that
-        # `saturate` reads for the rows of H give 1
+        # `saturate_hermite` reads for the rows of H give 1
         real = mt.hermite_divisors
 
         def doubled(m, pivots):

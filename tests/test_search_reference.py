@@ -24,8 +24,8 @@ from cmtorsion.alpha_engine import (
     AlphaReport,
     SubspaceWitness,
     _factor_unions,
+    bound_checks,
     build_report,
-    check_bounds,
     product_envelope,
     shortcut_label,
     witness_basis,
@@ -147,6 +147,9 @@ def report_reference(cs) -> tuple[AlphaReport, tuple[tuple[int, ...], ...]]:
     """The earlier report of `cs`, and the key of its witness's span,
     which the earlier witness carried as its `basis`."""
     outcome = _memo_search(cs.characters)
+    factors = cs.datum.factors
+    primitive = (len(factors) == 1 and len(factors[0].space.subgroup) == 1
+                 and is_primitive(factors[0], cs.datum.conj))
     report = AlphaReport(
         alpha=outcome.ratio,
         gamma=outcome.ratio,
@@ -159,17 +162,15 @@ def report_reference(cs) -> tuple[AlphaReport, tuple[tuple[int, ...], ...]]:
         genus=cs.genus,
         dim=cs.dim,
         defect=cs.defect,
-        bound_checks={"subspace_counting_bound": outcome.counting_bound_ok},
+        bound_checks={"subspace_counting_bound": outcome.counting_bound_ok,
+                      **bound_checks(outcome.ratio, cs, primitive)},
         spans_visited=outcome.spans_visited,
     )
-    factors = cs.datum.factors
-    primitive = (len(factors) == 1 and len(factors[0].space.subgroup) == 1
-                 and is_primitive(factors[0], cs.datum.conj))
     label = shortcut_label(cs, primitive)
     if label is not None:
         assert report.alpha == Fraction(2 * cs.genus, cs.dim)
         report = replace(report, shortcut_used=label)
-    return check_bounds(report, cs, primitive), outcome.basis.key()
+    return report, outcome.basis.key()
 
 
 def assert_reference_report(report: AlphaReport, cs):
