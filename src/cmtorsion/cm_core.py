@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Optional, Sequence
+
+from .exact_linalg import all_ints
 
 
 class UnsupportedInputError(ValueError):
@@ -60,6 +62,8 @@ class FiniteGroup:
                  abelian_invariants: Optional[tuple[int, ...]] = None):
         n = len(table)
         tab = tuple(tuple(row) for row in table)
+        if not all_ints(chain.from_iterable(tab)):
+            raise ValueError("multiplication table entries must be integers")
         for row in tab:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise ValueError("multiplication table is not square over 0..n-1")
@@ -132,7 +136,9 @@ class FiniteGroup:
         Elements are enumerated with the last coordinate varying
         fastest, so index 0 is the identity tuple.
         """
-        inv = tuple(int(k) for k in invariants)
+        inv = tuple(invariants)
+        if not all_ints(inv):
+            raise ValueError("cyclic orders must be integers")
         if not inv or any(k < 2 for k in inv):
             raise ValueError("cyclic orders must all be at least 2")
         # mixed radix, first coordinate most significant: prepend one
@@ -184,7 +190,9 @@ class CosetSpace:
     __slots__ = ("group", "subgroup", "cosets", "reps", "coset_of", "_action")
 
     def __init__(self, group: FiniteGroup, subgroup: Sequence[int]):
-        sub = sorted(set(int(x) for x in subgroup))
+        if not all_ints(subgroup):
+            raise ValueError("subgroup elements must be integers")
+        sub = sorted(set(subgroup))
         if not sub or sub[0] != 0:
             raise ValueError("subgroup must contain the identity")
         sset = set(sub)
@@ -249,10 +257,6 @@ class CMDatum:
     group: FiniteGroup
     conj: int
     factors: tuple[CMType, ...]
-
-    @property
-    def genus(self) -> int:
-        return sum(len(f.phi) for f in self.factors)
 
     @cached_property
     def problems(self) -> tuple[str, ...]:
@@ -352,17 +356,3 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
         if best == t.phi_sorted():
             reps.append(t)
     return reps
-
-
-def product(data: Sequence[CMDatum]) -> CMDatum:
-    """Concatenate the factor lists of data sharing a group and conjugation."""
-    if not data:
-        raise ValueError("empty product")
-    first = data[0]
-    for d in data[1:]:
-        if d.group != first.group:
-            raise ValueError("product factors live over different groups")
-        if d.conj != first.conj:
-            raise ValueError("product factors disagree on the conjugation")
-    factors = tuple(f for d in data for f in d.factors)
-    return CMDatum(first.group, first.conj, factors)

@@ -288,21 +288,11 @@ def report_to_dict(report: AlphaReport, cs: CharacterSystem) -> dict:
     }
 
 
-def _float_text(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
 # Scalar texts as `json` writes them with ensure_ascii=False
 _SCALAR_TEXT = {
     str: encode_basestring,
     int: int.__repr__,
-    float: _float_text,
+    float: json.dumps,
     bool: lambda v: "true" if v else "false",
     type(None): lambda v: "null",
 }

@@ -8,9 +8,8 @@ and its canonical key), and the Hermite normal form (canonical lattice
 bases), the one lattice elimination.  The rest is read off Hermite
 forms: the elementary divisors off alternating row and column forms
 (plain, or modulo a multiple of the last one) or off the pivots of one
-(`hermite_divisors`), the kernel of m off one form of [m^T | I], and
-the saturation as the kernel of the kernel.  It also holds the
-package's one test of an integer input, `all_ints`.
+(`hermite_divisors`), and the kernel of m off one form of [m^T | I].
+It also holds the package's one test of an integer input, `all_ints`.
 """
 
 from __future__ import annotations
@@ -76,12 +75,6 @@ class IntMatrix:
         return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
 
 
-def _content(v: Sequence[int]) -> int:
-    # gcd of the entries, in one C call: faster than a Python scan that
-    # stops at 1, even when the first entry is a unit
-    return gcd(*v)
-
-
 class IntSpanBasis:
     """Incremental integer echelon basis of a rational span.
 
@@ -125,7 +118,9 @@ class IntSpanBasis:
                     v = list(map(sub, v, row)) if b == 1 else [x - b * y for x, y in zip(v, row)]
                     continue
                 v = [a * x - b * y for x, y in zip(v, row)]
-                g = _content(v)
+                # the content in one C call: faster than a Python scan
+                # that stops at 1, even when the first entry is a unit
+                g = gcd(*v)
                 if g > 1:
                     v = [x // g for x in v]
         return v
@@ -141,7 +136,7 @@ class IntSpanBasis:
         lead = next(filter(None, v), 0)
         if not lead:
             return None
-        g = _content(v)
+        g = gcd(*v)
         if lead < 0:
             g = -g
         return tuple(v) if g == 1 else tuple(x // g for x in v)
@@ -166,7 +161,7 @@ class IntSpanBasis:
                         continue
                 else:
                     new = [a * x - b * y for x, y in zip(row, v)]
-                g = _content(new)
+                g = gcd(*new)
                 self.rows[k] = new if g == 1 else [x // g for x in new]
         at = bisect(self.pivots, piv)
         self.pivots.insert(at, piv)
@@ -316,7 +311,7 @@ def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[i
     rest = [(e[i * c:(i + 1) * c], x) for i, (_, x) in enumerate(pivots) if x != 1]
     ones = (1,) * len(unit)
     if len(rest) == 1:
-        return ones + (_content(rest[0][0]),)
+        return ones + (gcd(*rest[0][0]),)
     keep = [j for j in range(c) if j not in unit]
     block = IntMatrix.from_rows([[row[j] for j in keep] for row, _ in rest], cols=len(keep))
     return ones + elementary_divisors(block, modulus=prod(x for _, x in rest))
@@ -340,14 +335,3 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
         cols=nr + nc))
     return IntMatrix.from_rows(
         [row[nr:] for row in h.row_lists() if not any(row[:nr])], cols=nc)
-
-
-def saturate_hermite(h: IntMatrix) -> tuple[IntMatrix, int]:
-    """Saturation of the row lattice of `h`, a `hermite_normal_form`
-    output: (rational row span) meet Z^cols, in its Hermite basis, with
-    the index of the row lattice inside it.
-
-    The saturation is the kernel of the kernel; the index is the product
-    of the nonzero elementary divisors of `h`.
-    """
-    return integer_kernel(integer_kernel(h)), prod(elementary_divisors(h))

@@ -15,7 +15,7 @@ character lattice.  The elimination takes only one row of each pair
 the characters, the columns of the orbit matrix; the rest is computed
 on first read: the divisors of H (with their product, the saturation
 index) off its pivots (`exact_linalg.hermite_divisors`), and the
-saturated cocharacter lattice from the rows of H.
+saturated cocharacter lattice, the kernel of the kernel of the rows of H.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from typing import Sequence
 from .cm_core import CMDatum, InvariantError, validate
 from .exact_linalg import (
     IntMatrix,
+    all_ints,
+    elementary_divisors,
     hermite_divisors,
     hermite_normal_form,
     hermite_pivots,
     integer_kernel,
-    saturate_hermite,
 )
 
 
@@ -98,16 +99,16 @@ class CharacterSystem:
     def cochar_basis(self) -> IntMatrix:
         """Hermite basis of the saturated cocharacter lattice.
 
-        Saturates the rows of H, which is already a Hermite form; raises
-        InvariantError when the index of that saturation, the product of
-        the plain elementary divisors of H, is not `saturation_index`,
-        read off the pivots.
+        The saturation of the rows of H is the kernel of their kernel;
+        raises InvariantError when its index, the product of the plain
+        elementary divisors of H, is not `saturation_index`, read off the
+        pivots.
         """
-        basis, index = saturate_hermite(self.hermite)
+        index = prod(elementary_divisors(self.hermite))
         if index != self.saturation_index:
             raise InvariantError(
                 f"saturation index {index} disagrees with the build's {self.saturation_index}")
-        return basis
+        return integer_kernel(integer_kernel(self.hermite))
 
 
 def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
@@ -231,6 +232,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
 
 def _selected_characters(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
     """The `cochar_basis` columns of the selected characters, as rows."""
+    if not all_ints(indices):
+        raise ValueError("character indices must be integers")
     idx = sorted(set(indices))
     if not idx:
         raise ValueError("empty character selection")

@@ -86,7 +86,6 @@ def builtin_groups(max_order: int) -> list[FiniteGroup]:
 
 @dataclass
 class VerifySummary:
-    max_group_order: int
     groups_seen: int = 0
     class_reps_checked: int = 0
     translates_checked: int = 0
@@ -176,15 +175,17 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
 def run_verify(max_group_order: int = 12) -> VerifySummary:
     """Check every invariant across all built-in data up to the order.
 
-    An order above `MAX_VERIFY_ORDER` raises ValueError before any
-    enumeration.
+    An order below 2 or above `MAX_VERIFY_ORDER` raises ValueError
+    before any enumeration.
     """
     n = max_group_order
+    if n < 2:
+        raise ValueError("max_group_order must be at least 2")
     if n > MAX_VERIFY_ORDER:
         raise ValueError(f"max_group_order must be at most {MAX_VERIFY_ORDER}: order {n} "
                          f"has 2^{n // 2} raw CM types per involution")
-    summary = VerifySummary(max_group_order=max_group_order)
-    for group in builtin_groups(max_group_order):
+    summary = VerifySummary()
+    for group in builtin_groups(n):
         convs = group.central_involutions()
         if convs:
             summary.groups_seen += 1

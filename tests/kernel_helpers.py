@@ -5,7 +5,7 @@ and to state the expected answers.
 """
 
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 import cmtorsion.exact_linalg as el
@@ -119,12 +119,15 @@ def check_saturation(m: IntMatrix, basis: IntMatrix) -> None:
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     """The Hermite basis of the saturation of the row lattice of `m`,
     (rational row span) meet Z^cols, and the index of the row lattice
-    inside it: `saturate_hermite` of the Hermite form of `m`.
+    inside it: of the Hermite form H of `m`, the kernel of the kernel
+    and the product of the plain elementary divisors.
 
-    Both are read through the module, so a test that replaces
-    `el.hermite_normal_form` counts all three forms this takes.
+    All are read through the module, so a test that replaces
+    `el.hermite_normal_form` counts all three forms this takes outside
+    `el.elementary_divisors`.
     """
-    return el.saturate_hermite(el.hermite_normal_form(m))
+    h = el.hermite_normal_form(m)
+    return el.integer_kernel(el.integer_kernel(h)), prod(el.elementary_divisors(h))
 
 
 def unit_order(ell: int, n: int) -> int:

@@ -12,6 +12,7 @@ from typing import Sequence
 import pytest
 
 import cmtorsion.exact_linalg as el
+import cmtorsion.mt_torus as mt
 from cmtorsion import alpha_engine
 from cmtorsion.alpha_engine import (
     AlphaReport,
@@ -286,6 +287,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(IntSpanBasis, "insert", counting_insert)
         monkeypatch.setattr(el, "elementary_divisors", counting_divisors)
+        monkeypatch.setattr(mt, "elementary_divisors", counting_divisors)
         reports = eliminating = 0
         for group in builtin_groups(16):
             for conj in group.central_involutions():

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import pytest
 
 import cmtorsion.exact_linalg as el
+import cmtorsion.mt_torus as mt
 from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, InvariantError, enumerate_types
 from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form
@@ -307,7 +308,10 @@ class TestOneElimination:
             calls.append((m.rows, m.cols, modulus))
             return real(m, modulus)
 
+        # `hermite_divisors` calls it in `exact_linalg`, `cochar_basis`
+        # under the name `mt_torus` imports
         monkeypatch.setattr(el, "elementary_divisors", counting)
+        monkeypatch.setattr(mt, "elementary_divisors", counting)
         built = 0
         blocks = set()
         for datum in chain(subgroup_joint_data(8), single_factor_data(16)):

@@ -328,6 +328,13 @@ class TestVerify:
         assert captured.out == ""
         assert "2^32 raw CM types" in captured.err
 
+    @pytest.mark.parametrize("order", ["1", "0", "-5"])
+    def test_refuses_orders_below_2_by_the_option_name(self, capsys, order):
+        assert main(["verify", "--max-group-order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_group_order must be at least 2\n"
+
     def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
         assert main(["verify", "--max-group-order", "8"]) == 0
         serial = capsys.readouterr().out

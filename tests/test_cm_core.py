@@ -15,7 +15,6 @@ from cmtorsion.cm_core import (
     UnsupportedInputError,
     enumerate_types,
     is_primitive,
-    product,
     validate,
 )
 from cmtorsion.verify import builtin_groups
@@ -189,6 +188,13 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             FiniteGroup([[1, 0], [0, 1]])
 
+    @pytest.mark.parametrize("table", [[[0, 1.0], [1.0, 0]], [[0, True], [True, 0]],
+                                       [[0, "1"], ["1", 0]]],
+                             ids=["float", "bool", "str"])
+    def test_table_refuses_non_integer_entries(self, table):
+        with pytest.raises(ValueError, match="multiplication table entries must be integers"):
+            FiniteGroup(table)
+
     def test_associativity_checked(self):
         bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
         with pytest.raises(ValueError):
@@ -209,6 +215,12 @@ class TestFiniteGroup:
         dic3 = FiniteGroup.dicyclic(3)
         assert dic3.order == 12
         assert dic3.central_involutions() == [3]
+
+    @pytest.mark.parametrize("invariants", [["4"], [4.0], [True, 2], [2, 2.5]],
+                             ids=["str", "float", "bool", "fraction"])
+    def test_abelian_refuses_non_integer_orders(self, invariants):
+        with pytest.raises(ValueError, match="cyclic orders must be integers"):
+            FiniteGroup.abelian(invariants)
 
     def test_central_involutions_abelian(self):
         g = FiniteGroup.abelian([2, 2, 2])
@@ -236,6 +248,12 @@ class TestCosetSpace:
         g = FiniteGroup.abelian([4])
         with pytest.raises(ValueError):
             CosetSpace(g, [0, 1])
+
+    @pytest.mark.parametrize("subgroup", [[0, 1.0], ["0", "1"], [0, True], [0, 1, True]],
+                             ids=["float", "str", "bool", "bool-beside-its-int"])
+    def test_subgroup_refuses_non_integer_elements(self, subgroup):
+        with pytest.raises(ValueError, match="subgroup elements must be integers"):
+            CosetSpace(FiniteGroup.abelian([2, 2]), subgroup)
 
 
 class TestValidate:
@@ -385,26 +403,3 @@ class TestAutomorphisms:
         g = FiniteGroup.abelian([8])
         auts = automorphisms(g)
         assert len(auts) == 4
-
-
-class TestProduct:
-    def test_concatenates(self):
-        g = FiniteGroup.abelian([4])
-        d1 = datum(g, 2, [0, 1])
-        d2 = datum(g, 2, [0, 3])
-        p = product([d1, d2])
-        assert p.genus == 4
-        assert validate(p) == []
-
-    def test_group_mismatch(self):
-        d1 = datum(FiniteGroup.abelian([2]), 1, [0])
-        d2 = datum(FiniteGroup.abelian([4]), 2, [0, 1])
-        with pytest.raises(ValueError):
-            product([d1, d2])
-
-    def test_conjugation_mismatch(self):
-        g = FiniteGroup.abelian([2, 2])
-        d1 = datum(g, 1, [0, 2])
-        d2 = datum(g, 3, [0, 2])
-        with pytest.raises(ValueError):
-            product([d1, d2])

@@ -3,11 +3,15 @@
 Every name a module imports is used in it, and no module holds an
 `assert`: `python -O` strips asserts, so invariants raise typed errors.
 Every public function, class and method is read by the package or by
-the benchmark, not by the tests alone.
+the benchmark, not by the tests alone: a function or class through the
+binding it is read under, so a name shadowed by an import from outside
+or by a local does not count, and a method by its attribute name.
 """
 
 import ast
+import builtins
 import textwrap
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -78,25 +82,94 @@ def public_definitions(source: str) -> list[str]:
     return out
 
 
-def names_read(source: str) -> set[str]:
-    """Every name read as a `Name`, an `Attribute` or an imported name."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            read.add(node.id)
+def package_module(dotted: str, modules: set[str]) -> str | None:
+    """The module of `modules` that an import path names, as
+    `cmtorsion.m`, `.m` (parsed as `m`) or `m`."""
+    stem = dotted.removeprefix("cmtorsion.")
+    return stem if stem in modules else None
+
+
+def definitions_read(source: str, module: str | None,
+                     modules: set[str]) -> tuple[set[str], set[str], set[str]]:
+    """What a source of `module` (None outside the package) reads: the
+    top-level definitions of `modules`, as `module:name`, resolved
+    through the bindings of its own names; every attribute name, which
+    is how a method is read; and the names it reads but never binds,
+    such as a snippet's free names (builtins left out).
+
+    A bare name reads whatever the module defines or imports under it,
+    in any of its scopes; `alias.attr` with `alias` bound to a package
+    module reads that module's `attr`.  Importing a definition reads it.
+    """
+    tree = ast.parse(source)
+    defs: dict[str, set[str]] = defaultdict(set)
+    mods: dict[str, set[str]] = defaultdict(set)
+    bound = set()
+    if module is not None:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[node.name].add(f"{module}:{node.name}")
+    read, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            src = package_module(node.module or "", modules)
+            for alias in node.names:
+                name = alias.asname or alias.name
+                bound.add(name)
+                if src:
+                    defs[name].add(f"{src}:{alias.name}")
+                    read.add(f"{src}:{alias.name}")
+                elif target := package_module(alias.name, modules):
+                    mods[name].add(target)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.add(name)
+                if alias.asname or "." not in alias.name:
+                    if target := package_module(alias.name, modules):
+                        mods[name].add(target)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+    free = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in bound:
+                read.update(defs.get(node.id, ()))
+            elif not hasattr(builtins, node.id):
+                free.add(node.id)
         elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            read.update(alias.name.split(".")[-1] for alias in node.names)
-    return read
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                read.update(f"{m}:{node.attr}" for m in mods.get(node.value.id, ()))
+    return read, attrs, free
 
 
 def unread_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
     """`module:definition` for each public definition in `sources` that
-    no source in `readers` reads."""
-    read = set().union(*map(names_read, readers))
-    return [f"{module}:{name}" for module, source in sources.items()
-            for name in public_definitions(source) if name.split(".")[-1] not in read]
+    no source in `readers` reads.  A reader equal to a source is read as
+    that module; a top-level definition is read through a binding (or a
+    free name of the same name), a method by its attribute name."""
+    module_of = {text: module for module, text in sources.items()}
+    read, attrs, free = set(), set(), set()
+    for text in readers:
+        r, a, f = definitions_read(text, module_of.get(text), set(sources))
+        read |= r
+        attrs |= a
+        free |= f
+    unread = []
+    for module, source in sources.items():
+        for name in public_definitions(source):
+            _, dot, attr = name.rpartition(".")
+            found = attr in attrs if dot else (f"{module}:{name}" in read or name in free)
+            if not found:
+                unread.append(f"{module}:{name}")
+    return unread
 
 
 def test_every_public_definition_is_read():
@@ -122,3 +195,18 @@ def test_detects_an_unread_definition():
     # a reader elsewhere counts, by import or by attribute
     other = "from m import unused\nimport m\nm.shut, main()\n"
     assert unread_definitions({"m": source}, [source, other]) == []
+
+
+def test_detects_a_shadowed_definition():
+    # the name is read elsewhere, but bound to another definition: an
+    # import from outside the package and a local of a function
+    definer = "def product(xs):\n    return xs\n"
+    importer = "from itertools import product\nlist(product([1], [2]))\n"
+    local = textwrap.dedent("""
+        def total(xs):
+            product = 1
+            for x in xs:
+                product *= x
+            return product
+    """)
+    assert unread_definitions({"m": definer}, [definer, importer, local]) == ["m:product"]

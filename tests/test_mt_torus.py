@@ -232,6 +232,15 @@ class TestPerp:
         with pytest.raises(ValueError, match="empty character selection|out of range"):
             query(cs, indices)
 
+    @pytest.mark.parametrize("query", [perp_lattice, character_span_saturation])
+    @pytest.mark.parametrize("indices", [[True], [0, 1.0], ["1"], [0, 1, True]],
+                             ids=["bool", "float", "str", "bool-beside-its-int"])
+    def test_non_integer_selection_rejected(self, query, indices):
+        # True is not character 1, and 1.0 is not a TypeError
+        cs = build_character_system(quartic())
+        with pytest.raises(ValueError, match="character indices must be integers"):
+            query(cs, indices)
+
     def test_double_perp_is_saturated_span(self):
         # every class representative of `run_verify(16)`: the cocharacter
         # basis is the saturation of the rows of H, the perp of a
@@ -267,7 +276,8 @@ class TestCocharBasisFromH:
         # is, one Hermite form fewer than `saturate` of the rows of H,
         # and gives its basis, with the index `saturate` gives.  Hermite
         # forms are counted outside `elementary_divisors`, which reads
-        # the index off forms of its own.
+        # the index off forms of its own; `cochar_basis` calls it under
+        # the name `mt_torus` imports.
         calls, inside = [], []
         real, real_divisors = el.hermite_normal_form, el.elementary_divisors
 
@@ -285,6 +295,7 @@ class TestCocharBasisFromH:
 
         monkeypatch.setattr(el, "hermite_normal_form", counting)
         monkeypatch.setattr(el, "elementary_divisors", divisors)
+        monkeypatch.setattr(mt, "elementary_divisors", divisors)
         reps = 0
         for group in builtin_groups(16):
             for conj in group.central_involutions():
@@ -393,24 +404,23 @@ class TestInvariantError:
         assert not issubclass(InvariantError, ValueError)
 
     def test_raised_with_asserts_stripped(self):
-        # double the first divisor that `saturate_hermite` reads for the
+        # double the first divisor that `cochar_basis` reads for the
         # index of the rows of the build's Hermite form: the quartic's
         # index 1 then reads 2
         script = textwrap.dedent("""
-            import cmtorsion.exact_linalg as el
             import cmtorsion.mt_torus as mt
             from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
             from cmtorsion.cm_core import InvariantError
 
             t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
             cs = mt.build_character_system(CMDatum(t.space.group, 2, (t,)))
-            real = el.elementary_divisors
+            real = mt.elementary_divisors
 
             def doubled(m, modulus=None):
                 diag = real(m, modulus)
                 return (2 * diag[0],) + diag[1:]
 
-            el.elementary_divisors = doubled
+            mt.elementary_divisors = doubled
             try:
                 cs.cochar_basis
             except InvariantError as e:
@@ -426,7 +436,7 @@ class TestInvariantError:
 
     def test_saturation_index_disagreement_raises(self, monkeypatch):
         # the build's divisors of H claim index 2, the divisors that
-        # `saturate_hermite` reads for the rows of H give 1
+        # `cochar_basis` reads for the rows of H give 1
         real = mt.hermite_divisors
 
         def doubled(m, pivots):

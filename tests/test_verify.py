@@ -164,7 +164,7 @@ class TestPrimeGenus:
         monkeypatch.setattr(alpha_engine, "is_primitive", counting)
         monkeypatch.setattr(verify, "is_primitive", counting, raising=False)
         # the quartic and sextic cyclic classes: genus 2 and 3, primitive
-        summary = VerifySummary(max_group_order=6)
+        summary = VerifySummary()
         for order in (4, 6):
             group = FiniteGroup.abelian([order])
             for rep in enumerate_types(group, order // 2, up_to_translation=True):
