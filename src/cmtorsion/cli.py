@@ -180,6 +180,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.csv is not None and args.json is not None:
+        return _fail("pass at most one of --csv or --json", EXIT_INVALID)
     cs, code = _load_system(args.file)
     if cs is None:
         return code

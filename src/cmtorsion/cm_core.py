@@ -117,7 +117,9 @@ class FiniteGroup:
             raise ValueError("coordinate length does not match the invariants")
         idx = 0
         for c, k in zip(coords, inv):
-            idx = idx * k + (c % k)
+            if not 0 <= c < k:
+                raise ValueError(f"coordinate {c} outside 0..{k - 1}")
+            idx = idx * k + c
         return idx
 
     def __eq__(self, other):
@@ -328,7 +330,9 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
     Raw enumeration picks one element from each pair {x, conj*x}, which
     yields 2^(order/2) types.  With `up_to_translation` only the
     lexicographically smallest member of each translation orbit is
-    kept.
+    kept: conj being central, every translate of a raw type is a raw
+    type, so in the sorted raw list an orbit's first member is its least
+    and the orbit is formed once, there.
     """
     if not (0 < conj < group.order) or group.mul(conj, conj) != 0:
         raise ValueError("conjugation must be a nontrivial involution")
@@ -350,9 +354,9 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
     raw.sort(key=CMType.phi_sorted)
     if not up_to_translation:
         return raw
-    reps = []
+    reps, seen = [], set()
     for t in raw:
-        best = min(tuple(sorted(s)) for s in _translation_orbit(space, t.phi))
-        if best == t.phi_sorted():
+        if t.phi not in seen:
             reps.append(t)
+            seen.update(_translation_orbit(space, t.phi))
     return reps

@@ -53,9 +53,10 @@ from .mt_torus import CharacterSystem
 SAFE_INT = 2 ** 53
 
 # Largest group a document may name.  Building a group checks its table
-# in cubic time, once per process for the orders the memo keeps, so a
-# tiny document must not ask for a huge one; 512 admits the order-384
-# Galois group of a generic quartic CM field.
+# by Light's test, O(n^2) per greedy generator, once per process for the
+# orders the memo keeps, so a tiny document must not ask for a huge one;
+# 512 admits the order-384 Galois group, 2^4 * 4!, of a generic octic CM
+# field (genus 4).
 MAX_GROUP_ORDER = 512
 # Most factors a document may list: the exponent is read off all
 # 2^r - 1 unions of factor blocks, which doubles in time per factor.

@@ -36,43 +36,32 @@ def all_ints(values: Iterable) -> bool:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, stored as its rows, each a tuple of
+    `cols` ints; the width also shapes a matrix without rows."""
 
-    rows: int
+    rows: tuple[tuple[int, ...], ...]
     cols: int
-    entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+        if self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if not all_ints(self.entries):
+        widths = set(map(len, self.rows))
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        if widths and self.cols not in widths:
+            raise ValueError("explicit column count disagrees with rows")
+        if not all_ints(chain.from_iterable(self.rows)):
             raise ValueError("integer matrix with non-integer entry")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = list(rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
-        if cols is not None and rows and width != cols:
-            raise ValueError("explicit column count disagrees with rows")
-        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
+    def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
+        """The matrix of `rows`, `cols` wide, or as wide as its first row."""
+        rows = tuple(map(tuple, rows))
+        return cls(rows, len(rows[0]) if cols is None and rows else cols or 0)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        c = self.cols
-        return self.entries[i * c:(i + 1) * c]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def row_lists(self) -> list[list[int]]:
-        e, c = self.entries, self.cols
-        return [list(e[i * c:(i + 1) * c]) for i in range(self.rows)]
+    def columns(self) -> list[tuple[int, ...]]:
+        # zip yields no column of a matrix without rows
+        return list(zip(*self.rows)) if self.rows else [()] * self.cols
 
 
 class IntSpanBasis:
@@ -193,8 +182,8 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     multiplying.
     """
     nc = m.cols
-    live = [row for row in m.row_lists() if any(row)]
-    done: list[list[int]] = []
+    live = [row for row in m.rows if any(row)]
+    done: list[Sequence[int]] = []
     for c in range(nc):
         active = [row for row in live if row[c]]
         if not active:
@@ -262,15 +251,15 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
             raise ValueError("modulus must be positive")
     h, border = m, []
     if modulus:
-        h = IntMatrix(m.rows, m.cols, tuple(x % modulus for x in m.entries))
-        border = [(0,) * i + (modulus,) + (0,) * (m.rows - i - 1) for i in range(m.rows)]
+        nr = len(m.rows)
+        h = IntMatrix.from_rows([[x % modulus for x in row] for row in m.rows], cols=m.cols)
+        border = [(0,) * i + (modulus,) + (0,) * (nr - i - 1) for i in range(nr)]
     while True:
-        h = hermite_normal_form(IntMatrix.from_rows(
-            [h.entries[j::h.cols] for j in range(h.cols)] + border, cols=h.rows))
-        r = h.rows
-        if r == h.cols and sum(map(bool, h.entries)) == r:
+        h = hermite_normal_form(IntMatrix.from_rows(h.columns() + border, cols=len(h.rows)))
+        r = len(h.rows)
+        if r == h.cols and sum(map(bool, chain.from_iterable(h.rows))) == r:
             break
-    d = list(h.entries[::r + 1])
+    d = [row[i] for i, row in enumerate(h.rows)]
     for i in range(r):
         for j in range(i + 1, r):
             g = gcd(d[i], d[j])
@@ -281,11 +270,10 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
 def hermite_pivots(h: IntMatrix) -> list[tuple[int, int]]:
     """(column, value) of each row's pivot in a `hermite_normal_form`
     output: the row's first nonzero entry."""
-    e, c = h.entries, h.cols
     out = []
-    for i in range(0, h.rows * c, c):
-        x = next(filter(None, e[i:i + c]))
-        out.append((e.index(x, i) - i, x))
+    for row in h.rows:
+        x = next(filter(None, row))
+        out.append((row.index(x), x))
     return out
 
 
@@ -305,14 +293,13 @@ def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[i
     When every pivot is 1 no elimination runs.
     """
     unit = {j for j, x in pivots if x == 1}
-    if len(unit) == h.rows:
-        return (1,) * h.rows
-    e, c = h.entries, h.cols
-    rest = [(e[i * c:(i + 1) * c], x) for i, (_, x) in enumerate(pivots) if x != 1]
     ones = (1,) * len(unit)
+    if len(unit) == len(h.rows):
+        return ones
+    rest = [(row, x) for row, (_, x) in zip(h.rows, pivots) if x != 1]
     if len(rest) == 1:
         return ones + (gcd(*rest[0][0]),)
-    keep = [j for j in range(c) if j not in unit]
+    keep = [j for j in range(h.cols) if j not in unit]
     block = IntMatrix.from_rows([[row[j] for j in keep] for row, _ in rest], cols=len(keep))
     return ones + elementary_divisors(block, modulus=prod(x for _, x in rest))
 
@@ -328,10 +315,9 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     above each pivot reduced, so their parts in the identity block are
     the Hermite basis of the kernel, which is always saturated.
     """
-    nr, nc = m.rows, m.cols
+    nr, nc = len(m.rows), m.cols
     # row j: column j of m, then e_j
     h = hermite_normal_form(IntMatrix.from_rows(
-        [m.entries[j::nc] + (0,) * j + (1,) + (0,) * (nc - j - 1) for j in range(nc)],
+        [col + (0,) * j + (1,) + (0,) * (nc - j - 1) for j, col in enumerate(m.columns())],
         cols=nr + nc))
-    return IntMatrix.from_rows(
-        [row[nr:] for row in h.row_lists() if not any(row[:nr])], cols=nc)
+    return IntMatrix.from_rows([row[nr:] for row in h.rows if not any(row[:nr])], cols=nc)

@@ -257,7 +257,7 @@ def _bounds(ell: int, exponent: int, span_dim: int, saturation: int) -> Staircas
 
 def staircase_bounds(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> StaircaseBounds:
     order, (hermite, pivots, _, divisors) = _staircase(cs, ell, levels)
-    return _bounds(ell, sum(order[p][1] for p in pivots), hermite.rows, math.prod(divisors))
+    return _bounds(ell, sum(order[p][1] for p in pivots), len(hermite.rows), math.prod(divisors))
 
 
 @dataclass(frozen=True)

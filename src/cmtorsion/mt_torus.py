@@ -147,7 +147,7 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
     return tuple(labels), rows, columns
 
 
-def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> IntMatrix:
+def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
     """One of each pair {g, c.g} of the orbit matrix's `rows`, then all ones.
 
     Lemma: row c.g is the all-ones row minus row g.  Column (i, s) of row
@@ -160,7 +160,7 @@ def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> IntMatrix:
     group, c = datum.group, datum.conj
     half = [rows[g] for g in range(group.order) if g < group.mul(c, g)]
     half.append((1,) * len(rows[0]))
-    return IntMatrix.from_rows(half)
+    return half
 
 
 def build_character_system(datum: CMDatum) -> CharacterSystem:
@@ -210,12 +210,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     # the row lattice of M, and H is its canonical Hermite form.  A
     # repeated row adds nothing to the lattice, so one copy of each goes
     # into the elimination.
-    half = _half_rows(datum, rows)
-    unique = dict.fromkeys(map(half.row, range(half.rows)))
-    if len(unique) < half.rows:
-        half = IntMatrix(len(unique), half.cols, tuple(chain.from_iterable(unique)))
-    hermite = hermite_normal_form(half)
-    d = hermite.rows
+    hermite = hermite_normal_form(IntMatrix.from_rows(dict.fromkeys(_half_rows(datum, rows))))
+    d = len(hermite.rows)
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
 
@@ -225,7 +221,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         dim=d,
         characters=columns,
         column_labels=labels,
-        char_coords=tuple(zip(*map(hermite.row, range(d)))),
+        char_coords=tuple(zip(*hermite.rows)),
         hermite=hermite,
     )
 
@@ -240,7 +236,8 @@ def _selected_characters(cs: CharacterSystem, indices: Sequence[int]) -> IntMatr
     if any(not 0 <= i < 2 * cs.genus for i in idx):
         raise ValueError("character index out of range")
     b = cs.cochar_basis
-    return IntMatrix.from_rows(map(b.column, idx), cols=b.rows)
+    columns = b.columns()
+    return IntMatrix.from_rows([columns[j] for j in idx], cols=len(b.rows))
 
 
 def perp_lattice(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:

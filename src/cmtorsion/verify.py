@@ -102,18 +102,18 @@ class VerifySummary:
 def _duality_conditions(cs: CharacterSystem, sel: Sequence[int]) -> tuple[bool, ...]:
     """The six conditions of the duality check on the characters `sel`,
     in the order of the module docstring."""
-    rows = _selected_characters(cs, sel).row_lists()
+    rows = _selected_characters(cs, sel).rows
     span = IntSpanBasis(cs.dim)
     for row in rows:
         span.insert(row)
     sat = character_span_saturation(cs, sel)
     perp = perp_lattice(cs, sel)
-    return (sat.rows == span.dim,
-            hermite_normal_form(IntMatrix.from_rows(sat.row_lists() + rows)) == sat,
-            elementary_divisors(sat) == (1,) * sat.rows,
-            not any(sum(map(mul, p, row)) for p in perp.row_lists() for row in rows),
-            perp.rows == cs.dim - span.dim,
-            elementary_divisors(perp) == (1,) * perp.rows)
+    return (len(sat.rows) == span.dim,
+            hermite_normal_form(IntMatrix.from_rows(sat.rows + rows)) == sat,
+            elementary_divisors(sat) == (1,) * len(sat.rows),
+            not any(sum(map(mul, p, row)) for p in perp.rows for row in rows),
+            len(perp.rows) == cs.dim - span.dim,
+            elementary_divisors(perp) == (1,) * len(perp.rows))
 
 
 def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMType):

@@ -14,29 +14,29 @@ from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors,
 
 
 def identity(n: int) -> IntMatrix:
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+    return IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
 
 def zero(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols, (0,) * (rows * cols))
+    return IntMatrix.from_rows([(0,) * cols] * rows, cols=cols)
 
 
 def rank(m: IntMatrix) -> int:
     """Exact rank over Q: the dimension of the row span."""
     basis = IntSpanBasis(m.cols)
-    for i in range(m.rows):
-        basis.insert(m.row(i))
+    for row in m.rows:
+        basis.insert(row)
     return basis.dim
 
 
 def determinant(m: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss)."""
-    if m.rows != m.cols:
+    n = len(m.rows)
+    if n != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = m.row_lists()
+    a = [list(row) for row in m.rows]
     sign = 1
     prev = 1
     for c in range(n):
@@ -68,7 +68,7 @@ def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
     d_(k-1) divides d_k, so D_k is a multiple of D_(k-1) d_(k-1), and the
     scan of the k x k minors stops once their gcd reaches that.
     """
-    rows = m.row_lists()
+    rows = m.rows
     out: list[int] = []
     prev = 1
     for k in range(1, rank(m) + 1):
@@ -94,10 +94,9 @@ def check_kernel(m: IntMatrix, k: IntMatrix) -> None:
     integer kernel; and it is its own Hermite form, which is canonical.
     """
     assert k.cols == m.cols
-    assert not any(sum(a * b for a, b in zip(m.row(i), k.row(j)))
-                   for i in range(m.rows) for j in range(k.rows))
-    assert k.rows == m.cols - rank(m)
-    assert elementary_divisors(k) == (1,) * k.rows
+    assert not any(sum(a * b for a, b in zip(row, x)) for row in m.rows for x in k.rows)
+    assert len(k.rows) == m.cols - rank(m)
+    assert elementary_divisors(k) == (1,) * len(k.rows)
     assert hermite_normal_form(k) == k
 
 
@@ -111,9 +110,9 @@ def check_saturation(m: IntMatrix, basis: IntMatrix) -> None:
     """
     assert basis.cols == m.cols
     assert hermite_normal_form(IntMatrix.from_rows(
-        basis.row_lists() + m.row_lists(), cols=m.cols)) == basis
-    assert basis.rows == rank(m)
-    assert elementary_divisors(basis) == (1,) * basis.rows
+        basis.rows + m.rows, cols=m.cols)) == basis
+    assert len(basis.rows) == rank(m)
+    assert elementary_divisors(basis) == (1,) * len(basis.rows)
 
 
 def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:

@@ -281,7 +281,7 @@ def test_criterion_7_split_torus_point_counts():
                 # the level-n points of the split rank-dim torus: the
                 # image of Z^dim in ((Z/ell^n)^x)^dim under the identity
                 m = unit_order(ell, n)
-                count = _image(identity(dim).row_lists(), [m] * dim)
+                count = _image(identity(dim).rows, [m] * dim)
                 assert count == m ** dim
                 lower = Fraction(ell - 1, ell) ** dim * ell ** (n * dim)
                 assert lower <= count <= ell ** (n * dim)

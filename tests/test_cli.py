@@ -139,6 +139,16 @@ class TestAnalyze:
         assert captured.out == ""
         assert "$.group.name" in captured.err
 
+    @pytest.mark.parametrize("conj", ["[6]", "[-2]"])
+    def test_coordinate_out_of_range_exit_code(self, tmp_path, capsys, conj):
+        # both once wrapped around to element 2, the quartic's conj
+        p = tmp_path / "wrapped.json"
+        p.write_text(QUARTIC.replace('"conj": 2', f'"conj": {conj}'), encoding="utf-8")
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: $.conj: not a valid coordinate list\n"
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/x.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -205,6 +215,31 @@ class TestSimulate:
         out = tmp_path / "missing" / "sweep"
         assert main(["simulate", quartic_file, "--ell", "5", flag, str(out)]) == 2
         assert_write_error(capsys, out)
+
+    @pytest.mark.parametrize("csv, js", [("sweep.csv", "sweep.json"), ("-", "-"),
+                                         ("sweep.csv", "-")], ids=["files", "stdout", "mixed"])
+    def test_refuses_csv_with_json(self, quartic_file, tmp_path, capsys, csv, js):
+        # --json used to win, and the CSV was dropped without a word
+        out = [p if p == "-" else str(tmp_path / p) for p in (csv, js)]
+        assert main(["simulate", quartic_file, "--ell", "5",
+                     "--csv", out[0], "--json", out[1]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: pass at most one of --csv or --json\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["quartic.json"]
+
+    # SHA-256 of the output with --ell 5,13 --level 2
+    @pytest.mark.parametrize("flag, digest", [
+        ("--csv", "abbdc4dfe0b59651a783a0d608c625e58839626c27307449a0c39c27338f85e0"),
+        ("--json", "bb4ebdf229d52a512230ead883de862c7b06c87e1f87d4b241be81a92b55f86a"),
+    ])
+    def test_each_output_flag_alone(self, quartic_file, tmp_path, capsys, flag, digest):
+        out = tmp_path / "sweep"
+        argv = ["simulate", quartic_file, "--ell", "5,13", "--level", "2", flag]
+        assert main(argv + ["-"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+        assert main(argv + [str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_rejects_even_ell(self, quartic_file, capsys):
         assert main(["simulate", quartic_file, "--ell", "4"]) == 2

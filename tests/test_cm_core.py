@@ -170,6 +170,10 @@ class TestFiniteGroup:
         assert g.order == 4
         assert element_tuple(g, 3) == (1, 1)
         assert g.index_of_tuple([1, 1]) == 3
+        # each coordinate runs from 0 to k - 1, with no wrap-around
+        for bad in ([2, 0], [0, -1]):
+            with pytest.raises(ValueError, match="outside 0..1"):
+                g.index_of_tuple(bad)
         assert g.mul(1, 2) == 3
         assert g.inv(3) == 3
 
@@ -379,6 +383,21 @@ class TestEnumerate:
             for t in range(g.order):
                 covered.add(frozenset(g.mul(t, x) for x in r.phi))
         assert covered == {t.phi for t in raw}
+
+    def test_representatives_are_the_orbit_minima(self):
+        # the rule kept as reference: a raw type represents its class when
+        # it is the least of its whole orbit, sorted as tuples; the
+        # enumeration instead forms each orbit once, at its first member
+        classes = 0
+        for g in builtin_groups(16):
+            for c in g.central_involutions():
+                reference = [
+                    t for t in enumerate_types(g, c)
+                    if t.phi_sorted() == min(tuple(sorted(g.mul(h, x) for x in t.phi))
+                                             for h in range(g.order))]
+                assert enumerate_types(g, c, up_to_translation=True) == reference, (g, c)
+                classes += len(reference)
+        assert classes == 914
 
     def test_invalid_conjugation(self):
         g = FiniteGroup.abelian([4])

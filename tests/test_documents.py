@@ -91,6 +91,11 @@ class TestParsing:
         (lambda d: d.update(factors=[]), "$.factors"),
         (lambda d: d["factors"][0].update(phi=[0, 7]), "$.factors[0].phi[1]"),
         (lambda d: d["factors"][0].update(phi=[0, 0]), "$.factors[0].phi"),
+        # coordinates run from 0 to k - 1; [6] and [-2] once wrapped
+        # around to element 2 while 6 itself was refused
+        (lambda d: d.update(conj=[6]), "$.conj"),
+        (lambda d: d.update(conj=[-1]), "$.conj"),
+        (lambda d: d["factors"][0].update(subgroup=[[0], [4]]), "$.factors[0].subgroup[1]"),
     ])
     def test_error_paths(self, mutate, path):
         doc = json.loads(json.dumps(QUARTIC_DOC))

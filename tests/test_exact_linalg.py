@@ -45,12 +45,11 @@ from kernel_helpers import (
 def minor_rank_oracle(m: IntMatrix) -> int:
     """Largest k with a nonzero k x k minor; independent of elimination."""
     best = 0
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in range(1, min(len(m.rows), m.cols) + 1):
         found = False
-        for rsel in combinations(range(m.rows), k):
+        for rsel in combinations(m.rows, k):
             for csel in combinations(range(m.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[m.row(i)[j] for j in csel] for i in rsel], cols=k)
+                sub = IntMatrix.from_rows([[row[j] for j in csel] for row in rsel], cols=k)
                 if determinant(sub) != 0:
                     found = True
                     break
@@ -124,9 +123,9 @@ def solve_left_reference(basis: IntMatrix, vector) -> list[Fraction] | None:
     """
     if len(vector) != basis.cols:
         raise ValueError("vector width mismatch")
-    n, d = basis.cols, basis.rows
-    rows = [[Fraction(x) for x in basis.row(i)]
-            + [Fraction(int(j == i)) for j in range(d)] for i in range(d)]
+    n, d = basis.cols, len(basis.rows)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(j == i)) for j in range(d)]
+            for i, row in enumerate(basis.rows)]
     echelon: list[tuple[int, list[Fraction]]] = []
     for row in rows:
         for p, er in echelon:
@@ -167,6 +166,26 @@ class TestIntMatrix:
         with pytest.raises(ValueError, match="ragged"):
             IntMatrix.from_rows([[1, 2], [3]])
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        (((1, 2), (3,)), 2, "ragged rows"),
+        (((1, 2), (3, 4)), 3, "explicit column count disagrees with rows"),
+        (((1, 2),), -1, "negative matrix dimensions"),
+        (((1, True),), 2, "non-integer entry"),
+        (((1.0, 2),), 2, "non-integer entry"),
+    ])
+    def test_constructor_checks_the_rows_once(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            IntMatrix(rows, cols)
+        with pytest.raises(ValueError, match=message):
+            IntMatrix.from_rows(rows, cols=cols)
+
+    def test_the_width_shapes_a_matrix_without_rows(self):
+        assert IntMatrix.from_rows([], cols=3) == IntMatrix((), 3)
+        assert IntMatrix.from_rows([(), ()]) == IntMatrix(((), ()), 0)
+        assert IntMatrix.from_rows([(), ()]).columns() == []
+        assert IntMatrix.from_rows([], cols=3).columns() == [(), (), ()]
+        assert IntMatrix.from_rows([[1, 2], [3, 4]]).columns() == [(1, 3), (2, 4)]
+
     def test_the_one_integer_test(self):
         # ints and their subclasses pass, bools do not, though they
         # subclass int; the parse, the matrices, the moduli, the
@@ -178,7 +197,7 @@ class TestIntMatrix:
         assert el.all_ints([])
         for bad in (True, False, 1.0, Fraction(2), "1", None):
             assert not el.all_ints([1, bad])
-        assert IntMatrix.from_rows([[Level(2), 1]]).entries == (2, 1)
+        assert IntMatrix.from_rows([[Level(2), 1]]).rows == ((2, 1),)
 
 
 class TestRank:
@@ -459,8 +478,8 @@ class TestElementaryDivisors:
 def hermite_normal_form_reference(m: IntMatrix) -> IntMatrix:
     """The earlier `exact_linalg.hermite_normal_form`, verbatim: every row
     takes part in every column's Euclidean steps, and zero rows stay."""
-    a = m.row_lists()
-    nr, nc = m.rows, m.cols
+    a = [list(row) for row in m.rows]
+    nr, nc = len(m.rows), m.cols
     r = 0
     for c in range(nc):
         piv = None
@@ -542,7 +561,7 @@ class TestHermite:
 
     def test_pivot_normalization(self):
         h = hermite_normal_form(IntMatrix.from_rows([[0, -2], [3, 1]]))
-        assert h.row_lists() == [[3, 1], [0, 2]]
+        assert h.rows == ((3, 1), (0, 2))
 
     def test_matches_the_reference_randomized(self):
         rng = random.Random(1717)
@@ -550,7 +569,7 @@ class TestHermite:
         for _ in range(400):
             m = random_hermite_input(rng)
             assert hermite_normal_form(m) == hermite_normal_form_reference(m), m
-            shapes.add((m.rows > m.cols, m.rows < m.cols))
+            shapes.add((len(m.rows) > m.cols, len(m.rows) < m.cols))
         assert shapes == {(True, False), (False, True), (False, False)}
 
     def test_matches_the_reference_on_catalogue_orbit_matrices(self):
@@ -585,7 +604,7 @@ class TestHermite:
                         rows = _orbit_matrix(datum)[1]
                     except DuplicateCharactersError:
                         continue
-                    inputs.append(_half_rows(datum, rows).row_lists())
+                    inputs.append(_half_rows(datum, rows))
         for rows in inputs[:]:
             mixed = [list(row) for row in rows]
             for _ in range(rng.randint(1, 3)):
@@ -600,10 +619,10 @@ class TestHermite:
         assert min(quotients[1], quotients[-1]) > 1000, quotients
 
     def test_zero_and_empty_inputs(self):
-        for m in (IntMatrix.from_rows([[0, 0], [0, 0]]), IntMatrix(0, 3, ()),
-                  IntMatrix(2, 0, ())):
+        for m in (IntMatrix.from_rows([[0, 0], [0, 0]]), IntMatrix.from_rows([], cols=3),
+                  IntMatrix.from_rows([(), ()])):
             assert hermite_normal_form(m) == hermite_normal_form_reference(m)
-            assert hermite_normal_form(m).rows == 0
+            assert hermite_normal_form(m).rows == ()
 
 
 class TestHermiteDivisors:
@@ -611,9 +630,8 @@ class TestHermiteDivisors:
         rng = random.Random(2424)
         for _ in range(200):
             h = hermite_normal_form(random_hermite_input(rng))
-            rows = h.row_lists()
             assert hermite_pivots(h) == [
-                next((j, x) for j, x in enumerate(row) if x) for row in rows]
+                next((j, x) for j, x in enumerate(row) if x) for row in h.rows]
 
     def test_agrees_with_the_plain_divisors(self):
         rng = random.Random(2323)
@@ -623,8 +641,7 @@ class TestHermiteDivisors:
             if not h.rows:
                 continue
             assert hermite_divisors(h, hermite_pivots(h)) == elementary_divisors(h), h
-            moduli.add(min(4, prod(next(x for x in h.row(i) if x)
-                                   for i in range(h.rows))))
+            moduli.add(min(4, prod(next(filter(None, row)) for row in h.rows)))
         assert moduli == {1, 2, 3, 4}
 
     def test_on_catalogue_orbit_matrices(self):
@@ -646,7 +663,7 @@ class TestHermiteDivisors:
         real = el.elementary_divisors
 
         def recording(m, modulus=None):
-            seen.append((m.rows, m.cols, modulus))
+            seen.append((len(m.rows), m.cols, modulus))
             return real(m, modulus)
 
         monkeypatch.setattr(el, "elementary_divisors", recording)
@@ -667,16 +684,15 @@ def random_kernel_inputs(rng: random.Random, count: int):
     yield zero(3, 4)
     yield IntMatrix.from_rows([[2, 1], [0, 3], [4, 5]])
     yield identity(3)
-    yield IntMatrix(2, 0, ())
+    yield IntMatrix.from_rows([(), ()])
 
 
 class TestKernel:
     def test_cycle(self):
         k = integer_kernel(CYCLE4)
-        assert k.rows == 1
-        x = k.row(0)
-        for i in range(4):
-            assert sum(CYCLE4.row(i)[j] * x[j] for j in range(4)) == 0
+        (x,) = k.rows
+        for row in CYCLE4.rows:
+            assert sum(a * b for a, b in zip(row, x)) == 0
         assert tuple(map(abs, x)) == (1, 1, 1, 1)
 
     def test_kernel_is_saturated(self):
@@ -690,7 +706,7 @@ class TestKernel:
 class TestSaturate:
     def test_single_even_vector(self):
         basis, index = saturate(IntMatrix.from_rows([[2, 0]]))
-        assert basis.row_lists() == [[1, 0]]
+        assert basis.rows == ((1, 0),)
         assert index == 2
 
     def test_already_saturated(self):
@@ -714,7 +730,6 @@ class TestSaturate:
             k = rng.randint(1, 2)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
             basis, index = saturate(IntMatrix.from_rows(rows, cols=n))
-            rbasis = basis.row_lists()
             # every small integer vector of the rational span must lie in
             # the claimed lattice with integer coordinates
             span_rows = [r for r in rows if any(r)]
@@ -725,7 +740,7 @@ class TestSaturate:
                     expect = not any(v)
                 else:
                     expect = in_rational_span(span_rows, v)
-                if expect and rbasis:
+                if expect and basis.rows:
                     assert hermite_coordinates(basis, v) is not None
                 elif expect:
                     assert not any(v)
@@ -831,8 +846,7 @@ def hermite_coordinates(basis: IntMatrix, vector) -> list[int] | None:
         raise ValueError("vector width mismatch")
     v = list(vector)
     coords = []
-    for i in range(basis.rows):
-        row = basis.row(i)
+    for row in basis.rows:
         p = next(j for j, x in enumerate(row) if x)
         q, rem = divmod(v[p], row[p])
         if rem:
@@ -870,7 +884,7 @@ class TestHermiteCoordinates:
                     break
             basis = hermite_normal_form(basis)
             x = [rng.randint(-3, 3) for _ in range(d)]
-            v = [sum(x[i] * basis.row(i)[j] for i in range(d)) for j in range(n)]
+            v = [sum(a * b for a, b in zip(x, col)) for col in basis.columns()]
             assert hermite_coordinates(basis, v) == x
 
     def test_outside_span(self):
@@ -898,9 +912,8 @@ class TestHermiteCoordinates:
             if not basis.rows:
                 continue
             for _ in range(8):
-                x = [rng.randint(-3, 3) for _ in range(basis.rows)]
-                v = [sum(x[i] * basis.row(i)[j] for i in range(basis.rows))
-                     for j in range(n)]
+                x = [rng.randint(-3, 3) for _ in basis.rows]
+                v = [sum(a * b for a, b in zip(x, col)) for col in basis.columns()]
                 # dividing out the content often leaves the lattice but
                 # never the rational span
                 g = gcd(*v)

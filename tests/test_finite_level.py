@@ -231,7 +231,7 @@ class TestSweep:
             real = getattr(fl, name)
 
             def call(m, *args, **kwargs):
-                calls.append((name, m.rows, m.cols))
+                calls.append((name, len(m.rows), m.cols))
                 return real(m, *args, **kwargs)
             return call
 
@@ -736,6 +736,6 @@ class TestScaledImage:
     def test_size_must_divide_the_group_order(self, monkeypatch):
         # the image lies in Z/4 x Z/6, so a wrong elimination giving a
         # size of 144 is caught
-        monkeypatch.setattr(fl, "elementary_divisors", lambda m, modulus=None: (1,) * m.rows)
+        monkeypatch.setattr(fl, "elementary_divisors", lambda m, modulus=None: (1,) * len(m.rows))
         with pytest.raises(InvariantError, match="does not divide the group order"):
             fl._image([[1], [1]], [4, 6])

@@ -83,7 +83,9 @@ class TestSweep:
 
 
 def doubled_row(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.rows, m.cols, tuple(2 * x for x in m.entries[:m.cols]) + m.entries[m.cols:])
+    # the first row doubled, if there is one
+    return IntMatrix.from_rows([[2 * x for x in row] for row in m.rows[:1]] + list(m.rows[1:]),
+                               cols=m.cols)
 
 
 def unit_rows(count: int, cols: int, start: int = 0) -> IntMatrix:
@@ -93,7 +95,7 @@ def unit_rows(count: int, cols: int, start: int = 0) -> IntMatrix:
 
 
 def dropped_row(m: IntMatrix) -> IntMatrix:
-    return IntMatrix(m.rows - 1, m.cols, m.entries[:-m.cols]) if m.rows else m
+    return IntMatrix.from_rows(m.rows[:-1], cols=m.cols)
 
 
 class TestDuality:
@@ -101,13 +103,13 @@ class TestDuality:
         # not saturated, and not holding the selection
         ("character_span_saturation", doubled_row),
         # saturated with the right rank, but not holding the selection
-        ("character_span_saturation", lambda m: unit_rows(m.rows, m.cols, m.cols - m.rows)),
+        ("character_span_saturation", lambda m: unit_rows(len(m.rows), m.cols, m.cols - len(m.rows))),
         # saturated and holding the selection, but too large
         ("character_span_saturation", lambda m: unit_rows(m.cols, m.cols)),
         # annihilates with the right rank, but not saturated
         ("perp_lattice", doubled_row),
         # saturated with the right rank, but not annihilating
-        ("perp_lattice", lambda m: unit_rows(m.rows, m.cols)),
+        ("perp_lattice", lambda m: unit_rows(len(m.rows), m.cols)),
         # saturated and annihilating, but a row short
         ("perp_lattice", dropped_row),
     ], ids=["span-doubled", "span-elsewhere", "span-whole",
