@@ -15,7 +15,6 @@ from pathlib import Path
 from .alpha_engine import ORACLE_CAP, alpha_exact, alpha_oracle, build_report
 from .cm_core import CMDatum, FiniteGroup, enumerate_types, is_primitive
 from .documents import (
-    DatumParseError,
     dumps_document,
     load_datum,
     report_to_dict,
@@ -36,58 +35,51 @@ EXIT_DUPLICATE = 3
 ENUMERATE_LOG2_CAP = 12
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Refused(Exception):
+    """A refused request: `main` prints `error: {message}` and returns
+    `code`."""
+
+    def __init__(self, message: str, code: int = EXIT_INVALID):
+        super().__init__(message)
+        self.code = code
 
 
-def _write_text(path: str, text: str) -> int:
-    """Writes `text` to `path` ('-' for stdout): EXIT_OK, or EXIT_INVALID
-    after printing the error when the path cannot be written."""
+def _write_text(path: str, text: str) -> None:
+    """Writes `text` to `path` ('-' for stdout); refuses a path that
+    cannot be written."""
     if path == "-":
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as e:
-        return _fail(str(e), EXIT_INVALID)
-    return EXIT_OK
+        raise _Refused(str(e))
 
 
 def _load_system(path: str):
-    """Returns (cs, None) or (None, exit_code) after printing the error."""
+    """The character system of the datum file at `path`, or a refusal."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        return None, _fail(str(e), EXIT_INVALID)
+        raise _Refused(str(e))
     except UnicodeDecodeError as e:
-        return None, _fail(f"{path}: not UTF-8 text: {e}", EXIT_INVALID)
+        raise _Refused(f"{path}: not UTF-8 text: {e}")
     try:
-        datum = load_datum(text)
-    except DatumParseError as e:
-        return None, _fail(str(e), EXIT_INVALID)
-    try:
-        cs = build_character_system(datum)
+        return build_character_system(load_datum(text))
     except DuplicateCharactersError as e:
         i, j = e.indices
-        return None, _fail(
-            f"characters {i} and {j} coincide; the datum is degenerate",
-            EXIT_DUPLICATE)
+        raise _Refused(f"characters {i} and {j} coincide; the datum is degenerate",
+                       EXIT_DUPLICATE)
     except ValueError as e:
-        return None, _fail(str(e), EXIT_INVALID)
-    return cs, None
+        raise _Refused(str(e))
 
 
 def cmd_analyze(args) -> int:
-    cs, code = _load_system(args.file)
-    if cs is None:
-        return code
+    cs = _load_system(args.file)
     report = build_report(cs)
     if args.json:
-        code = _write_text(args.json, dumps_document(report_to_dict(report, cs)))
-        if code:
-            return code
+        _write_text(args.json, dumps_document(report_to_dict(report, cs)))
     datum = cs.datum
     kind = ("nondegenerate" if report.defect == 0
             else "defect one" if report.defect == 1 else "degenerate")
@@ -112,27 +104,25 @@ def cmd_analyze(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if (args.abelian is None) == (args.max_order is None):
-        return _fail("pass exactly one of --abelian or --max-order", EXIT_INVALID)
+        raise _Refused("pass exactly one of --abelian or --max-order")
     if args.abelian is not None:
         try:
             invariants = [int(x) for x in args.abelian.split(",")]
         except ValueError:
-            return _fail("--abelian wants a comma-separated integer list",
-                         EXIT_INVALID)
+            raise _Refused("--abelian wants a comma-separated integer list")
         if any(x < 2 for x in invariants):
-            return _fail("invariant factors must be at least 2", EXIT_INVALID)
+            raise _Refused("invariant factors must be at least 2")
         for small, big in zip(invariants, invariants[1:]):
             if big % small:
-                return _fail("invariant factors must form a divisor chain",
-                             EXIT_INVALID)
+                raise _Refused("invariant factors must form a divisor chain")
         order = math.prod(invariants)
     else:
         if args.max_order < 2:
-            return _fail("--max-order must be at least 2", EXIT_INVALID)
+            raise _Refused("--max-order must be at least 2")
         order = args.max_order
     if order // 2 > ENUMERATE_LOG2_CAP:
-        return _fail(f"a group of order {order} has 2^{order // 2} raw CM types per "
-                     f"involution, over the cap of 2^{ENUMERATE_LOG2_CAP}", EXIT_INVALID)
+        raise _Refused(f"a group of order {order} has 2^{order // 2} raw CM types per "
+                       f"involution, over the cap of 2^{ENUMERATE_LOG2_CAP}")
     groups = ([FiniteGroup.abelian(invariants)] if args.abelian is not None
               else builtin_groups(order))
 
@@ -161,9 +151,7 @@ def cmd_enumerate(args) -> int:
                 entries.append(entry)
 
     if args.json:
-        code = _write_text(args.json, dumps_document({"types": entries}))
-        if code:
-            return code
+        _write_text(args.json, dumps_document({"types": entries}))
     built = sum(1 for e in entries if e["status"] == "ok")
     for e in entries:
         head = (f"{e['group']} conj {e['conj']} phi {e['phi']}: ")
@@ -181,30 +169,28 @@ def cmd_enumerate(args) -> int:
 
 def cmd_simulate(args) -> int:
     if args.csv is not None and args.json is not None:
-        return _fail("pass at most one of --csv or --json", EXIT_INVALID)
-    cs, code = _load_system(args.file)
-    if cs is None:
-        return code
+        raise _Refused("pass at most one of --csv or --json")
+    cs = _load_system(args.file)
     try:
         ells = [int(x) for x in args.ell.split(",")]
     except ValueError:
-        return _fail("--ell wants a comma-separated integer list", EXIT_INVALID)
+        raise _Refused("--ell wants a comma-separated integer list")
     if args.level < 1:
-        return _fail("--level must be a positive integer", EXIT_INVALID)
+        raise _Refused("--level must be a positive integer")
     try:
         rows = exponent_sweep(cs, ells, args.level)
     except ValueError as e:
-        return _fail(str(e), EXIT_INVALID)
-    if args.json:
-        return _write_text(args.json, dumps_document(sweep_rows_to_json(rows)))
-    return _write_text(args.csv or "-", sweep_rows_to_csv(rows))
+        raise _Refused(str(e))
+    text = dumps_document(sweep_rows_to_json(rows)) if args.json else sweep_rows_to_csv(rows)
+    _write_text(args.json or args.csv or "-", text)
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     try:
         summary = run_verify(args.max_group_order)
     except ValueError as e:
-        return _fail(str(e), EXIT_INVALID)
+        raise _Refused(str(e))
     print(f"groups with a central involution: {summary.groups_seen}")
     print(f"translation classes fully checked: {summary.class_reps_checked}")
     print(f"translates matched by row permutation: {summary.translates_checked}")
@@ -221,13 +207,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cs, code = _load_system(args.file)
-    if cs is None:
-        return code
+    cs = _load_system(args.file)
     m = 2 * cs.genus
     if m > ORACLE_CAP:
-        return _fail(f"oracle handles at most {ORACLE_CAP} characters, system has {m}",
-                     EXIT_INVALID)
+        raise _Refused(f"oracle handles at most {ORACLE_CAP} characters, system has {m}")
     report = alpha_exact(cs)
     reference = alpha_oracle(cs)
     print(f"exact: {report.alpha}")
@@ -282,7 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Refused as e:
+        print(f"error: {e}", file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

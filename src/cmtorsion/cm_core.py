@@ -11,7 +11,6 @@ Groups are represented by explicit multiplication tables, with element
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product as iter_product
 from typing import Optional, Sequence
 
@@ -53,9 +52,10 @@ class FiniteGroup:
     the operation is associative, by Light's test: (x*a)*y = x*(a*y)
     for a in `generators` only, exact because the elements a passing it
     are closed under products and the generators reach every element.
+    `center` holds the elements whose row equals their column.
     """
 
-    __slots__ = ("table", "order", "inverses", "generators", "name",
+    __slots__ = ("table", "order", "inverses", "generators", "center", "name",
                  "abelian_invariants", "_hash")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "",
@@ -91,6 +91,8 @@ class FiniteGroup:
         self.order = n
         self.inverses = tuple(inverses)
         self.generators = generators
+        self.center = frozenset(a for a, (row, col) in enumerate(zip(tab, zip(*tab)))
+                                if row == col)
         self.name = name or f"order{n}"
         self.abelian_invariants = abelian_invariants
         self._hash = hash(tab)
@@ -101,13 +103,8 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def is_central(self, a: int) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for b in range(self.order))
-
     def central_involutions(self) -> list[int]:
-        return [a for a in range(1, self.order)
-                if self.table[a][a] == 0 and self.is_central(a)]
+        return sorted(a for a in self.center if a and self.table[a][a] == 0)
 
     def index_of_tuple(self, coords: Sequence[int]) -> int:
         if self.abelian_invariants is None:
@@ -254,49 +251,58 @@ class CMType:
 
 @dataclass(frozen=True)
 class CMDatum:
-    """Group, central conjugation and a list of CM type factors."""
+    """Group, central conjugation and a list of CM type factors.
+
+    Valid once made: the constructor raises ValueError naming every
+    structural violation, joined by "; "."""
 
     group: FiniteGroup
     conj: int
     factors: tuple[CMType, ...]
 
-    @cached_property
-    def problems(self) -> tuple[str, ...]:
-        """The datum's structural violations, found on first read: the
-        parse and the build of one datum check it once."""
-        return tuple(_problems(self))
+    def __post_init__(self):
+        problems = _problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
-def validate(datum: CMDatum) -> list[str]:
-    """All structural violations of a datum, as human-readable strings,
-    in a list of the caller's own."""
-    return list(datum.problems)
-
-
-def _problems(datum: CMDatum) -> list[str]:
-    g = datum.group
-    problems = []
-    c = datum.conj
-    if not (0 <= c < g.order):
+def _conjugation_problems(g: FiniteGroup, c) -> list[str]:
+    """Why c is not a central involution of g; empty when it is.  When c
+    is no element index of g, that is the one problem named."""
+    if not all_ints((c,)):
+        return ["conjugation must be an integer"]
+    if not 0 <= c < g.order:
         return [f"conjugation index {c} out of range"]
+    problems = []
     if c == 0:
         problems.append("conjugation equals the identity")
     elif g.mul(c, c) != 0:
         problems.append("conjugation squared is not the identity")
-    if not g.is_central(c):
+    if c not in g.center:
         problems.append("conjugation is not central")
+    return problems
+
+
+def _problems(datum: CMDatum) -> list[str]:
+    g, c = datum.group, datum.conj
+    problems = _conjugation_problems(g, c)
+    if not (all_ints((c,)) and 0 <= c < g.order):
+        return problems  # no coset can be moved by c
     if not datum.factors:
         problems.append("datum has no factors")
     for k, f in enumerate(datum.factors):
         if f.space.group != g:
             problems.append(f"factor {k} lives over a different group")
             continue
+        if not all_ints(f.phi):
+            problems.append(f"factor {k}: phi entries must be integers")
+            continue
         size = f.space.size
-        if not all(0 <= s < size for s in f.phi):
+        if not f.phi.issubset(range(size)):
             problems.append(f"factor {k}: phi contains an invalid coset index")
             continue
-        image = {f.space.act(c, s) for s in f.phi}
-        if image & f.phi or len(f.phi | image) != size:
+        image = set(map(f.space.action_row(c).__getitem__, f.phi))
+        if len(f.phi) + len(image) != size or not image.isdisjoint(f.phi):
             problems.append(
                 f"factor {k}: phi and its conjugate do not partition the cosets")
     return problems
@@ -334,10 +340,9 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
     type, so in the sorted raw list an orbit's first member is its least
     and the orbit is formed once, there.
     """
-    if not (0 < conj < group.order) or group.mul(conj, conj) != 0:
-        raise ValueError("conjugation must be a nontrivial involution")
-    if not group.is_central(conj):
-        raise ValueError("conjugation must be central")
+    problems = _conjugation_problems(group, conj)
+    if problems:
+        raise ValueError("; ".join(problems))
     space = CosetSpace(group, [0])
     pairs = []
     seen = set()

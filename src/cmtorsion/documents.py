@@ -45,7 +45,7 @@ from operator import countOf
 from typing import Any
 
 from .alpha_engine import AlphaReport, witness_basis
-from .cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, validate
+from .cm_core import CMDatum, CMType, CosetSpace, FiniteGroup
 from .exact_linalg import all_ints
 from .finite_level import SweepRow
 from .mt_torus import CharacterSystem
@@ -198,11 +198,10 @@ def parse_datum(doc: Any) -> CMDatum:
         _expect(len(phi) == len(phi_node), f"{fpath}.phi",
                 "coset indices must be distinct")
         factors.append(CMType(space, phi))
-    datum = CMDatum(group, conj, tuple(factors))
-    problems = validate(datum)
-    if problems:
-        raise DatumParseError("$", "; ".join(problems))
-    return datum
+    try:
+        return CMDatum(group, conj, tuple(factors))
+    except ValueError as e:
+        raise DatumParseError("$", str(e))
 
 
 def load_datum(text: str) -> CMDatum:

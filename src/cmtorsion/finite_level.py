@@ -14,10 +14,10 @@ form below.
 
 A mixed-level query first takes the Hermite form H of the active
 coordinates as columns, in decreasing level order (index breaking
-ties); it is kept for the 256 most recent orders, so a staircase after
-its degree reads the same entry.  Its pivot columns p_1 < ... < p_r
-are the greedy independent set, and the divisors of H are those of the
-active rows.  When ell does not divide the product of the pivots,
+ties).  Its pivot columns p_1 < ... < p_r are the greedy independent
+set and its divisors, those of the active rows, are kept for the 256
+most recent orders, so a staircase after its degree reads the same
+entry.  When ell does not divide the product of the pivots,
 
     degree = _image_size(divisors, ell - 1) * ell^(sum_t (n_{p_t} - 1)),
 
@@ -165,16 +165,16 @@ def _in_group(size: int, moduli: Sequence[int]) -> int:
 
 @lru_cache(maxsize=256)
 def _active_lattice(coords: tuple[tuple[int, ...], ...], idx: tuple[int, ...]):
-    """(H, pivot columns, pivot product, divisors) of the characters idx.
+    """(pivot columns, pivot product, divisors) of the characters idx.
 
-    H is the Hermite form of coords[i] for i in idx as columns, in that
-    order; its divisors (`hermite_divisors`) are those of the active
-    rows.
+    These are read off the Hermite form H of coords[i] for i in idx as
+    columns, in that order; H has one row per pivot, and its divisors
+    (`hermite_divisors`) are those of the active rows.
     """
     hermite = hermite_normal_form(IntMatrix.from_rows(
         zip(*(coords[i] for i in idx)), cols=len(idx)))
     pivots = hermite_pivots(hermite)
-    return (hermite, tuple(j for j, _ in pivots), math.prod(x for _, x in pivots),
+    return (tuple(j for j, _ in pivots), math.prod(x for _, x in pivots),
             hermite_divisors(hermite, pivots))
 
 
@@ -209,7 +209,7 @@ def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int])
     `levels` maps character indices to exponents: character i is
     constrained at level ell^(levels[i]).
     """
-    order, (_, pivots, product, divisors) = _staircase(cs, ell, levels)
+    order, (pivots, product, divisors) = _staircase(cs, ell, levels)
     moduli = [_unit_order(ell, n) for _, n in order]
     if product % ell:
         # the CRT closed form of the module docstring
@@ -225,7 +225,7 @@ class StaircaseBounds:
     The exponent sums the levels of a greedy maximal independent
     subfamily taken in decreasing level order: the pivot columns of the
     Hermite form of the active coordinates as columns in that order,
-    whose rows number `span_dim`.  The plain lower bound
+    which number `span_dim`.  The plain lower bound
     assumes the active characters span a saturated lattice; dividing
     by the saturation defect (the product of the elementary divisors
     of the active coordinate rows) repairs it in general, so the
@@ -256,8 +256,8 @@ def _bounds(ell: int, exponent: int, span_dim: int, saturation: int) -> Staircas
 
 
 def staircase_bounds(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> StaircaseBounds:
-    order, (hermite, pivots, _, divisors) = _staircase(cs, ell, levels)
-    return _bounds(ell, sum(order[p][1] for p in pivots), len(hermite.rows), math.prod(divisors))
+    order, (pivots, _, divisors) = _staircase(cs, ell, levels)
+    return _bounds(ell, sum(order[p][1] for p in pivots), len(pivots), math.prod(divisors))
 
 
 @dataclass(frozen=True)
@@ -302,7 +302,7 @@ def exponent_sweep(cs: CharacterSystem, ells: Sequence[int], level: int = 1,
     if len(witness.generating_indices) == 2 * cs.genus:
         divisors = cs.divisors
     else:
-        divisors = _active_lattice(cs.char_coords, witness.generating_indices)[3]
+        divisors = _active_lattice(cs.char_coords, witness.generating_indices)[2]
     span_dim = len(divisors)
     saturation = math.prod(divisors)
     rows = []

@@ -27,7 +27,7 @@ from math import prod
 from operator import add, itemgetter
 from typing import Sequence
 
-from .cm_core import CMDatum, InvariantError, validate
+from .cm_core import CMDatum, InvariantError
 from .exact_linalg import (
     IntMatrix,
     all_ints,
@@ -152,7 +152,7 @@ def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> list[Sequence[i
 
     Lemma: row c.g is the all-ones row minus row g.  Column (i, s) of row
     c.g holds 1 when s lies in c.g.phi_i = g.(c.phi_i), c being central,
-    and `validate` checks that c.phi_i is the complement of phi_i, so
+    and `CMDatum` checks that c.phi_i is the complement of phi_i, so
     exactly when s does not lie in g.phi_i.  Every row of the orbit
     matrix is thus an integer combination of these rows, and the all-ones
     row is the sum of rows g and c.g, so both span the same lattice.
@@ -166,14 +166,12 @@ def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> list[Sequence[i
 def build_character_system(datum: CMDatum) -> CharacterSystem:
     """Build and sanity-check the character system of a datum.
 
-    Raises ValueError for invalid data, DuplicateCharactersError when
-    two columns coincide, and InvariantError when a sanity check fails.
-    The column sums and the equivariance are the hypotheses under which
-    `alpha_engine` reads the exponent off the factor unions.
+    A `CMDatum` is valid once made, so the build checks no input.  It
+    raises DuplicateCharactersError when two columns coincide, and
+    InvariantError when a sanity check fails.  The column sums and the
+    equivariance are the hypotheses under which `alpha_engine` reads the
+    exponent off the factor unions.
     """
-    problems = validate(datum)
-    if problems:
-        raise ValueError("invalid datum: " + "; ".join(problems))
     labels, rows, columns = _orbit_matrix(datum)
     group = datum.group
     n = group.order
@@ -227,7 +225,13 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
 
 
 def _selected_characters(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
-    """The `cochar_basis` columns of the selected characters, as rows."""
+    """The `cochar_basis` columns of the selected characters, as rows.
+
+    A character enters through its pairings with that basis, not through
+    `char_coords`, so the `integer_kernel` of these rows is a Hermite
+    basis of the cocharacters annihilating the selection.  Raises
+    ValueError for an empty selection or an index outside the characters.
+    """
     if not all_ints(indices):
         raise ValueError("character indices must be integers")
     idx = sorted(set(indices))
@@ -238,25 +242,3 @@ def _selected_characters(cs: CharacterSystem, indices: Sequence[int]) -> IntMatr
     b = cs.cochar_basis
     columns = b.columns()
     return IntMatrix.from_rows([columns[j] for j in idx], cols=len(b.rows))
-
-
-def perp_lattice(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
-    """Cocharacters annihilating the selected characters.
-
-    Returns a Hermite basis of the saturated kernel inside the rank-dim
-    cocharacter lattice.  A character enters through its column of
-    `cochar_basis`, its pairings with that basis, not through
-    `char_coords`.  Raises ValueError for an empty selection or an
-    index outside the characters.
-    """
-    return integer_kernel(_selected_characters(cs, indices))
-
-
-def character_span_saturation(cs: CharacterSystem, indices: Sequence[int]) -> IntMatrix:
-    """Saturated span of the selected characters in lattice coordinates.
-
-    The kernel of `perp_lattice`, whose coordinates and selection
-    checks it takes: the saturation is the kernel of the kernel, and its
-    index is not needed.
-    """
-    return integer_kernel(perp_lattice(cs, indices))

@@ -30,7 +30,13 @@ from .cm_core import (
     _translation_orbit,
     enumerate_types,
 )
-from .exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors, hermite_normal_form
+from .exact_linalg import (
+    IntMatrix,
+    IntSpanBasis,
+    elementary_divisors,
+    hermite_normal_form,
+    integer_kernel,
+)
 from .finite_level import _miller_rabin
 from .mt_torus import (
     CharacterSystem,
@@ -38,8 +44,6 @@ from .mt_torus import (
     _orbit_matrix,
     _selected_characters,
     build_character_system,
-    character_span_saturation,
-    perp_lattice,
 )
 
 
@@ -102,12 +106,13 @@ class VerifySummary:
 def _duality_conditions(cs: CharacterSystem, sel: Sequence[int]) -> tuple[bool, ...]:
     """The six conditions of the duality check on the characters `sel`,
     in the order of the module docstring."""
-    rows = _selected_characters(cs, sel).rows
+    selected = _selected_characters(cs, sel)
+    rows = selected.rows
     span = IntSpanBasis(cs.dim)
     for row in rows:
         span.insert(row)
-    sat = character_span_saturation(cs, sel)
-    perp = perp_lattice(cs, sel)
+    perp = integer_kernel(selected)
+    sat = integer_kernel(perp)
     return (len(sat.rows) == span.dim,
             hermite_normal_form(IntMatrix.from_rows(sat.rows + rows)) == sat,
             elementary_divisors(sat) == (1,) * len(sat.rows),

@@ -37,13 +37,18 @@ FALLBACK = """\
 """
 
 
+def assert_refused(capsys) -> str:
+    # a refusal prints one error line and nothing on stdout; the line
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 def assert_write_error(capsys, path):
     # an output path that cannot be written is invalid input: exit 2,
     # one error line naming the path, nothing on stdout
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and str(path) in captured.err
-    assert captured.err.count("\n") == 1
+    assert str(path) in assert_refused(capsys)
     assert not path.exists()
 
 
@@ -114,20 +119,27 @@ class TestAnalyze:
         p = tmp_path / "biquad.json"
         p.write_text(BIQUADRATIC, encoding="utf-8")
         assert main(["analyze", str(p)]) == 3
-        assert "coincide" in capsys.readouterr().err
+        assert assert_refused(capsys) == (
+            "error: characters 0 and 2 coincide; the datum is degenerate\n")
 
     def test_invalid_document_exit_code(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"group": {"kind": "abelian"}}', encoding="utf-8")
         assert main(["analyze", str(p)]) == 2
-        assert "$.group.invariants" in capsys.readouterr().err
+        assert "$.group.invariants" in assert_refused(capsys)
+        # a datum the constructor refuses is named at "$"
+        p.write_text(QUARTIC.replace('"conj": 2', '"conj": 1'), encoding="utf-8")
+        assert main(["analyze", str(p)]) == 2
+        assert assert_refused(capsys) == (
+            "error: $: conjugation squared is not the identity; "
+            "factor 0: phi and its conjugate do not partition the cosets\n")
 
     def test_oversized_group_exit_code(self, tmp_path, capsys):
         p = tmp_path / "huge.json"
         p.write_text('{"group": {"kind": "abelian", "invariants": [100000]},'
                      ' "conj": 50000, "factors": [{"phi": [0]}]}', encoding="utf-8")
         assert main(["analyze", str(p)]) == 2
-        assert "$.group.invariants" in capsys.readouterr().err
+        assert "$.group.invariants" in assert_refused(capsys)
 
     def test_non_string_group_name_exit_code(self, tmp_path, capsys):
         p = tmp_path / "named.json"
@@ -135,9 +147,7 @@ class TestAnalyze:
                      ' "table": [[0, 1], [1, 0]]}, "conj": 1,'
                      ' "factors": [{"phi": [0]}]}', encoding="utf-8")
         assert main(["analyze", str(p), "--json", "-"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "$.group.name" in captured.err
+        assert "$.group.name" in assert_refused(capsys)
 
     @pytest.mark.parametrize("conj", ["[6]", "[-2]"])
     def test_coordinate_out_of_range_exit_code(self, tmp_path, capsys, conj):
@@ -145,13 +155,12 @@ class TestAnalyze:
         p = tmp_path / "wrapped.json"
         p.write_text(QUARTIC.replace('"conj": 2', f'"conj": {conj}'), encoding="utf-8")
         assert main(["analyze", str(p)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: $.conj: not a valid coordinate list\n"
+        assert assert_refused(capsys) == "error: $.conj: not a valid coordinate list\n"
 
     def test_missing_file(self, capsys):
         assert main(["analyze", "/nonexistent/x.json"]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert assert_refused(capsys) == (
+            "error: [Errno 2] No such file or directory: '/nonexistent/x.json'\n")
 
     def test_unwritable_json_path(self, quartic_file, tmp_path, capsys):
         # the OSError used to end in a traceback with exit 1
@@ -177,9 +186,7 @@ def test_unreadable_file_is_invalid_input(tmp_path, capsys, default_str_digits, 
     p = tmp_path / "datum.json"
     p.write_bytes(UNREADABLE[name])
     assert main([command[0], str(p)] + command[1:]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert_refused(capsys)
 
 
 class TestSimulate:
@@ -223,9 +230,7 @@ class TestSimulate:
         out = [p if p == "-" else str(tmp_path / p) for p in (csv, js)]
         assert main(["simulate", quartic_file, "--ell", "5",
                      "--csv", out[0], "--json", out[1]]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: pass at most one of --csv or --json\n"
+        assert assert_refused(capsys) == "error: pass at most one of --csv or --json\n"
         assert [p.name for p in tmp_path.iterdir()] == ["quartic.json"]
 
     # SHA-256 of the output with --ell 5,13 --level 2
@@ -243,11 +248,15 @@ class TestSimulate:
 
     def test_rejects_even_ell(self, quartic_file, capsys):
         assert main(["simulate", quartic_file, "--ell", "4"]) == 2
-        assert "odd prime" in capsys.readouterr().err
+        assert "odd prime" in assert_refused(capsys)
+        # an ell that is no integer is refused before the sweep
+        assert main(["simulate", quartic_file, "--ell", "5,x"]) == 2
+        assert assert_refused(capsys) == "error: --ell wants a comma-separated integer list\n"
 
     def test_rejects_bad_level(self, quartic_file, capsys):
         assert main(["simulate", quartic_file, "--ell", "5",
                      "--level", "0"]) == 2
+        assert assert_refused(capsys) == "error: --level must be a positive integer\n"
 
     # SHA-256 of the output with --ell 3,101: 101^(4 * 536) is the
     # largest order with at most 4300 digits, str's default limit
@@ -275,10 +284,8 @@ class TestSimulate:
         start = time.perf_counter()
         assert main(["simulate", quartic_file, "--ell", "101,3", "--level", level] + form) == 2
         assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: subgroup order 101^{4 * int(level)} has more "
-                                "than 4300 decimal digits\n")
+        assert assert_refused(capsys) == (f"error: subgroup order 101^{4 * int(level)} has more "
+                                          "than 4300 decimal digits\n")
 
 
 class TestOracle:
@@ -295,7 +302,8 @@ class TestOracle:
             "factors": [{"phi": [0, 1, 2, 3, 4, 5, 6]}],
         }), encoding="utf-8")
         assert main(["oracle", str(p)]) == 2
-        assert "14" in capsys.readouterr().err
+        assert assert_refused(capsys) == (
+            "error: oracle handles at most 12 characters, system has 14\n")
 
 
 class TestEnumerate:
@@ -317,20 +325,25 @@ class TestEnumerate:
         assert len(primitive.splitlines()) < len(everything.splitlines())
 
     def test_flag_validation(self, capsys):
-        assert main(["enumerate"]) == 2
-        assert main(["enumerate", "--abelian", "4", "--max-order", "8"]) == 2
-        assert main(["enumerate", "--abelian", "4,6"]) == 2
-        assert main(["enumerate", "--abelian", "x"]) == 2
-        capsys.readouterr()
+        for flags, message in [
+            ([], "pass exactly one of --abelian or --max-order"),
+            (["--abelian", "4", "--max-order", "8"], "pass exactly one of --abelian or --max-order"),
+            (["--abelian", "4,6"], "invariant factors must form a divisor chain"),
+            (["--abelian", "x"], "--abelian wants a comma-separated integer list"),
+            (["--abelian", "2,1"], "invariant factors must be at least 2"),
+            (["--max-order", "1"], "--max-order must be at least 2"),
+        ]:
+            assert main(["enumerate"] + flags) == 2
+            assert assert_refused(capsys) == f"error: {message}\n"
 
     def test_refuses_too_many_types_before_building(self, capsys):
         # order 64 would list 2^32 raw types per involution
         start = time.perf_counter()
-        assert main(["enumerate", "--abelian", "64"]) == 2
-        assert main(["enumerate", "--abelian", "2,2,4,4"]) == 2
-        assert main(["enumerate", "--max-order", "26"]) == 2
+        for flags, log2 in [(["--abelian", "64"], 32), (["--abelian", "2,2,4,4"], 32),
+                            (["--max-order", "26"], 13)]:
+            assert main(["enumerate"] + flags) == 2
+            assert f"2^{log2} raw CM types" in assert_refused(capsys)
         assert time.perf_counter() - start < 1.0
-        assert "2^32 raw CM types" in capsys.readouterr().err
 
     def test_json_listing(self, tmp_path, capsys):
         out = tmp_path / "types.json"
@@ -357,18 +370,15 @@ class TestVerify:
         # order 64 would list 2^32 raw types per involution
         start = time.perf_counter()
         assert main(["verify", "--max-group-order", "64"]) == 2
+        assert "2^32 raw CM types" in assert_refused(capsys)
         assert main(["verify", "--max-group-order", "33"]) == 2
+        assert "2^16 raw CM types" in assert_refused(capsys)
         assert time.perf_counter() - start < 1.0
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "2^32 raw CM types" in captured.err
 
     @pytest.mark.parametrize("order", ["1", "0", "-5"])
     def test_refuses_orders_below_2_by_the_option_name(self, capsys, order):
         assert main(["verify", "--max-group-order", order]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: max_group_order must be at least 2\n"
+        assert assert_refused(capsys) == "error: max_group_order must be at least 2\n"
 
     def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
         assert main(["verify", "--max-group-order", "8"]) == 0

@@ -15,8 +15,8 @@ from cmtorsion.cm_core import (
     UnsupportedInputError,
     enumerate_types,
     is_primitive,
-    validate,
 )
+from cmtorsion import cm_core
 from cmtorsion.verify import builtin_groups
 from kernel_helpers import element_order, element_tuple
 
@@ -207,7 +207,7 @@ class TestFiniteGroup:
     def test_dihedral(self):
         d4 = FiniteGroup.dihedral(4)
         assert d4.order == 8
-        assert not d4.is_central(1)
+        assert 1 not in d4.center
         assert d4.central_involutions() == [2]
         assert element_order(d4, 4) == 2
 
@@ -225,6 +225,12 @@ class TestFiniteGroup:
     def test_abelian_refuses_non_integer_orders(self, invariants):
         with pytest.raises(ValueError, match="cyclic orders must be integers"):
             FiniteGroup.abelian(invariants)
+
+    def test_center_is_the_commuting_elements(self):
+        for g in builtin_groups(16):
+            t = g.table
+            assert g.center == {a for a in range(g.order)
+                                if all(t[a][b] == t[b][a] for b in range(g.order))}, g
 
     def test_central_involutions_abelian(self):
         g = FiniteGroup.abelian([2, 2, 2])
@@ -261,31 +267,69 @@ class TestCosetSpace:
 
 
 class TestValidate:
+    # a datum is checked where it is made: the constructor raises
+    # ValueError naming every violation, joined by "; "
     def test_elliptic_ok(self):
         g = FiniteGroup.abelian([2])
-        assert validate(datum(g, 1, [0])) == []
+        d = datum(g, 1, [0])
+        assert cm_core._problems(d) == []
 
     def test_phi_not_partition(self):
         g = FiniteGroup.abelian([2])
-        problems = validate(datum(g, 1, [0, 1]))
-        assert any("partition" in p for p in problems)
+        with pytest.raises(ValueError) as err:
+            datum(g, 1, [0, 1])
+        assert str(err.value) == "factor 0: phi and its conjugate do not partition the cosets"
 
     def test_conjugation_not_involution(self):
         g = FiniteGroup.abelian([4])
-        problems = validate(datum(g, 1, [0, 1]))
-        assert any("squared" in p for p in problems)
+        with pytest.raises(ValueError) as err:
+            datum(g, 1, [0, 1])
+        assert str(err.value) == ("conjugation squared is not the identity; "
+                                  "factor 0: phi and its conjugate do not partition the cosets")
 
     def test_conjugation_not_central(self):
         d4 = FiniteGroup.dihedral(4)
         # the reflection s (index 4) is an involution but not central
         t = trivial_type(d4, [0, 1, 4, 5])
-        problems = validate(CMDatum(d4, 4, (t,)))
-        assert any("central" in p for p in problems)
+        with pytest.raises(ValueError) as err:
+            CMDatum(d4, 4, (t,))
+        assert "conjugation is not central" in str(err.value).split("; ")
 
     def test_no_factors(self):
         g = FiniteGroup.abelian([2])
-        problems = validate(CMDatum(g, 1, ()))
-        assert any("no factors" in p for p in problems)
+        with pytest.raises(ValueError) as err:
+            CMDatum(g, 1, ())
+        assert str(err.value) == "datum has no factors"
+
+    @pytest.mark.parametrize("conj, phis, message", [
+        (True, [[0]], "conjugation must be an integer"),
+        (1.0, [[0]], "conjugation must be an integer"),
+        ("1", [[0]], "conjugation must be an integer"),
+        (2, [[0]], "conjugation index 2 out of range"),
+        (-1, [[0]], "conjugation index -1 out of range"),
+        (0, [[0]], "conjugation equals the identity; "
+                   "factor 0: phi and its conjugate do not partition the cosets"),
+        (1, [[True]], "factor 0: phi entries must be integers"),
+        (1, [[0.0]], "factor 0: phi entries must be integers"),
+        (1, [["0"]], "factor 0: phi entries must be integers"),
+        (1, [[0], [1.0]], "factor 1: phi entries must be integers"),
+        (1, [[2]], "factor 0: phi contains an invalid coset index"),
+    ], ids=["bool-conj", "float-conj", "str-conj", "conj-past-order", "negative-conj",
+            "identity-conj", "bool-phi", "float-phi", "str-phi", "second-factor-phi",
+            "phi-past-cosets"])
+    def test_constructor_names_each_problem(self, conj, phis, message):
+        # a bool conj or phi entry once built, and a float or str one
+        # ended in a bare TypeError
+        g = FiniteGroup.abelian([2])
+        with pytest.raises(ValueError) as err:
+            datum(g, conj, *phis)
+        assert str(err.value) == message
+
+    def test_factor_over_another_group(self):
+        c2, c4 = FiniteGroup.abelian([2]), FiniteGroup.abelian([4])
+        with pytest.raises(ValueError) as err:
+            CMDatum(c4, 2, (trivial_type(c4, [0, 1]), trivial_type(c2, [0])))
+        assert str(err.value) == "factor 1 lives over a different group"
 
 
 def is_primitive_reference(t: CMType, conj: int) -> bool:
@@ -400,11 +444,18 @@ class TestEnumerate:
         assert classes == 914
 
     def test_invalid_conjugation(self):
+        # the datum's rule for a conjugation, with its messages
         g = FiniteGroup.abelian([4])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^conjugation squared is not the identity$"):
             enumerate_types(g, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^conjugation equals the identity$"):
             enumerate_types(g, 0)
+        with pytest.raises(ValueError, match="^conjugation index 4 out of range$"):
+            enumerate_types(g, 4)
+        with pytest.raises(ValueError, match="^conjugation must be an integer$"):
+            enumerate_types(FiniteGroup.abelian([2]), True)
+        with pytest.raises(ValueError, match="^conjugation is not central$"):
+            enumerate_types(FiniteGroup.dihedral(4), 4)
 
 
 class TestAutomorphisms:

@@ -617,6 +617,8 @@ class TestOnePassParse:
 
 
 def test_one_validation_per_request(monkeypatch):
+    # the constructor checks a datum once: neither the parse nor the
+    # build checks it again, and a refused datum is never made
     calls = []
     real = cm_core._problems
 
@@ -629,11 +631,17 @@ def test_one_validation_per_request(monkeypatch):
     build_character_system(load_datum(text))
     assert len(calls) == 1
     datum = load_datum(text)
-    first, second = cm_core.validate(datum), cm_core.validate(datum)
-    assert first == second == [] and first is not second
-    first.append("changed")
-    assert cm_core.validate(datum) == []
+    build_character_system(datum)
+    build_character_system(datum)
     assert len(calls) == 2
-    bad = CMDatum(datum.group, 1, datum.factors)
-    assert cm_core.validate(bad) is not cm_core.validate(bad)
-    assert cm_core.validate(bad) == real(bad) != []
+    problems = ("conjugation squared is not the identity; "
+                "factor 0: phi and its conjugate do not partition the cosets")
+    with pytest.raises(ValueError) as err:
+        CMDatum(datum.group, 1, datum.factors)
+    assert str(err.value) == problems
+    assert len(calls) == 3 and real(calls[-1]) != []
+    # the parse names the same problems at "$"
+    with pytest.raises(DatumParseError) as err:
+        load_datum(text.replace('"conj": 2', '"conj": 1'))
+    assert str(err.value) == "$: " + problems
+    assert len(calls) == 4

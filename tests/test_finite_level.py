@@ -255,6 +255,9 @@ class TestSweep:
             assert exponent_sweep(cs, [3, 101], 2, part) == \
                 exponent_sweep_reference(cs, [3, 101], 2, part)
             assert calls == [("hermite_normal_form", cs.dim, 3)]
+        # the entry keeps what its readers take, not the Hermite form
+        entry = fl._active_lattice(cs.char_coords, (0, 2, 5))
+        assert len(entry) == 3 and not any(isinstance(x, IntMatrix) for x in entry)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,9 @@ from cmtorsion.exact_linalg import (
     IntSpanBasis,
     elementary_divisors,
     hermite_normal_form,
+    integer_kernel,
 )
-from cmtorsion.mt_torus import (
-    DuplicateCharactersError,
-    build_character_system,
-    character_span_saturation,
-    perp_lattice,
-)
+from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
 from kernel_helpers import check_kernel, check_saturation, contains, determinant, saturate
 from test_acceptance import c2_times_alternating4
@@ -129,9 +125,10 @@ class TestBuild:
             assert cs.saturation_index == prod(cs.divisors)
 
     def test_invalid_datum_rejected(self):
+        # the datum refuses itself when made, so no build can receive it
         g = FiniteGroup.abelian([4])
-        with pytest.raises(ValueError):
-            build_character_system(single_factor(g, 1, [0, 1]))
+        with pytest.raises(ValueError, match="conjugation squared is not the identity"):
+            single_factor(g, 1, [0, 1])
 
 
 def orbit_matrix_data():
@@ -204,15 +201,23 @@ class TestMod2:
             assert build_report(build_character_system(datum)).bound_checks["mod2_distinct"]
 
 
+# a selection's perp and its span saturation as `verify` forms them: the
+# integer kernel of the selection, and the kernel of that kernel
+SELECTION_KERNELS = pytest.mark.parametrize("query", [
+    lambda cs, sel: integer_kernel(mt._selected_characters(cs, sel)),
+    lambda cs, sel: integer_kernel(integer_kernel(mt._selected_characters(cs, sel))),
+], ids=["perp_lattice", "character_span_saturation"])
+
+
 class TestPerp:
     def test_full_selection_has_trivial_perp(self):
         cs = build_character_system(quartic())
-        k = perp_lattice(cs, range(4))
+        k = integer_kernel(mt._selected_characters(cs, range(4)))
         assert k.rows == ()
 
     def test_single_character_perp_rank(self):
         cs = build_character_system(quartic())
-        k = perp_lattice(cs, [0])
+        k = integer_kernel(mt._selected_characters(cs, [0]))
         assert len(k.rows) == cs.dim - 1
         col = cs.cochar_basis.columns()[0]
         for row in k.rows:
@@ -221,9 +226,9 @@ class TestPerp:
     def test_empty_selection_rejected(self):
         cs = build_character_system(elliptic())
         with pytest.raises(ValueError):
-            perp_lattice(cs, [])
+            mt._selected_characters(cs, [])
 
-    @pytest.mark.parametrize("query", [perp_lattice, character_span_saturation])
+    @SELECTION_KERNELS
     @pytest.mark.parametrize("indices", [[], [-1], [4], [0, 4]])
     def test_bad_selection_rejected(self, query, indices):
         # four characters: a negative index does not wrap round to the
@@ -232,7 +237,7 @@ class TestPerp:
         with pytest.raises(ValueError, match="empty character selection|out of range"):
             query(cs, indices)
 
-    @pytest.mark.parametrize("query", [perp_lattice, character_span_saturation])
+    @SELECTION_KERNELS
     @pytest.mark.parametrize("indices", [[True], [0, 1.0], ["1"], [0, 1, True]],
                              ids=["bool", "float", "str", "bool-beside-its-int"])
     def test_non_integer_selection_rejected(self, query, indices):
@@ -264,8 +269,9 @@ class TestPerp:
                         for _ in range(2)]
                     for sel in sels:
                         chosen = mt._selected_characters(cs, sel)
-                        check_kernel(chosen, perp_lattice(cs, sel))
-                        check_saturation(chosen, character_span_saturation(cs, sel))
+                        perp = integer_kernel(chosen)
+                        check_kernel(chosen, perp)
+                        check_saturation(chosen, integer_kernel(perp))
         assert reps == 381
 
 

@@ -5,8 +5,8 @@ import pytest
 import cmtorsion.alpha_engine as alpha_engine
 import cmtorsion.verify as verify
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types, is_primitive
-from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form
-from cmtorsion.mt_torus import _selected_characters, build_character_system, character_span_saturation
+from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form, integer_kernel
+from cmtorsion.mt_torus import _selected_characters, build_character_system
 from cmtorsion.verify import VerifySummary, _invariant_chains, builtin_groups, run_verify
 
 
@@ -99,41 +99,60 @@ def dropped_row(m: IntMatrix) -> IntMatrix:
 
 
 class TestDuality:
-    @pytest.mark.parametrize("name, fault", [
+    @pytest.mark.parametrize("lattice, fault, failing", [
         # not saturated, and not holding the selection
-        ("character_span_saturation", doubled_row),
+        ("span", doubled_row, (2, 3)),
         # saturated with the right rank, but not holding the selection
-        ("character_span_saturation", lambda m: unit_rows(len(m.rows), m.cols, m.cols - len(m.rows))),
+        ("span", lambda m: unit_rows(len(m.rows), m.cols, m.cols - len(m.rows)), (2,)),
         # saturated and holding the selection, but too large
-        ("character_span_saturation", lambda m: unit_rows(m.cols, m.cols)),
+        ("span", lambda m: unit_rows(m.cols, m.cols), (1,)),
         # annihilates with the right rank, but not saturated
-        ("perp_lattice", doubled_row),
+        ("perp", doubled_row, (6,)),
         # saturated with the right rank, but not annihilating
-        ("perp_lattice", lambda m: unit_rows(len(m.rows), m.cols)),
+        ("perp", lambda m: unit_rows(len(m.rows), m.cols), (4,)),
         # saturated and annihilating, but a row short
-        ("perp_lattice", dropped_row),
+        ("perp", dropped_row, (5,)),
     ], ids=["span-doubled", "span-elsewhere", "span-whole",
             "perp-doubled", "perp-elsewhere", "perp-short"])
-    def test_a_wrong_lattice_fails(self, monkeypatch, name, fault):
-        # each fault but the first escapes all but one of the conditions,
-        # and a representative fails exactly when its lattice was
-        # changed; the catalogue's selections are saturated, so a lattice
-        # that holds one and has its rank cannot fail the span's divisor
-        # condition alone (see `test_an_unsaturated_selection`)
-        real = getattr(verify, name)
-        changed = []
+    def test_a_wrong_lattice_fails(self, monkeypatch, lattice, fault, failing):
+        # `_duality_conditions` forms the perp as the integer kernel of
+        # the selection and the span as the kernel of the perp.  One
+        # lattice is changed, the other is formed from the real perp,
+        # and a representative fails exactly the conditions `failing`
+        # (numbered from 1 as in the module docstring) when its lattice
+        # was changed.  The catalogue's selections are saturated, so a
+        # lattice that holds one and has its rank cannot fail the span's
+        # divisor condition alone (see `test_an_unsaturated_selection`)
+        real_kernel, real_conditions = verify.integer_kernel, verify._duality_conditions
+        perps, changed, results = [], [], []
 
-        def faulty(cs, indices):
-            m = real(cs, indices)
-            wrong = fault(m)
-            changed.append(wrong != m)
+        def faulty(m):
+            # the calls alternate: the perp of a selection, then its kernel
+            if not perps:
+                k = real_kernel(m)
+                perps.append(k)
+                if lattice == "span":
+                    return k
+            else:
+                k = real_kernel(perps.pop())
+                if lattice == "perp":
+                    return k
+            wrong = fault(k)
+            changed.append(wrong != k)
             return wrong
 
-        monkeypatch.setattr(verify, name, faulty)
+        def conditions(cs, sel):
+            results.append(real_conditions(cs, sel))
+            return results[-1]
+
+        monkeypatch.setattr(verify, "integer_kernel", faulty)
+        monkeypatch.setattr(verify, "_duality_conditions", conditions)
         s = run_verify(8)
-        assert s.checks["perp_double_dual"] == s.class_reps_checked == len(changed)
+        assert s.checks["perp_double_dual"] == s.class_reps_checked == len(changed) == len(results)
         assert len(s.failures) == sum(changed) > 0
         assert all(f.startswith("perp_double_dual: ") for f in s.failures)
+        expected = tuple(i not in failing for i in range(1, 7))
+        assert results == [expected if c else (True,) * 6 for c in changed]
 
     def test_an_unsaturated_selection(self, monkeypatch):
         # a two-factor joint whose first g + 1 characters span a lattice
@@ -147,9 +166,12 @@ class TestDuality:
             CMType(space, frozenset(phi)) for phi in ([0, 1, 2, 3, 5, 10], [0, 1, 2, 4, 5, 9]))))
         sel = range(cs.genus + 1)
         hermite = hermite_normal_form(_selected_characters(cs, sel))
-        assert hermite != character_span_saturation(cs, sel)
+        perp = integer_kernel(_selected_characters(cs, sel))
+        assert hermite != integer_kernel(perp)
         assert verify._duality_conditions(cs, sel) == (True,) * 6
-        monkeypatch.setattr(verify, "character_span_saturation", lambda cs, indices: hermite)
+        # the second kernel, of the perp, is the span
+        monkeypatch.setattr(verify, "integer_kernel",
+                            lambda m: hermite if m == perp else integer_kernel(m))
         assert verify._duality_conditions(cs, sel) == (True, True, False, True, True, True)
 
 
