@@ -11,16 +11,16 @@ attains it, else the attaining union first in (dim, index set) order,
 which is the first attaining flat in that order (see `alpha_exact`).
 The product envelope reads the same table.  A prefix union of the
 factors {0, ..., k-1}, the full set among them, is ranked off the
-pivot columns of the build's Hermite form, where the factor blocks sit
-in order and the rank of the first e columns is the number of pivots
-below column e; so a one-factor report forms no span, and a two-factor
-one forms one.  The other spans are formed in the rank-d coordinates
-`char_coords`, where every set of characters has its |G|-wide rank
-(see `_factor_unions`); the witness's |G|-wide basis is formed only for
-a document (`witness_basis`).  A report
-decides primitivity once, for its shortcut label and its dimension
-bound.  The oracle re-derives the maximum by sheer enumeration of
-subsets.  Everything is exact.
+build's pivot columns, where the factor blocks sit in order and the
+rank of the first e columns is the number of pivots below column e; so
+a one-factor report forms no span and reads no coordinates, and a
+two-factor one forms one.  The other spans are formed in the rank-d
+coordinates `char_coords`, where every set of characters has its
+|G|-wide rank (see `_factor_unions`); the witness's |G|-wide basis is
+formed only for a document (`witness_basis`).  A report decides
+primitivity once, for its shortcut label and its dimension bound.  The
+oracle re-derives the maximum by sheer enumeration of subsets.
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .cm_core import InvariantError, is_primitive
@@ -70,9 +71,9 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
     of factor blocks.
 
     A prefix union {0, ..., k-1} (mask 2^k - 1, the full set among them)
-    is read off the pivots of the build's Hermite form H.  The blocks
-    occupy consecutive columns of H, the first e of them for the prefix,
-    and H is in echelon form, so the rank of its first e columns is the
+    is read off the build's pivots, those of its echelon basis and of
+    the Hermite form H.  The blocks occupy consecutive columns, the first
+    e of them for the prefix, so the rank of the first e columns is the
     number of pivots in columns below e; for the full set it is the
     system's rank d.  Every other union is spanned from the union without
     its lowest factor, whose basis it copies.  That parent never is a
@@ -82,7 +83,8 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
     whose parent has rank d has rank d and forms no span.
 
     The spans are formed over `char_coords`, d wide, not over the
-    |G|-wide characters, at the same ranks.  The build's Hermite form is
+    |G|-wide characters, at the same ranks; they are read only when
+    some union is not a prefix, so when r >= 2.  The build's Hermite form is
     H = U M', U unimodular, M' the half rows of the orbit matrix M, and
     M' has the row lattice of M by the half-row lemma: row c.g is the
     all-ones row minus row g.  The build checks what implies it: that
@@ -92,33 +94,31 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
     for the same x, and every set of characters has the same rank in
     either coordinates.
     """
-    r = len(cs.datum.factors)
+    sizes = [f.space.size for f in cs.datum.factors]
+    r = len(sizes)
     d = cs.dim
-    blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
-    for coords, (fi, _) in zip(cs.char_coords, cs.column_labels):
-        blocks[fi].append(coords)
+    starts = list(accumulate(sizes, initial=0))
+    coords = cs.char_coords if r > 1 else ()
     pivot_columns = [j for j, _ in cs.pivots]
     table = [(0, 0)]
     spans: list[Optional[IntSpanBasis]] = [None] * 2 ** r
-    end = 0
     for mask in range(1, 2 ** r):
         low = mask & -mask
-        block = blocks[low.bit_length() - 1]
+        fi = low.bit_length() - 1
         n, rank = table[mask ^ low]
         if not mask & (mask + 1):
-            # a prefix, on the first `end` columns
-            end += len(blocks[mask.bit_length() - 1])
-            rank = bisect_left(pivot_columns, end)
+            # a prefix, on the columns before the next block
+            rank = bisect_left(pivot_columns, starts[mask.bit_length()])
         elif rank < d:
             parent = spans[mask ^ low]
             span = parent.copy() if parent else IntSpanBasis(d)
-            for col in block:
+            for col in coords[starts[fi]:starts[fi + 1]]:
                 if span.insert(col) and span.dim == d:
                     break
             rank = span.dim
             if not mask & 1:
                 spans[mask] = span
-        table.append((n + len(block), rank))
+        table.append((n + sizes[fi], rank))
     return table
 
 

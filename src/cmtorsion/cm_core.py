@@ -183,10 +183,11 @@ class CosetSpace:
     """Left cosets gH of a subgroup H, with the left translation action.
 
     Cosets are numbered in increasing order of their smallest element;
-    the smallest element is the stored representative.
+    the smallest element is the stored representative.  `plans` keeps
+    the character build's data per conjugation (`mt_torus._plan`).
     """
 
-    __slots__ = ("group", "subgroup", "cosets", "reps", "coset_of", "_action")
+    __slots__ = ("group", "subgroup", "cosets", "reps", "coset_of", "_action", "plans")
 
     def __init__(self, group: FiniteGroup, subgroup: Sequence[int]):
         if not all_ints(subgroup):
@@ -218,6 +219,7 @@ class CosetSpace:
         self._action = tuple(
             tuple(self.coset_of[group.mul(g, rep)] for rep in self.reps)
             for g in range(group.order))
+        self.plans: dict = {}
 
     @property
     def size(self) -> int:

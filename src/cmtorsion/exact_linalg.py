@@ -5,16 +5,17 @@ floating point and no fractions are used anywhere.  The kernel provides
 the handful of lattice operations the rest of the package is built on:
 the fraction-free echelon basis of a rational span (rank, membership
 and its canonical key), and the Hermite normal form (canonical lattice
-bases), the one lattice elimination.  The rest is read off Hermite
-forms: the elementary divisors off alternating row and column forms
-(plain, or modulo a multiple of the last one) or off the pivots of one
-(`hermite_divisors`), and the kernel of m off one form of [m^T | I].
+bases), the one lattice elimination, an echelon then a reduction phase.
+The rest is read off Hermite forms: the elementary divisors off
+alternating row and column forms (plain, or modulo a multiple of the
+last one) or off the pivots of one (`hermite_divisors`), and the kernel
+of m off one echelon basis of [m^T | I].
 It also holds the package's one test of an integer input, `all_ints`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, prod
@@ -170,20 +171,21 @@ def _minus_multiple(row: Sequence[int], q: int, head: Sequence[int]) -> list[int
     return [x - q * y for x, y in zip(row, head)]
 
 
-def hermite_normal_form(m: IntMatrix) -> IntMatrix:
-    """Canonical row Hermite form of the row lattice (zero rows dropped).
+def hermite_echelon(m: IntMatrix) -> tuple[list[Sequence[int]], list[int]]:
+    """The echelon phase of `hermite_normal_form`: a basis of the row
+    lattice (zero rows dropped) with positive pivots in increasing
+    columns, and those pivot columns.
 
-    Pivots are positive, entries above a pivot are reduced into
-    [0, pivot), so equal lattices produce identical matrices.  Column by
-    column, the Euclidean steps work only on the rows that are nonzero
-    in that column (the others cannot take part in them), and a row
-    leaves the elimination once it becomes zero.  A quotient of 1 or -1,
-    the common one on 0/1 rows, subtracts or adds the row without
+    Column by column, the Euclidean steps work only on the rows that are
+    nonzero in that column (the others cannot take part in them), and a
+    row leaves the elimination once it becomes zero.  A quotient of 1 or
+    -1, the common one on 0/1 rows, subtracts or adds the row without
     multiplying.
     """
     nc = m.cols
     live = [row for row in m.rows if any(row)]
     done: list[Sequence[int]] = []
+    pivots: list[int] = []
     for c in range(nc):
         active = [row for row in live if row[c]]
         if not active:
@@ -207,17 +209,31 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
                         live.append(row)
             active = nxt
             head = active[0]
-        if head[c] < 0:
-            head = [-x for x in head]
-        p = head[c]
-        for k, row in enumerate(done):
-            q = row[c] // p
-            if q:
-                done[k] = _minus_multiple(row, q, head)
-        done.append(head)
+        done.append(head if head[c] > 0 else [-x for x in head])
+        pivots.append(c)
         if not live:
             break
-    return IntMatrix.from_rows(done, cols=nc)
+    return done, pivots
+
+
+def hermite_reduce(rows: list[Sequence[int]], pivots: Sequence[int], cols: int) -> IntMatrix:
+    """The reduction phase of `hermite_normal_form`, in place on the list
+    of echelon `rows`, `cols` wide, with their pivot columns `pivots`: in
+    pivot order, the entries above each pivot are reduced into [0, pivot)."""
+    for i, c in enumerate(pivots):
+        head = rows[i]
+        p = head[c]
+        for k in range(i):
+            q = rows[k][c] // p
+            if q:
+                rows[k] = _minus_multiple(rows[k], q, head)
+    return IntMatrix.from_rows(rows, cols=cols)
+
+
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Canonical row Hermite form of the row lattice (zero rows dropped):
+    equal lattices give equal forms."""
+    return hermite_reduce(*hermite_echelon(m), m.cols)
 
 
 def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[int, ...]:
@@ -307,17 +323,18 @@ def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[i
 def integer_kernel(m: IntMatrix) -> IntMatrix:
     """Basis (as rows, Hermite form) of {x in Z^cols : m @ x = 0}.
 
-    One Hermite form H = U [m^T | I] = [U m^T | U], U unimodular (Cohen,
-    A Course in Computational Algebraic Number Theory, 2.4.3): a row u
-    of U has m @ u = 0 exactly when its row of U m^T is zero, and the
-    nonzero rows of U m^T are independent, so the rows of U with a zero
-    left part span the kernel.  They come last in H, with the entries
-    above each pivot reduced, so their parts in the identity block are
-    the Hermite basis of the kernel, which is always saturated.
+    One echelon basis E = U [m^T | I] = [U m^T | U], U unimodular
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4.3): a
+    row u of U has m @ u = 0 exactly when its row of U m^T is zero, and
+    the nonzero rows of U m^T are independent, so the rows of U with a
+    zero left part span the kernel.  They are the last rows of E, with a
+    pivot in the identity block, and no other row reduces them: their
+    reduction phase alone gives the Hermite basis of the kernel.
     """
     nr, nc = len(m.rows), m.cols
     # row j: column j of m, then e_j
-    h = hermite_normal_form(IntMatrix.from_rows(
+    rows, pivots = hermite_echelon(IntMatrix.from_rows(
         [col + (0,) * j + (1,) + (0,) * (nc - j - 1) for j, col in enumerate(m.columns())],
         cols=nr + nc))
-    return IntMatrix.from_rows([row[nr:] for row in h.rows if not any(row[:nr])], cols=nc)
+    k = bisect_left(pivots, nr)
+    return hermite_reduce([row[nr:] for row in rows[k:]], [c - nr for c in pivots[k:]], nc)

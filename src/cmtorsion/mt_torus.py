@@ -5,36 +5,36 @@ group orbit of the distinguished cocharacter: row g, column (factor,
 coset s) holds 1 exactly when s lies in g translated across the
 factor's chosen half.  Everything downstream (rank, defect, optimal
 exponent, finite-level degrees) is computed from this integer matrix.
-The build runs one Hermite elimination H = U M of it, U unimodular
-(Cohen, A Course in Computational Algebraic Number Theory, 2.4): the
-rows of H are a basis of the row lattice, so their number is the rank,
-and column j of H holds the coordinates of character j in the saturated
-character lattice.  The elimination takes only one row of each pair
-{g, c.g} and the all-ones row, which span the same lattice
-(`_half_rows`), straight from the orbit rows.  The system keeps H and
-the characters, the columns of the orbit matrix; the rest is computed
-on first read: the divisors of H (with their product, the saturation
-index) off its pivots (`exact_linalg.hermite_divisors`), and the
-saturated cocharacter lattice, the kernel of the kernel of the rows of H.
+The build runs the echelon phase of one Hermite elimination H = U M of
+it, U unimodular (Cohen, A Course in Computational Algebraic Number
+Theory, 2.4), on one row of each pair {g, c.g} and the all-ones row,
+which span the same lattice (`_half_rows`): E has the rank and pivots
+of H.  The orbit rows are read through a plan formed once per coset
+space (`_plan`).  The system keeps E and the characters, the columns of
+the orbit matrix; the rest is computed on first read: H by the
+reduction phase, its columns `char_coords`, which hold the coordinates
+of the characters in the saturated character lattice, the divisors of
+H (with their product, the saturation index) off its pivots
+(`exact_linalg.hermite_divisors`), and the saturated cocharacter
+lattice, the kernel of the kernel of the rows of H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from math import prod
 from operator import add, itemgetter
 from typing import Sequence
 
-from .cm_core import CMDatum, InvariantError
+from .cm_core import CMDatum, CosetSpace, InvariantError
 from .exact_linalg import (
     IntMatrix,
     all_ints,
     elementary_divisors,
     hermite_divisors,
-    hermite_normal_form,
-    hermite_pivots,
+    hermite_echelon,
+    hermite_reduce,
     integer_kernel,
 )
 
@@ -56,14 +56,15 @@ class DuplicateCharactersError(Exception):
 class CharacterSystem:
     """The characters of a CM datum plus the derived lattice data.
 
-    `hermite` is the build's Hermite form H = U M of the orbit matrix,
-    and `char_coords` are its columns: each character in the basis of
-    the saturated character lattice formed by the first `dim` columns of
-    U^-1.  Callers may read only quantities that do not depend on the
-    choice of that basis.  The `characters` are the columns of the
-    orbit matrix.  The divisors and the cocharacter basis are computed
-    on first read, from H, so a system whose `char_coords` are replaced
-    by another basis keeps them.
+    `echelon` holds the rows of the build's echelon basis E, `pivots` the
+    (column, value) of each one's pivot: a lattice fixes those of every
+    echelon basis with positive pivots, so they are H's, and their number
+    is `dim`.  H and its columns `char_coords` are formed on first read:
+    each character in the basis of the saturated character lattice
+    formed by the first `dim` columns of U^-1.  Callers may read only
+    quantities that do not depend on the choice of that basis.  The
+    `characters` are the columns of the orbit matrix.  The divisors and
+    the cocharacter basis are read off H, as `char_coords` are not.
     """
 
     datum: CMDatum
@@ -71,13 +72,18 @@ class CharacterSystem:
     dim: int
     characters: tuple[tuple[int, ...], ...]
     column_labels: tuple[tuple[int, int], ...]
-    char_coords: tuple[tuple[int, ...], ...]
-    hermite: IntMatrix
+    echelon: tuple[tuple[int, ...], ...]
+    pivots: tuple[tuple[int, int], ...]
 
     @cached_property
-    def pivots(self) -> list[tuple[int, int]]:
-        """(column, value) of the pivot of each row of H."""
-        return hermite_pivots(self.hermite)
+    def hermite(self) -> IntMatrix:
+        """The Hermite form H of the orbit matrix: E after the reduction phase."""
+        return hermite_reduce(list(self.echelon), [j for j, _ in self.pivots],
+                              len(self.characters))
+
+    @cached_property
+    def char_coords(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.hermite.rows))
 
     @cached_property
     def divisors(self) -> tuple[int, ...]:
@@ -111,6 +117,30 @@ class CharacterSystem:
         return integer_kernel(integer_kernel(self.hermite))
 
 
+def _plan(space: CosetSpace, conj: int, offset: int = 0) -> tuple:
+    """The build's data that depend on `space`, its group and `conj`, not
+    on phi, formed on the first call and kept in `space.plans`: for each
+    g, the getter of the action row of g^-1 (row g of the orbit matrix);
+    for each generator h, the getters of the columns (h.s) and the rows
+    h^-1 g; the action row of `conj`, checked to pair each coset back
+    (`offset` is the space's first column); the g < c.g (`_half_rows`).
+    The plans of a space share its getters, which return tuples."""
+    plan = space.plans.get(conj)
+    if plan is None:
+        group = space.group
+        pairing = space.action_row(conj)
+        for k, pk in enumerate(pairing):
+            if pairing[pk] != k:
+                raise InvariantError(f"conjugation does not pair character {offset + k} back")
+        getters, moves = next(iter(space.plans.values()))[:2] if space.plans else (
+            [itemgetter(*space.action_row(ginv)) for ginv in group.inverses],
+            [(itemgetter(*space.action_row(h)), itemgetter(*group.table[group.inv(h)]))
+             for h in group.generators])
+        plan = space.plans[conj] = (
+            getters, moves, pairing, [g for g in range(group.order) if g < group.mul(conj, g)])
+    return plan
+
+
 def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
     """Column labels, rows and columns (the characters) of the orbit matrix.
 
@@ -120,20 +150,17 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
     DuplicateCharactersError for the first pair i < j of equal columns.
     """
     labels = []
-    indicators = []
+    rows = None
     for fi, factor in enumerate(datum.factors):
+        getters = _plan(factor.space, datum.conj, len(labels))[0]
         # phi and its conjugate partition the cosets, so the columns of
         # a factor are indexed by the whole coset space
         labels.extend((fi, s) for s in range(factor.space.size))
         indicator = [0] * factor.space.size
         for t in factor.phi:
             indicator[t] = 1
-        indicators.append((indicator, factor.space))
-    # a coset space holds at least two cosets, phi and its complement,
-    # so each itemgetter returns a tuple
-    rows = [tuple(chain.from_iterable(itemgetter(*space.action_row(ginv))(indicator)
-                                      for indicator, space in indicators))
-            for ginv in datum.group.inverses]
+        part = [get(indicator) for get in getters]
+        rows = part if rows is None else list(map(add, rows, part))
 
     columns = tuple(zip(*rows))
     copies: dict[tuple[int, ...], list[int]] = {}
@@ -157,8 +184,7 @@ def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> list[Sequence[i
     matrix is thus an integer combination of these rows, and the all-ones
     row is the sum of rows g and c.g, so both span the same lattice.
     """
-    group, c = datum.group, datum.conj
-    half = [rows[g] for g in range(group.order) if g < group.mul(c, g)]
+    half = [rows[g] for g in _plan(datum.factors[0].space, datum.conj)[3]]
     half.append((1,) * len(rows[0]))
     return half
 
@@ -170,46 +196,41 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     raises DuplicateCharactersError when two columns coincide, and
     InvariantError when a sanity check fails.  The column sums and the
     equivariance are the hypotheses under which `alpha_engine` reads the
-    exponent off the factor unions.
+    exponent off the factor unions.  The build stops at the echelon
+    phase: no single-factor report reads the Hermite form.
     """
     labels, rows, columns = _orbit_matrix(datum)
+    plans = [_plan(factor.space, datum.conj) for factor in datum.factors]
     group = datum.group
     n = group.order
     genus = len(labels) // 2
     offsets = [k for k, (_, s) in enumerate(labels) if s == 0]
+    blocks = [columns[k:k + f.space.size] for k, f in zip(offsets, datum.factors)]
 
-    def translated(h: int) -> list[int]:
-        # the index of column (i, h.s), at the index of column (i, s)
-        return [off + t for off, factor in zip(offsets, datum.factors)
-                for t in factor.space.action_row(h)]
-
-    pairing = tuple(translated(datum.conj))
     weight = (1,) * n
-    for k, pk in enumerate(pairing):
-        if pairing[pk] != k:
-            raise InvariantError(f"conjugation does not pair character {k} back")
-        # pk < k added the same two columns already
-        if k <= pk and tuple(map(add, columns[k], columns[pk])) != weight:
-            raise InvariantError("conjugate characters must sum to the weight")
+    for block, (_, _, pairing, _) in zip(blocks, plans):
+        for k, pk in enumerate(pairing):
+            # pk < k added the same two columns already
+            if k <= pk and tuple(map(add, block[k], block[pk])) != weight:
+                raise InvariantError("conjugate characters must sum to the weight")
 
     # |phi| |H| = |G|/2 ones per column, whatever the subgroup H
     for j, col in enumerate(columns):
         if sum(col) != n // 2:
             raise InvariantError(f"column {j} does not pair half the orbit")
     # column (i, h.s) is column (i, s) read at row h^-1 g in row g
-    for h in group.generators:
-        moved_rows = itemgetter(*group.table[group.inv(h)])
-        if itemgetter(*translated(h))(columns) != tuple(map(moved_rows, columns)):
-            raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
+    for i, h in enumerate(group.generators):
+        for block, (_, moves, _, _) in zip(blocks, plans):
+            moved_columns, moved_rows = moves[i]
+            if moved_columns(block) != tuple(map(moved_rows, block)):
+                raise InvariantError(f"the orbit matrix is not equivariant under element {h}")
 
-    # one Hermite form H = U M: since M = U^-1 H, character j is the sum
-    # of H[i][j] times column i of U^-1.  Row c.g is the all-ones row
-    # minus row g (see `_half_rows`), so half the rows and that one span
-    # the row lattice of M, and H is its canonical Hermite form.  A
-    # repeated row adds nothing to the lattice, so one copy of each goes
-    # into the elimination.
-    hermite = hermite_normal_form(IntMatrix.from_rows(dict.fromkeys(_half_rows(datum, rows))))
-    d = len(hermite.rows)
+    # the echelon phase of H = U M.  Row c.g is the all-ones row minus
+    # row g (see `_half_rows`), so half the rows and that one span the
+    # row lattice of M.  A repeated row adds nothing to the lattice, so
+    # one copy of each goes into the elimination.
+    rows, pivots = hermite_echelon(IntMatrix.from_rows(dict.fromkeys(_half_rows(datum, rows))))
+    d = len(rows)
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
 
@@ -219,8 +240,8 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         dim=d,
         characters=columns,
         column_labels=labels,
-        char_coords=tuple(zip(*hermite.rows)),
-        hermite=hermite,
+        echelon=tuple(map(tuple, rows)),
+        pivots=tuple((j, row[j]) for j, row in zip(pivots, rows)),
     )
 
 

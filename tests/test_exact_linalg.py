@@ -17,7 +17,12 @@ import pytest
 
 import cmtorsion.exact_linalg as el
 from cmtorsion.cm_core import CMDatum
-from cmtorsion.mt_torus import DuplicateCharactersError, _half_rows, _orbit_matrix
+from cmtorsion.mt_torus import (
+    DuplicateCharactersError,
+    _half_rows,
+    _orbit_matrix,
+    build_character_system,
+)
 from cmtorsion.verify import builtin_groups
 from cmtorsion.cm_core import enumerate_types
 from cmtorsion.exact_linalg import (
@@ -25,6 +30,7 @@ from cmtorsion.exact_linalg import (
     IntSpanBasis,
     elementary_divisors,
     hermite_divisors,
+    hermite_echelon,
     hermite_normal_form,
     hermite_pivots,
     integer_kernel,
@@ -618,6 +624,17 @@ class TestHermite:
         assert quotients[1] + quotients[-1] > quotients["other"], quotients
         assert min(quotients[1], quotients[-1]) > 1000, quotients
 
+    def test_echelon_phase_fixes_the_pivots(self):
+        # positive pivots in increasing columns, zero before each, with
+        # the columns and values of the canonical form's pivots
+        rng = random.Random(3131)
+        for _ in range(300):
+            m = random_hermite_input(rng)
+            rows, pivots = hermite_echelon(m)
+            assert [(c, row[c]) for c, row in zip(pivots, rows)] == hermite_pivots(
+                hermite_normal_form_reference(m)), m
+            assert all(row[c] > 0 and not any(row[:c]) for c, row in zip(pivots, rows))
+
     def test_zero_and_empty_inputs(self):
         for m in (IntMatrix.from_rows([[0, 0], [0, 0]]), IntMatrix.from_rows([], cols=3),
                   IntMatrix.from_rows([(), ()])):
@@ -701,6 +718,41 @@ class TestKernel:
         rng = random.Random(4242)
         for m in random_kernel_inputs(rng, 150):
             check_kernel(m, integer_kernel(m))
+
+    def test_matches_the_kernel_of_the_whole_form(self):
+        # only the kernel rows of the echelon basis are reduced: the same
+        # basis as the identity-block rows of the whole Hermite form, on
+        # random and edge-shaped inputs and on both kernels that every
+        # `run_verify(16)` representative's `cochar_basis` takes
+        rng = random.Random(5151)
+        inputs = [random_hermite_input(rng) for _ in range(300)]
+        inputs += random_kernel_inputs(rng, 0)
+        for m in inputs:
+            assert integer_kernel(m) == integer_kernel_reference(m), m
+        reps = 0
+        for group in builtin_groups(16):
+            for conj in group.central_involutions():
+                for t in enumerate_types(group, conj, up_to_translation=True):
+                    try:
+                        cs = build_character_system(CMDatum(group, conj, (t,)))
+                    except DuplicateCharactersError:
+                        continue
+                    perp = integer_kernel_reference(cs.hermite)
+                    assert integer_kernel(cs.hermite) == perp
+                    assert cs.cochar_basis == integer_kernel_reference(perp)
+                    reps += 1
+        assert reps == 381
+
+
+def integer_kernel_reference(m: IntMatrix) -> IntMatrix:
+    """The earlier `exact_linalg.integer_kernel`: the identity-block parts
+    of the rows with a zero m-part in the whole Hermite form of
+    [m^T | I], taken by `hermite_normal_form_reference`."""
+    nr, nc = len(m.rows), m.cols
+    h = hermite_normal_form_reference(IntMatrix.from_rows(
+        [col + (0,) * j + (1,) + (0,) * (nc - j - 1) for j, col in enumerate(m.columns())],
+        cols=nr + nc))
+    return IntMatrix.from_rows([row[nr:] for row in h.rows if not any(row[:nr])], cols=nc)
 
 
 class TestSaturate:

@@ -27,12 +27,16 @@ from cmtorsion.exact_linalg import (
     IntSpanBasis,
     elementary_divisors,
     hermite_normal_form,
+    hermite_pivots,
     integer_kernel,
 )
+from cmtorsion.documents import report_to_dict
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
-from cmtorsion.verify import builtin_groups
+from cmtorsion.verify import builtin_groups, run_verify
 from kernel_helpers import check_kernel, check_saturation, contains, determinant, saturate
 from test_acceptance import c2_times_alternating4
+from test_build_reference import single_factor_data, two_factor_data
+from test_search_reference import random_joints
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -280,12 +284,13 @@ class TestCocharBasisFromH:
         # every class representative of `run_verify(16)`: the first read
         # of `cochar_basis` saturates the build's Hermite form H as it
         # is, one Hermite form fewer than `saturate` of the rows of H,
-        # and gives its basis, with the index `saturate` gives.  Hermite
-        # forms are counted outside `elementary_divisors`, which reads
+        # and gives its basis, with the index `saturate` gives.  The
+        # eliminations, echelon phases that every Hermite form and kernel
+        # runs, are counted outside `elementary_divisors`, which reads
         # the index off forms of its own; `cochar_basis` calls it under
         # the name `mt_torus` imports.
         calls, inside = [], []
-        real, real_divisors = el.hermite_normal_form, el.elementary_divisors
+        real, real_divisors = el.hermite_echelon, el.elementary_divisors
 
         def counting(m):
             if not inside:
@@ -299,7 +304,7 @@ class TestCocharBasisFromH:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(el, "hermite_normal_form", counting)
+        monkeypatch.setattr(el, "hermite_echelon", counting)
         monkeypatch.setattr(el, "elementary_divisors", divisors)
         monkeypatch.setattr(mt, "elementary_divisors", divisors)
         reps = 0
@@ -486,3 +491,136 @@ class TestInvariantError:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == (
             "InvariantError: the orbit matrix is not equivariant under element 1 optimized")
+
+    def test_conjugation_that_does_not_pair_back_is_refused(self):
+        # the plan takes the conjugation's action row on a space as its
+        # pairing; on the second factor's fresh space that row is made
+        # (0, 0) before the first build, so coset 1, the datum's
+        # character 2 + 1, is not paired back, and no plan is kept
+        datum = two_quadratic_factors()
+        space = datum.factors[1].space
+        space._action = tuple((0, 0) if g == 3 else row for g, row in enumerate(space._action))
+        with pytest.raises(InvariantError, match="conjugation does not pair character 3 back"):
+            build_character_system(datum)
+        assert 3 not in space.plans
+
+
+def counting_reductions(monkeypatch, *modules) -> list:
+    """The row count of every reduction phase run from now on under the
+    name each of `modules` reads: `mt` for the character system's own,
+    `el` for those of every other Hermite form and kernel."""
+    calls = []
+    real = el.hermite_reduce
+
+    def counting(rows, pivots, cols):
+        calls.append(len(rows))
+        return real(rows, pivots, cols)
+
+    for module in modules:
+        monkeypatch.setattr(module, "hermite_reduce", counting)
+    return calls
+
+
+class TestHermiteOnFirstRead:
+    def test_one_factor_build_and_report_run_no_reduction(self, monkeypatch):
+        calls = counting_reductions(monkeypatch, mt, el)
+        built = 0
+        for datum in orbit_matrix_data():
+            try:
+                cs = build_character_system(datum)
+            except DuplicateCharactersError:
+                continue
+            build_report(cs)
+            assert "hermite" not in cs.__dict__ and "char_coords" not in cs.__dict__
+            built += 1
+        assert (built, calls) == (395, [])
+
+    def test_document_reduces_once(self, monkeypatch):
+        # a one-factor document reads the saturation index, off the
+        # divisors of H, which its report did not form; the divisors of
+        # a block with two non-unit pivots take Hermite forms of their own
+        calls = counting_reductions(monkeypatch, mt)
+        for datum in itertools.islice(orbit_matrix_data(), 0, None, 25):
+            try:
+                cs = build_character_system(datum)
+            except DuplicateCharactersError:
+                continue
+            report = build_report(cs)
+            calls.clear()
+            first = report_to_dict(report, cs)
+            assert report_to_dict(report, cs) == first
+            assert calls == [cs.dim]
+
+    def test_two_factor_report_reduces_once(self, monkeypatch):
+        # the union of the second factor alone is no prefix: it is
+        # spanned in `char_coords`, the columns of H
+        calls = counting_reductions(monkeypatch, mt, el)
+        for datum in (two_quadratic_factors(), *itertools.islice(two_factor_data(12), 40)):
+            try:
+                cs = build_character_system(datum)
+            except DuplicateCharactersError:
+                continue
+            assert calls == []
+            build_report(cs)
+            build_report(cs)
+            assert calls == [cs.dim]
+            calls.clear()
+
+    def test_echelon_pivots_and_first_read_form_match_all_orbit_rows(self):
+        # the build keeps the pivots of its echelon basis and forms H on
+        # first read: those of, and the form of, every orbit row
+        systems = []
+        for datum in single_factor_data(16):
+            try:
+                systems.append(build_character_system(datum))
+            except DuplicateCharactersError:
+                continue
+        systems += random_joints(31, 150)
+        for cs in systems:
+            assert list(cs.pivots) == hermite_pivots(cs.hermite)
+            assert cs.hermite == hermite_normal_form(
+                IntMatrix.from_rows(zip(*cs.characters), cols=len(cs.characters))), cs.datum
+            assert cs.char_coords == tuple(zip(*cs.hermite.rows))
+        assert len(systems) == 381 + 150
+
+
+class TestPlan:
+    def test_formed_once_per_space_and_conjugation(self, monkeypatch):
+        # `verify` makes one coset space per group and conjugation and
+        # builds every class over it, and each translate's orbit matrix
+        formed, calls = [], []
+        real = mt._plan
+
+        def counting(space, conj, offset=0):
+            calls.append(conj)
+            if conj not in space.plans:
+                formed.append((space, conj))
+            return real(space, conj, offset)
+
+        monkeypatch.setattr(mt, "_plan", counting)
+        summary = run_verify(12)
+        assert not summary.failures
+        # `formed` keeps every space alive, so no two share an id
+        pairs = sum(len(g.central_involutions()) for g in builtin_groups(12))
+        assert len({(id(space), conj) for space, conj in formed}) == len(formed) == pairs
+        assert len(calls) > 20 * pairs
+
+    def test_kept_on_the_space_with_its_getters_shared(self):
+        # every central involution of C2xC4 conjugates some type over the
+        # one regular space; the plans share the conjugation-free getters
+        group = FiniteGroup.abelian([2, 4])
+        space = CosetSpace(group, [0])
+        convs = group.central_involutions()
+        for conj in convs:
+            phi = enumerate_types(group, conj)[0].phi
+            try:
+                build_character_system(CMDatum(group, conj, (CMType(space, phi),)))
+            except DuplicateCharactersError:
+                continue  # the orbit rows were read through the plan
+        assert sorted(space.plans) == convs
+        first = space.plans[convs[0]]
+        for conj in convs:
+            getters, moves, pairing, half = space.plans[conj]
+            assert getters is first[0] and moves is first[1]
+            assert pairing == space.action_row(conj)
+            assert half == [g for g in range(group.order) if g < group.mul(conj, g)]
