@@ -28,7 +28,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from .cm_core import InvariantError, is_primitive
@@ -72,13 +71,14 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
 
     A prefix union {0, ..., k-1} (mask 2^k - 1, the full set among them)
     is read off the build's pivots, those of its echelon basis and of
-    the Hermite form H.  The blocks occupy consecutive columns, the first
-    e of them for the prefix, so the rank of the first e columns is the
-    number of pivots in columns below e; for the full set it is the
-    system's rank d.  Every other union is spanned from the union without
-    its lowest factor, whose basis it copies.  That parent never is a
-    prefix, which holds the lowest factor, so the prefixes form no span,
-    and a basis is kept only for an even mask, the parent of later ones.
+    the Hermite form H.  The blocks occupy consecutive columns between
+    their boundaries `cs.starts`, the prefix the first e = starts[k], so
+    its rank is the number of pivots in columns below e; for the full
+    set it is the system's rank d.  Every other union is spanned from
+    the union without its lowest factor, whose basis it copies.  That
+    parent never is a prefix, which holds the lowest factor, so the
+    prefixes form no span, and a basis is kept only for an even mask,
+    the parent of later ones.
     A union takes no more columns once it reaches rank d, and a union
     whose parent has rank d has rank d and forms no span.
 
@@ -94,12 +94,10 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
     for the same x, and every set of characters has the same rank in
     either coordinates.
     """
-    sizes = [f.space.size for f in cs.datum.factors]
-    r = len(sizes)
+    starts = cs.starts
+    r = len(starts) - 1
     d = cs.dim
-    starts = list(accumulate(sizes, initial=0))
     coords = cs.char_coords if r > 1 else ()
-    pivot_columns = [j for j, _ in cs.pivots]
     table = [(0, 0)]
     spans: list[Optional[IntSpanBasis]] = [None] * 2 ** r
     for mask in range(1, 2 ** r):
@@ -108,7 +106,7 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
         n, rank = table[mask ^ low]
         if not mask & (mask + 1):
             # a prefix, on the columns before the next block
-            rank = bisect_left(pivot_columns, starts[mask.bit_length()])
+            rank = bisect_left(cs.pivots, starts[mask.bit_length()])
         elif rank < d:
             parent = spans[mask ^ low]
             span = parent.copy() if parent else IntSpanBasis(d)
@@ -118,7 +116,7 @@ def _factor_unions(cs: CharacterSystem) -> list[tuple[int, int]]:
             rank = span.dim
             if not mask & 1:
                 spans[mask] = span
-        table.append((n + sizes[fi], rank))
+        table.append((n + starts[fi + 1] - starts[fi], rank))
     return table
 
 
@@ -131,10 +129,10 @@ def _exponent(cs: CharacterSystem) -> tuple[Fraction, SubspaceWitness, int]:
     if Fraction(m, dim) == alpha:
         contained = tuple(range(m))
     else:
-        factor_of = [fi for fi, _ in cs.column_labels]
-        # least in (dim, index set) order
+        # least in (dim, index set) order; the blocks lie in factor order
+        blocks = [range(a, b) for a, b in zip(cs.starts, cs.starts[1:])]
         dim, contained = min(
-            (rank, tuple(j for j, fi in enumerate(factor_of) if mask >> fi & 1))
+            (rank, tuple(j for fi, block in enumerate(blocks) if mask >> fi & 1 for j in block))
             for mask, (n, rank) in enumerate(unions)
             if mask and Fraction(n, rank) == alpha)
     witness = SubspaceWitness(generating_indices=contained, n=len(contained),
@@ -198,7 +196,7 @@ def witness_basis(cs: CharacterSystem, witness: SubspaceWitness) -> tuple[tuple[
     """
     indices = witness.generating_indices
     if len(indices) == len(cs.characters):
-        indices = [j for j, _ in cs.pivots]
+        indices = cs.pivots
     basis = IntSpanBasis(len(cs.characters[0]))
     for i in indices:
         if basis.insert(cs.characters[i]) and basis.dim == cs.dim:

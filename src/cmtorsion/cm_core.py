@@ -327,8 +327,21 @@ def is_primitive(t: CMType, conj: int) -> bool:
                    for g in range(1, space.group.order))
 
 
-def _translation_orbit(space: CosetSpace, phi: frozenset[int]) -> list[frozenset[int]]:
-    return [frozenset(space.act(g, s) for s in phi) for g in range(space.group.order)]
+def _translation_classes(raw: Sequence[CMType]) -> list[tuple[CMType, list[frozenset[int]]]]:
+    """The translation classes of the sorted `raw` types: each class's
+    first member and its distinct translates g.phi, g = 0, 1, ... in
+    first-seen order, each orbit formed once.  Conj being central, every
+    translate of a raw type is a raw type, so in the sorted raw list an
+    orbit's first member is its least."""
+    classes, seen = [], set()
+    for t in raw:
+        if t.phi not in seen:
+            space = t.space
+            orbit = list(dict.fromkeys(frozenset(space.act(g, s) for s in t.phi)
+                                       for g in range(space.group.order)))
+            seen.update(orbit)
+            classes.append((t, orbit))
+    return classes
 
 
 def enumerate_types(group: FiniteGroup, conj: int, *,
@@ -337,10 +350,8 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
 
     Raw enumeration picks one element from each pair {x, conj*x}, which
     yields 2^(order/2) types.  With `up_to_translation` only the
-    lexicographically smallest member of each translation orbit is
-    kept: conj being central, every translate of a raw type is a raw
-    type, so in the sorted raw list an orbit's first member is its least
-    and the orbit is formed once, there.
+    lexicographically smallest member of each translation orbit is kept
+    (`_translation_classes`).
     """
     problems = _conjugation_problems(group, conj)
     if problems:
@@ -361,9 +372,4 @@ def enumerate_types(group: FiniteGroup, conj: int, *,
     raw.sort(key=CMType.phi_sorted)
     if not up_to_translation:
         return raw
-    reps, seen = [], set()
-    for t in raw:
-        if t.phi not in seen:
-            reps.append(t)
-            seen.update(_translation_orbit(space, t.phi))
-    return reps
+    return [t for t, _ in _translation_classes(raw)]

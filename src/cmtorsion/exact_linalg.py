@@ -283,19 +283,9 @@ def elementary_divisors(m: IntMatrix, modulus: Optional[int] = None) -> tuple[in
     return tuple(d)
 
 
-def hermite_pivots(h: IntMatrix) -> list[tuple[int, int]]:
-    """(column, value) of each row's pivot in a `hermite_normal_form`
-    output: the row's first nonzero entry."""
-    out = []
-    for row in h.rows:
-        x = next(filter(None, row))
-        out.append((row.index(x), x))
-    return out
-
-
-def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+def hermite_divisors(h: IntMatrix, pivots: Sequence[int]) -> tuple[int, ...]:
     """The elementary divisors of `h`, a `hermite_normal_form` output
-    with its `hermite_pivots`.
+    with its pivot columns, those `hermite_echelon` returns.
 
     Entries above a pivot are reduced below it, so a unit pivot's column
     is a unit vector: column operations clear its row and touch no
@@ -308,11 +298,11 @@ def hermite_divisors(h: IntMatrix, pivots: Sequence[tuple[int, int]]) -> tuple[i
     `elementary_divisors(block, modulus=D)`, every entry kept below D.
     When every pivot is 1 no elimination runs.
     """
-    unit = {j for j, x in pivots if x == 1}
+    unit = {c for row, c in zip(h.rows, pivots) if row[c] == 1}
     ones = (1,) * len(unit)
     if len(unit) == len(h.rows):
         return ones
-    rest = [(row, x) for row, (_, x) in zip(h.rows, pivots) if x != 1]
+    rest = [(row, row[c]) for row, c in zip(h.rows, pivots) if c not in unit]
     if len(rest) == 1:
         return ones + (gcd(*rest[0][0]),)
     keep = [j for j in range(h.cols) if j not in unit]

@@ -60,8 +60,8 @@ from .exact_linalg import (
     all_ints,
     elementary_divisors,
     hermite_divisors,
-    hermite_normal_form,
-    hermite_pivots,
+    hermite_echelon,
+    hermite_reduce,
 )
 from .mt_torus import CharacterSystem
 
@@ -168,14 +168,15 @@ def _active_lattice(coords: tuple[tuple[int, ...], ...], idx: tuple[int, ...]):
     """(pivot columns, pivot product, divisors) of the characters idx.
 
     These are read off the Hermite form H of coords[i] for i in idx as
-    columns, in that order; H has one row per pivot, and its divisors
-    (`hermite_divisors`) are those of the active rows.
+    columns, in that order: the pivots off its echelon phase, whose
+    rows have H's pivots, the divisors (`hermite_divisors`), those of
+    the active rows, off H.  H has one row per pivot.
     """
-    hermite = hermite_normal_form(IntMatrix.from_rows(
+    rows, pivots = hermite_echelon(IntMatrix.from_rows(
         zip(*(coords[i] for i in idx)), cols=len(idx)))
-    pivots = hermite_pivots(hermite)
-    return (tuple(j for j, _ in pivots), math.prod(x for _, x in pivots),
-            hermite_divisors(hermite, pivots))
+    product = math.prod(row[c] for row, c in zip(rows, pivots))
+    return (tuple(pivots), product,
+            hermite_divisors(hermite_reduce(rows, pivots, len(idx)), pivots))
 
 
 def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tuple[int, int]]:

@@ -57,9 +57,12 @@ class CharacterSystem:
     """The characters of a CM datum plus the derived lattice data.
 
     `echelon` holds the rows of the build's echelon basis E, `pivots` the
-    (column, value) of each one's pivot: a lattice fixes those of every
-    echelon basis with positive pivots, so they are H's, and their number
-    is `dim`.  H and its columns `char_coords` are formed on first read:
+    column of each one's pivot, as `hermite_echelon` returns them: a
+    lattice fixes the pivots of every echelon basis with positive ones,
+    so they are H's, row i's pivot value is row i's entry at `pivots[i]`
+    in E and in H, and their number is `dim`.  Factor i's characters are
+    the columns `starts[i]` to `starts[i + 1]` - 1, its coset space in
+    order.  H and its columns `char_coords` are formed on first read:
     each character in the basis of the saturated character lattice
     formed by the first `dim` columns of U^-1.  Callers may read only
     quantities that do not depend on the choice of that basis.  The
@@ -71,15 +74,14 @@ class CharacterSystem:
     genus: int
     dim: int
     characters: tuple[tuple[int, ...], ...]
-    column_labels: tuple[tuple[int, int], ...]
+    starts: tuple[int, ...]
     echelon: tuple[tuple[int, ...], ...]
-    pivots: tuple[tuple[int, int], ...]
+    pivots: tuple[int, ...]
 
     @cached_property
     def hermite(self) -> IntMatrix:
         """The Hermite form H of the orbit matrix: E after the reduction phase."""
-        return hermite_reduce(list(self.echelon), [j for j, _ in self.pivots],
-                              len(self.characters))
+        return hermite_reduce(list(self.echelon), self.pivots, len(self.characters))
 
     @cached_property
     def char_coords(self) -> tuple[tuple[int, ...], ...]:
@@ -117,7 +119,7 @@ class CharacterSystem:
         return integer_kernel(integer_kernel(self.hermite))
 
 
-def _plan(space: CosetSpace, conj: int, offset: int = 0) -> tuple:
+def _plan(space: CosetSpace, conj: int, offset: int) -> tuple:
     """The build's data that depend on `space`, its group and `conj`, not
     on phi, formed on the first call and kept in `space.plans`: for each
     g, the getter of the action row of g^-1 (row g of the orbit matrix);
@@ -141,25 +143,29 @@ def _plan(space: CosetSpace, conj: int, offset: int = 0) -> tuple:
     return plan
 
 
-def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
-    """Column labels, rows and columns (the characters) of the orbit matrix.
+def _orbit_matrix(datum: CMDatum) -> tuple[tuple[int, ...], list[tuple], list, tuple]:
+    """Block boundaries, factor plans, rows and columns (the characters)
+    of the orbit matrix.
 
-    Row g marks the translated halves g.phi_i: column (i, s) holds 1
-    exactly when g^-1 s lies in phi_i, so the row is the 0/1 indicator
-    of each phi_i read through the action row of g^-1.  Raises
-    DuplicateCharactersError for the first pair i < j of equal columns.
+    Row g marks the translated halves g.phi_i: column (i, s), which is
+    column starts[i] + s, holds 1 exactly when g^-1 s lies in phi_i, so
+    the row is the 0/1 indicator of each phi_i read through the action
+    row of g^-1.  Raises DuplicateCharactersError for the first pair
+    i < j of equal columns.
     """
-    labels = []
+    starts = [0]
+    plans = []
     rows = None
-    for fi, factor in enumerate(datum.factors):
-        getters = _plan(factor.space, datum.conj, len(labels))[0]
+    for factor in datum.factors:
+        plan = _plan(factor.space, datum.conj, starts[-1])
+        plans.append(plan)
         # phi and its conjugate partition the cosets, so the columns of
         # a factor are indexed by the whole coset space
-        labels.extend((fi, s) for s in range(factor.space.size))
+        starts.append(starts[-1] + factor.space.size)
         indicator = [0] * factor.space.size
         for t in factor.phi:
             indicator[t] = 1
-        part = [get(indicator) for get in getters]
+        part = [get(indicator) for get in plan[0]]
         rows = part if rows is None else list(map(add, rows, part))
 
     columns = tuple(zip(*rows))
@@ -171,11 +177,12 @@ def _orbit_matrix(datum: CMDatum) -> tuple[tuple, list, tuple]:
     repeated = next((js for js in copies.values() if len(js) > 1), None)
     if repeated:
         raise DuplicateCharactersError(repeated[0], repeated[1])
-    return tuple(labels), rows, columns
+    return tuple(starts), plans, rows, columns
 
 
-def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-    """One of each pair {g, c.g} of the orbit matrix's `rows`, then all ones.
+def _half_rows(plan: tuple, rows: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """One of each pair {g, c.g} of the orbit matrix's `rows`, then all
+    ones; the g come from the `_plan` of any factor.
 
     Lemma: row c.g is the all-ones row minus row g.  Column (i, s) of row
     c.g holds 1 when s lies in c.g.phi_i = g.(c.phi_i), c being central,
@@ -184,7 +191,7 @@ def _half_rows(datum: CMDatum, rows: Sequence[Sequence[int]]) -> list[Sequence[i
     matrix is thus an integer combination of these rows, and the all-ones
     row is the sum of rows g and c.g, so both span the same lattice.
     """
-    half = [rows[g] for g in _plan(datum.factors[0].space, datum.conj)[3]]
+    half = [rows[g] for g in plan[3]]
     half.append((1,) * len(rows[0]))
     return half
 
@@ -199,13 +206,11 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     exponent off the factor unions.  The build stops at the echelon
     phase: no single-factor report reads the Hermite form.
     """
-    labels, rows, columns = _orbit_matrix(datum)
-    plans = [_plan(factor.space, datum.conj) for factor in datum.factors]
+    starts, plans, rows, columns = _orbit_matrix(datum)
     group = datum.group
     n = group.order
-    genus = len(labels) // 2
-    offsets = [k for k, (_, s) in enumerate(labels) if s == 0]
-    blocks = [columns[k:k + f.space.size] for k, f in zip(offsets, datum.factors)]
+    genus = starts[-1] // 2
+    blocks = [columns[a:b] for a, b in zip(starts, starts[1:])]
 
     weight = (1,) * n
     for block, (_, _, pairing, _) in zip(blocks, plans):
@@ -229,7 +234,7 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
     # row g (see `_half_rows`), so half the rows and that one span the
     # row lattice of M.  A repeated row adds nothing to the lattice, so
     # one copy of each goes into the elimination.
-    rows, pivots = hermite_echelon(IntMatrix.from_rows(dict.fromkeys(_half_rows(datum, rows))))
+    rows, pivots = hermite_echelon(IntMatrix.from_rows(dict.fromkeys(_half_rows(plans[0], rows))))
     d = len(rows)
     if not 2 <= d <= genus + 1:
         raise InvariantError("torus rank out of the admissible range")
@@ -239,9 +244,9 @@ def build_character_system(datum: CMDatum) -> CharacterSystem:
         genus=genus,
         dim=d,
         characters=columns,
-        column_labels=labels,
+        starts=starts,
         echelon=tuple(map(tuple, rows)),
-        pivots=tuple((j, row[j]) for j, row in zip(pivots, rows)),
+        pivots=tuple(pivots),
     )
 
 

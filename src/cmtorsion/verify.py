@@ -27,7 +27,7 @@ from .cm_core import (
     CMDatum,
     CMType,
     FiniteGroup,
-    _translation_orbit,
+    _translation_classes,
     enumerate_types,
 )
 from .exact_linalg import (
@@ -53,19 +53,16 @@ MAX_VERIFY_ORDER = 32
 
 
 def _invariant_chains(order: int, minimum: int = 2) -> Iterator[tuple[int, ...]]:
-    # ascending divisor chains d1 | d2 | ... with product = order
-    if order == 1:
-        yield ()
-        return
+    # ascending divisor chains d1 | d2 | ... with product = order; every
+    # call has order >= minimum >= 2, the recursion order // d >= d
     d = minimum
     while d * d <= order:
         if order % d == 0:
             for rest in _invariant_chains(order // d, d):
-                if not rest or rest[0] % d == 0:
+                if rest[0] % d == 0:
                     yield (d,) + rest
         d += 1
-    if order >= minimum:
-        yield (order,)
+    yield (order,)
 
 
 def builtin_groups(max_order: int) -> list[FiniteGroup]:
@@ -79,8 +76,7 @@ def builtin_groups(max_order: int) -> list[FiniteGroup]:
     groups: list[FiniteGroup] = []
     for order in range(2, max_order + 1):
         for chain in sorted(_invariant_chains(order)):
-            if chain:
-                groups.append(FiniteGroup.abelian(chain))
+            groups.append(FiniteGroup.abelian(chain))
     for n in range(3, max_order // 2 + 1):
         groups.append(FiniteGroup.dihedral(n))
     for m in range(2, max_order // 4 + 1):
@@ -121,11 +117,11 @@ def _duality_conditions(cs: CharacterSystem, sel: Sequence[int]) -> tuple[bool, 
             elementary_divisors(perp) == (1,) * len(perp.rows))
 
 
-def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMType):
+def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMType,
+                 translates: Sequence[frozenset[int]]):
+    # `translates`: the class's distinct translates in first-seen order
     label = f"{group.name} conj {conj} phi {sorted(rep.phi)}"
     space = rep.space
-    # distinct translates in first-seen order
-    translates = list(dict.fromkeys(_translation_orbit(space, rep.phi)))
     try:
         rep_cs = build_character_system(CMDatum(group, conj, (rep,)))
     except DuplicateCharactersError:
@@ -165,8 +161,7 @@ def _check_class(summary: VerifySummary, group: FiniteGroup, conj: int, rep: CMT
         if phi == rep.phi:
             continue
         try:
-            _, other, _ = _orbit_matrix(
-                CMDatum(group, conj, (CMType(space, phi),)))
+            other = _orbit_matrix(CMDatum(group, conj, (CMType(space, phi),)))[2]
         except DuplicateCharactersError:
             summary.count("translation_row_permutation", False,
                           f"{label} translate {sorted(phi)} degenerated")
@@ -195,6 +190,6 @@ def run_verify(max_group_order: int = 12) -> VerifySummary:
         if convs:
             summary.groups_seen += 1
         for conj in convs:
-            for rep in enumerate_types(group, conj, up_to_translation=True):
-                _check_class(summary, group, conj, rep)
+            for rep, translates in _translation_classes(enumerate_types(group, conj)):
+                _check_class(summary, group, conj, rep, translates)
     return summary

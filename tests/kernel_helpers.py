@@ -129,6 +129,12 @@ def saturate(m: IntMatrix) -> tuple[IntMatrix, int]:
     return el.integer_kernel(el.integer_kernel(h)), prod(el.elementary_divisors(h))
 
 
+def hermite_pivots(h: IntMatrix) -> list[int]:
+    """The pivot columns of an echelon or Hermite basis `h`, found from
+    scratch: the first nonzero column of each row."""
+    return [next(j for j, x in enumerate(row) if x) for row in h.rows]
+
+
 def unit_order(ell: int, n: int) -> int:
     """Order of (Z/ell^n)^x for an odd prime ell; the group is cyclic."""
     return (ell - 1) * ell ** (n - 1)

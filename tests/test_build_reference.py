@@ -29,7 +29,12 @@ from cmtorsion.alpha_engine import build_report
 from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, InvariantError, enumerate_types
 from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form
 from cmtorsion.finite_level import degree_of_subgroup, exponent_sweep, staircase_bounds
-from cmtorsion.mt_torus import DuplicateCharactersError, _half_rows, build_character_system
+from cmtorsion.mt_torus import (
+    DuplicateCharactersError,
+    _half_rows,
+    _plan,
+    build_character_system,
+)
 from cmtorsion.verify import builtin_groups
 from test_exact_linalg import hermite_normal_form_reference
 
@@ -372,7 +377,7 @@ class TestHalfRows:
                 [[int(f.space.act(group.inv(g), s) in f.phi)
                   for f in datum.factors for s in range(f.space.size)]
                  for g in range(group.order)])
-            half = _half_rows(datum, matrix.rows)
+            half = _half_rows(_plan(datum.factors[0].space, datum.conj, 0), matrix.rows)
             assert len(half) == group.order // 2 + 1
             assert (hermite_normal_form(IntMatrix.from_rows(half)) == hermite_normal_form(matrix)
                     == hermite_normal_form_reference(matrix)), datum

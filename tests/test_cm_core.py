@@ -443,6 +443,21 @@ class TestEnumerate:
                 classes += len(reference)
         assert classes == 914
 
+    def test_each_class_lists_its_distinct_translates(self):
+        # the classes `verify` walks: each first member with its distinct
+        # translates g.phi in order of g, the classes partitioning the raw
+        # types
+        for g in builtin_groups(12):
+            for c in g.central_involutions():
+                raw = enumerate_types(g, c)
+                classes = cm_core._translation_classes(raw)
+                assert [t for t, _ in classes] == enumerate_types(g, c, up_to_translation=True)
+                for t, translates in classes:
+                    assert translates == list(dict.fromkeys(
+                        frozenset(g.mul(h, x) for x in t.phi) for h in range(g.order)))
+                members = [phi for _, translates in classes for phi in translates]
+                assert sorted(tuple(sorted(phi)) for phi in members) == [t.phi_sorted() for t in raw]
+
     def test_invalid_conjugation(self):
         # the datum's rule for a conjugation, with its messages
         g = FiniteGroup.abelian([4])

@@ -34,6 +34,7 @@ from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
 from fractions import Fraction
 from test_acceptance import c2_times_alternating4
+from test_search_reference import JOINTS
 
 QUARTIC_DOC = {
     "group": {"kind": "abelian", "invariants": [4]},
@@ -395,6 +396,28 @@ def test_report_bytes_pinned_up_to_order_10():
                 found[(group.name, conj, t.phi_sorted())] = hashlib.sha256(
                     text.encode("utf-8")).hexdigest()
     assert found == PINNED_REPORTS
+
+
+# sha256 of the report documents of the multi-factor joints, those whose
+# witness is a proper factor union included
+PINNED_JOINT_REPORTS = {
+    "C2xC2": "c3bd307634039d0ca041e04ea7d0cc270a48d4f392449b5ecdbb9ee4165c0537",
+    "C8": "4d0bf212cc482c7d346df23644d4d5668986f8eb2cca612cc6e58258e112ac83",
+    "fallback": "d50efe325a27ddd77ff38fd05c6db9eae2832c4074a65db920aac338fab11371",
+    "fallback-C4xC4": "7a0a962bfb25caf0f9cec73433c8dff178fc96637558fa80e8f3aa29acf45980",
+    "fallback-C2xC8": "cfffca69592d0433eed1138e0503293514c4e3dd23b00780767518b00db6e950",
+    "triple-C2xC2xC4": "9498ff378748bb10f2105540677e3e288db3d94a6f67c156e53e5cad00ce8f42",
+    "triple-C4xC4": "ad9cbaaf66880fc3566f73a02f1ca739f2bf3261379ef4132f286cd2b53cf644",
+}
+
+
+def test_joint_report_bytes_pinned():
+    found = {}
+    for name, make in JOINTS.items():
+        cs = make()
+        text = dumps_document(report_to_dict(build_report(cs), cs))
+        found[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert found == PINNED_JOINT_REPORTS
 
 
 def reference_text(doc) -> str:

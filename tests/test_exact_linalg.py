@@ -32,7 +32,6 @@ from cmtorsion.exact_linalg import (
     hermite_divisors,
     hermite_echelon,
     hermite_normal_form,
-    hermite_pivots,
     integer_kernel,
 )
 from kernel_helpers import (
@@ -41,6 +40,7 @@ from kernel_helpers import (
     contains,
     determinant,
     determinantal_divisors,
+    hermite_pivots,
     identity,
     rank,
     saturate,
@@ -542,7 +542,7 @@ def catalogue_orbit_matrices(max_order: int):
         for conj in group.central_involutions():
             for t in enumerate_types(group, conj, up_to_translation=True):
                 try:
-                    yield IntMatrix.from_rows(_orbit_matrix(CMDatum(group, conj, (t,)))[1])
+                    yield IntMatrix.from_rows(_orbit_matrix(CMDatum(group, conj, (t,)))[2])
                 except DuplicateCharactersError:
                     continue
 
@@ -607,10 +607,10 @@ class TestHermite:
                 for t in enumerate_types(group, conj, up_to_translation=True):
                     datum = CMDatum(group, conj, (t,))
                     try:
-                        rows = _orbit_matrix(datum)[1]
+                        _, plans, rows, _ = _orbit_matrix(datum)
                     except DuplicateCharactersError:
                         continue
-                    inputs.append(_half_rows(datum, rows))
+                    inputs.append(_half_rows(plans[0], rows))
         for rows in inputs[:]:
             mixed = [list(row) for row in rows]
             for _ in range(rng.randint(1, 3)):
@@ -631,8 +631,10 @@ class TestHermite:
         for _ in range(300):
             m = random_hermite_input(rng)
             rows, pivots = hermite_echelon(m)
-            assert [(c, row[c]) for c, row in zip(pivots, rows)] == hermite_pivots(
-                hermite_normal_form_reference(m)), m
+            h = hermite_normal_form_reference(m)
+            assert pivots == hermite_pivots(h), m
+            assert [row[c] for c, row in zip(pivots, rows)] == [
+                row[c] for c, row in zip(pivots, h.rows)], m
             assert all(row[c] > 0 and not any(row[:c]) for c, row in zip(pivots, rows))
 
     def test_zero_and_empty_inputs(self):
@@ -644,10 +646,14 @@ class TestHermite:
 
 class TestHermiteDivisors:
     def test_pivots_are_the_first_nonzero_entries(self):
+        # the columns `hermite_divisors` is given, the echelon phase's,
+        # hold the first nonzero entry of each row of the reduced form
         rng = random.Random(2424)
         for _ in range(200):
-            h = hermite_normal_form(random_hermite_input(rng))
-            assert hermite_pivots(h) == [
+            m = random_hermite_input(rng)
+            rows, pivots = hermite_echelon(m)
+            h = el.hermite_reduce(rows, pivots, m.cols)
+            assert [(c, row[c]) for c, row in zip(pivots, h.rows)] == [
                 next((j, x) for j, x in enumerate(row) if x) for row in h.rows]
 
     def test_agrees_with_the_plain_divisors(self):

@@ -27,7 +27,12 @@ from cmtorsion.cm_core import (
     InvariantError,
     enumerate_types,
 )
-from cmtorsion.exact_linalg import IntMatrix, IntSpanBasis, elementary_divisors
+from cmtorsion.exact_linalg import (
+    IntMatrix,
+    IntSpanBasis,
+    elementary_divisors,
+    hermite_normal_form,
+)
 from cmtorsion.finite_level import (
     PRIME_TEST_LIMIT,
     StaircaseBounds,
@@ -38,7 +43,8 @@ from cmtorsion.finite_level import (
 )
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
-from kernel_helpers import unit_order
+from kernel_helpers import hermite_pivots, unit_order
+from test_search_reference import random_joints
 
 
 def single_factor(group: FiniteGroup, conj: int, phi) -> CMDatum:
@@ -238,14 +244,14 @@ class TestSweep:
         systems = [(cs, build_report(cs)) for cs in (elliptic(), quartic(), quaternion())]
         expected = [exponent_sweep_reference(cs, [3, 101], 2, report)
                     for cs, report in systems]
-        for name in ("elementary_divisors", "hermite_normal_form"):
+        for name in ("elementary_divisors", "hermite_echelon"):
             monkeypatch.setattr(fl, name, recording(name))
         for (cs, report), rows in zip(systems, expected):
             assert report.witness.n == 2 * cs.genus
             assert exponent_sweep(cs, [3, 101], 2, report) == rows
         assert calls == []
         # a witness of fewer characters reads the divisors of its
-        # `_active_lattice` entry: one Hermite form of the d x 3 columns,
+        # `_active_lattice` entry: one echelon phase of the d x 3 columns,
         # whose pivots multiply to 1, then none on a repeated call
         cs, report = systems[2]
         part = dataclasses.replace(report, witness=dataclasses.replace(
@@ -254,7 +260,7 @@ class TestSweep:
         for _ in range(2):
             assert exponent_sweep(cs, [3, 101], 2, part) == \
                 exponent_sweep_reference(cs, [3, 101], 2, part)
-            assert calls == [("hermite_normal_form", cs.dim, 3)]
+            assert calls == [("hermite_echelon", cs.dim, 3)]
         # the entry keeps what its readers take, not the Hermite form
         entry = fl._active_lattice(cs.char_coords, (0, 2, 5))
         assert len(entry) == 3 and not any(isinstance(x, IntMatrix) for x in entry)
@@ -583,6 +589,21 @@ class TestAgainstReference:
                     assert staircase_bounds(cs, ell, levels) == \
                         staircase_bounds_reference(cs, ell, levels)
 
+    def test_active_lattice_pivots_and_product(self, catalogue):
+        # the entry's pivots, pivot product and divisors are those of the
+        # Hermite form of the active columns, its pivots found from scratch
+        rng = random.Random(2929)
+        systems = [cs for cs, _ in catalogue] + random_joints(29, 60)
+        for cs in systems:
+            m = 2 * cs.genus
+            for _ in range(4):
+                idx = tuple(rng.sample(range(m), rng.randint(1, m)))
+                h = hermite_normal_form(IntMatrix.from_rows(
+                    zip(*(cs.char_coords[i] for i in idx)), cols=len(idx)))
+                pivots = hermite_pivots(h)
+                product = math.prod(row[c] for row, c in zip(h.rows, pivots))
+                assert fl._active_lattice(cs.char_coords, idx) == (
+                    tuple(pivots), product, elementary_divisors(h)), (cs.datum, idx)
 
     def test_closed_form_and_fallback(self, catalogue, monkeypatch):
         # random mixed-level patterns, weighted to the small primes where
@@ -703,21 +724,21 @@ class TestScaledImage:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
-        for name in ("hermite_normal_form", "hermite_divisors", "elementary_divisors", "_image"):
+        for name in ("hermite_echelon", "hermite_divisors", "elementary_divisors", "_image"):
             recording(fl, name)
         recording(el, "elementary_divisors")
         c10 = build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
         big = unit_order(3, 2)
         cases = [
             # pivot product 1: no elementary divisors at all
-            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_normal_form", "hermite_divisors"]),
+            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_echelon", "hermite_divisors"]),
             # pivot product 2, ell = 3: the divisors of H, from the
             # content of its one row with a non-unit pivot
             (quaternion(), 3, {i: 1 + i % 3 for i in range(8)},
-             ["hermite_normal_form", "hermite_divisors"]),
+             ["hermite_echelon", "hermite_divisors"]),
             # pivot product 3, ell = 3: the fallback
             (c10, 3, {0: 2, 1: 1, 2: 1, 4: 1, 8: 1},
-             ["hermite_normal_form", "hermite_divisors", "_image",
+             ["hermite_echelon", "hermite_divisors", "_image",
               ("elementary_divisors", big)]),
         ]
         for cs, ell, levels, expected in cases:

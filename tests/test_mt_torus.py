@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from itertools import accumulate
 from math import prod
 
 import pytest
@@ -27,13 +28,19 @@ from cmtorsion.exact_linalg import (
     IntSpanBasis,
     elementary_divisors,
     hermite_normal_form,
-    hermite_pivots,
     integer_kernel,
 )
 from cmtorsion.documents import report_to_dict
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups, run_verify
-from kernel_helpers import check_kernel, check_saturation, contains, determinant, saturate
+from kernel_helpers import (
+    check_kernel,
+    check_saturation,
+    contains,
+    determinant,
+    hermite_pivots,
+    saturate,
+)
 from test_acceptance import c2_times_alternating4
 from test_build_reference import single_factor_data, two_factor_data
 from test_search_reference import random_joints
@@ -155,12 +162,14 @@ class TestOrbitMatrixDefinition:
         built = spaces = 0
         for datum in orbit_matrix_data():
             try:
-                labels, rows, columns = mt._orbit_matrix(datum)
+                starts, plans, rows, columns = mt._orbit_matrix(datum)
             except DuplicateCharactersError:
                 continue
             group = datum.group
-            assert labels == tuple((fi, s) for fi, f in enumerate(datum.factors)
-                                   for s in range(f.space.size))
+            labels = [(fi, s) for fi, f in enumerate(datum.factors)
+                      for s in range(f.space.size)]
+            assert starts == tuple(accumulate((f.space.size for f in datum.factors), initial=0))
+            assert plans == [f.space.plans[datum.conj] for f in datum.factors]
             expected = []
             for g in range(group.order):
                 halves = [{f.space.act(g, t) for t in f.phi} for f in datum.factors]
@@ -183,7 +192,8 @@ def test_repeated_half_rows_leave_the_hermite_form_alone():
             cs = build_character_system(datum)
         except DuplicateCharactersError:
             continue
-        half = mt._half_rows(datum, mt._orbit_matrix(datum)[1])
+        _, plans, rows, _ = mt._orbit_matrix(datum)
+        half = mt._half_rows(plans[0], rows)
         repeated += len(set(half)) < len(half)
         assert cs.hermite == hermite_normal_form(IntMatrix.from_rows(half)), datum
     assert repeated == 14
@@ -473,9 +483,9 @@ class TestInvariantError:
             real = mt._orbit_matrix
 
             def swapped(datum):
-                labels, rows, columns = real(datum)
+                starts, plans, rows, columns = real(datum)
                 columns = tuple(columns[j] for j in (1, 0, 3, 2))
-                return labels, list(zip(*columns)), columns
+                return starts, plans, list(zip(*columns)), columns
 
             mt._orbit_matrix = swapped
             t = CMType(CosetSpace(FiniteGroup.abelian([4]), [0]), frozenset([0, 1]))
@@ -567,8 +577,9 @@ class TestHermiteOnFirstRead:
             calls.clear()
 
     def test_echelon_pivots_and_first_read_form_match_all_orbit_rows(self):
-        # the build keeps the pivots of its echelon basis and forms H on
-        # first read: those of, and the form of, every orbit row
+        # the build keeps the pivot columns of its echelon basis and
+        # forms H on first read: those of, and the form of, every orbit
+        # row; the factor blocks end at the accumulated space sizes
         systems = []
         for datum in single_factor_data(16):
             try:
@@ -578,6 +589,9 @@ class TestHermiteOnFirstRead:
         systems += random_joints(31, 150)
         for cs in systems:
             assert list(cs.pivots) == hermite_pivots(cs.hermite)
+            assert list(cs.pivots) == hermite_pivots(IntMatrix.from_rows(cs.echelon))
+            assert cs.starts == tuple(
+                accumulate((f.space.size for f in cs.datum.factors), initial=0))
             assert cs.hermite == hermite_normal_form(
                 IntMatrix.from_rows(zip(*cs.characters), cols=len(cs.characters))), cs.datum
             assert cs.char_coords == tuple(zip(*cs.hermite.rows))

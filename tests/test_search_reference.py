@@ -189,9 +189,8 @@ def envelope_reference(ns, joint):
     lower = upper = question2 = Fraction(0)
     for mask in range(1, 2 ** r):
         subset = [i for i in range(r) if mask >> i & 1]
-        outcome = _memo_search(tuple(col for col, (fi, _) in
-                                     zip(joint.characters, joint.column_labels)
-                                     if fi in subset))
+        outcome = _memo_search(tuple(col for fi in subset for col in
+                                     joint.characters[joint.starts[fi]:joint.starts[fi + 1]]))
         lower = max(lower, min(ns[i] for i in subset) * outcome.ratio)
         if len(subset) == 1:
             upper += ns[subset[0]] * outcome.ratio
@@ -287,9 +286,7 @@ def factor_unions_uncapped(cs, columns) -> list[tuple[int, IntSpanBasis]]:
     columns it spans, one per character: every union takes every column
     of its lowest block, past the rank too."""
     r = len(cs.datum.factors)
-    blocks: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
-    for col, (fi, _) in zip(columns, cs.column_labels):
-        blocks[fi].append(col)
+    blocks = [columns[a:b] for a, b in zip(cs.starts, cs.starts[1:])]
     table = [(0, IntSpanBasis(len(columns[0])))]
     for mask in range(1, 2 ** r):
         low = mask & -mask

@@ -4,7 +4,15 @@ import pytest
 
 import cmtorsion.alpha_engine as alpha_engine
 import cmtorsion.verify as verify
-from cmtorsion.cm_core import CMDatum, CMType, CosetSpace, FiniteGroup, enumerate_types, is_primitive
+from cmtorsion.cm_core import (
+    CMDatum,
+    CMType,
+    CosetSpace,
+    FiniteGroup,
+    _translation_classes,
+    enumerate_types,
+    is_primitive,
+)
 from cmtorsion.exact_linalg import IntMatrix, hermite_normal_form, integer_kernel
 from cmtorsion.mt_torus import _selected_characters, build_character_system
 from cmtorsion.verify import VerifySummary, _invariant_chains, builtin_groups, run_verify
@@ -191,8 +199,8 @@ class TestPrimeGenus:
         summary = VerifySummary()
         for order in (4, 6):
             group = FiniteGroup.abelian([order])
-            for rep in enumerate_types(group, order // 2, up_to_translation=True):
-                verify._check_class(summary, group, order // 2, rep)
+            for rep, translates in _translation_classes(enumerate_types(group, order // 2)):
+                verify._check_class(summary, group, order // 2, rep, translates)
         assert summary.failures == []
         assert summary.checks["prime_genus_nondegenerate"] == 2
         assert len(calls) == summary.class_reps_checked == 2
