@@ -17,7 +17,9 @@ coordinates as columns, in decreasing level order (index breaking
 ties).  Its pivot columns p_1 < ... < p_r are the greedy independent
 set and its divisors, those of the active rows, are kept for the 256
 most recent orders, so a staircase after its degree reads the same
-entry.  When ell does not divide the product of the pivots,
+entry.  The echelon phase alone gives the pivots; H and its divisors
+are formed only past a non-unit pivot, since unit pivots make every
+divisor 1.  When ell does not divide the product of the pivots,
 
     degree = _image_size(divisors, ell - 1) * ell^(sum_t (n_{p_t} - 1)),
 
@@ -51,6 +53,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .alpha_engine import AlphaReport, build_report
@@ -167,14 +170,19 @@ def _in_group(size: int, moduli: Sequence[int]) -> int:
 def _active_lattice(coords: tuple[tuple[int, ...], ...], idx: tuple[int, ...]):
     """(pivot columns, pivot product, divisors) of the characters idx.
 
-    These are read off the Hermite form H of coords[i] for i in idx as
-    columns, in that order: the pivots off its echelon phase, whose
-    rows have H's pivots, the divisors (`hermite_divisors`), those of
-    the active rows, off H.  H has one row per pivot.
+    These are those of the Hermite form H of coords[i] for i in idx as
+    columns, in that order; H has one row per pivot.  The pivots come
+    off its echelon phase, whose rows have H's pivots.  They are
+    positive, so when they multiply to 1 each is 1 and so is every
+    divisor; only past a non-unit pivot is H formed, by the reduction
+    phase, and its divisors, those of the active rows, read off it
+    (`hermite_divisors`).
     """
     rows, pivots = hermite_echelon(IntMatrix.from_rows(
         zip(*(coords[i] for i in idx)), cols=len(idx)))
     product = math.prod(row[c] for row, c in zip(rows, pivots))
+    if product == 1:
+        return tuple(pivots), 1, (1,) * len(pivots)
     return (tuple(pivots), product,
             hermite_divisors(hermite_reduce(rows, pivots, len(idx)), pivots))
 
@@ -192,8 +200,9 @@ def _normalize_levels(cs: CharacterSystem, levels: Mapping[int, int]) -> list[tu
             if not 0 <= i < 2 * cs.genus:
                 raise ValueError(f"character index {i} out of range")
             _require_int(n, "level", 1)
-    # the staircase order: decreasing level, index breaking ties
-    return sorted(levels.items(), key=lambda p: (-p[1], p[0]))
+    # the staircase order: decreasing level, index breaking ties, by two
+    # stable sorts (reverse=True keeps equal levels in index order)
+    return sorted(sorted(levels.items()), key=itemgetter(1), reverse=True)
 
 
 def _staircase(cs: CharacterSystem, ell: int, levels: Mapping[int, int]):
@@ -201,7 +210,7 @@ def _staircase(cs: CharacterSystem, ell: int, levels: Mapping[int, int]):
     # `_active_lattice` entry; the levels are checked before ell
     order = _normalize_levels(cs, levels)
     _require_odd_prime(ell)
-    return order, _active_lattice(cs.char_coords, tuple(i for i, _ in order))
+    return order, _active_lattice(cs.char_coords, tuple(map(itemgetter(0), order)))
 
 
 def degree_of_subgroup(cs: CharacterSystem, ell: int, levels: Mapping[int, int]) -> int:

@@ -14,8 +14,9 @@ space (`_plan`).  The system keeps E and the characters, the columns of
 the orbit matrix; the rest is computed on first read: H by the
 reduction phase, its columns `char_coords`, which hold the coordinates
 of the characters in the saturated character lattice, the divisors of
-H (with their product, the saturation index) off its pivots
-(`exact_linalg.hermite_divisors`), and the saturated cocharacter
+H (with their product, the saturation index) off its pivots (all 1,
+with H unformed, when every pivot is 1, else
+`exact_linalg.hermite_divisors`), and the saturated cocharacter
 lattice, the kernel of the kernel of the rows of H.
 """
 
@@ -66,8 +67,9 @@ class CharacterSystem:
     each character in the basis of the saturated character lattice
     formed by the first `dim` columns of U^-1.  Callers may read only
     quantities that do not depend on the choice of that basis.  The
-    `characters` are the columns of the orbit matrix.  The divisors and
-    the cocharacter basis are read off H, as `char_coords` are not.
+    `characters` are the columns of the orbit matrix.  The divisors are
+    read off the pivots, and off H only when some pivot is above 1; the
+    cocharacter basis is read off H, as `char_coords` are not.
     """
 
     datum: CMDatum
@@ -91,7 +93,9 @@ class CharacterSystem:
     def divisors(self) -> tuple[int, ...]:
         """The nonzero elementary divisors of H, which are those of the
         2g x dim matrix of all `char_coords` (its transpose), read off
-        its pivots."""
+        its pivots: all 1, with H left unformed, when every pivot is."""
+        if all(row[c] == 1 for row, c in zip(self.echelon, self.pivots)):
+            return (1,) * self.dim
         return hermite_divisors(self.hermite, self.pivots)
 
     @property

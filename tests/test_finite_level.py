@@ -31,7 +31,10 @@ from cmtorsion.exact_linalg import (
     IntMatrix,
     IntSpanBasis,
     elementary_divisors,
+    hermite_divisors,
+    hermite_echelon,
     hermite_normal_form,
+    hermite_reduce,
 )
 from cmtorsion.finite_level import (
     PRIME_TEST_LIMIT,
@@ -44,6 +47,7 @@ from cmtorsion.finite_level import (
 from cmtorsion.mt_torus import DuplicateCharactersError, build_character_system
 from cmtorsion.verify import builtin_groups
 from kernel_helpers import hermite_pivots, unit_order
+from test_acceptance import c2_times_alternating4
 from test_search_reference import random_joints
 
 
@@ -63,6 +67,24 @@ def quartic():
 def quaternion():
     group = FiniteGroup.dicyclic(2)
     return build_character_system(single_factor(group, 2, [0, 1, 4, 5]))
+
+
+def decic():
+    # a pivot of 3
+    return build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
+
+
+def defect_two():
+    # the genus-8 class of defect 2 over C4 x C4, a pivot of 2
+    group = FiniteGroup.abelian([4, 4])
+    return build_character_system(single_factor(group, 8, [1, 2, 3, 7, 8, 12, 13, 14]))
+
+
+def c2_a4():
+    # a type on the eight cosets of the C2xA4 stabilizer of order 3
+    group, conj, sub = c2_times_alternating4()
+    t = CMType(CosetSpace(group, sub), frozenset([0, 1, 2, 7]))
+    return build_character_system(CMDatum(group, conj, (t,)))
 
 
 class TestUnitGroups:
@@ -538,6 +560,21 @@ def exponent_sweep_reference(cs, ells, level: int, report) -> list[SweepRow]:
     return rows
 
 
+def active_lattice_reference(coords, idx):
+    """`_active_lattice` with the reduction phase always run: the echelon
+    phase, then `hermite_reduce`, then `hermite_divisors`."""
+    rows, pivots = hermite_echelon(IntMatrix.from_rows(
+        zip(*(coords[i] for i in idx)), cols=len(idx)))
+    product = math.prod(row[c] for row, c in zip(rows, pivots))
+    return (tuple(pivots), product,
+            hermite_divisors(hermite_reduce(rows, pivots, len(idx)), pivots))
+
+
+def staircase_indices(levels) -> tuple[int, ...]:
+    """The active indices by decreasing level, index breaking ties."""
+    return tuple(i for i, _ in sorted(levels.items(), key=lambda p: (-p[1], p[0])))
+
+
 REFERENCE_PRIMES = (3, 5, 7, 13, 101, 59999)
 
 
@@ -639,6 +676,80 @@ class TestAgainstReference:
                     queries += 1
         assert 0 < len(fallbacks) < queries
 
+    def test_unit_pivots_skip_the_reduction(self, catalogue, monkeypatch):
+        # a miss gives the entry of the reference that always reduces,
+        # and runs the reduction phase exactly when some pivot is above 1
+        reductions = []
+        real = fl.hermite_reduce
+
+        def counting(rows, pivots, cols):
+            reductions.append(cols)
+            return real(rows, pivots, cols)
+
+        monkeypatch.setattr(fl, "hermite_reduce", counting)
+        systems = [quartic(), quaternion(), decic(), defect_two(), c2_a4()]
+        systems += [cs for cs, _ in catalogue]
+        rng = random.Random(3030)
+        unit = []
+        for cs in systems:
+            m = 2 * cs.genus
+            for _ in range(8):
+                idx = tuple(rng.sample(range(m), rng.randint(1, m)))
+                fl._active_lattice.cache_clear()
+                reductions.clear()
+                entry = fl._active_lattice(cs.char_coords, idx)
+                assert entry == active_lattice_reference(cs.char_coords, idx), (cs.datum, idx)
+                assert reductions == ([] if entry[1] == 1 else [len(idx)])
+                unit.append(entry[1] == 1)
+        assert 0 < sum(unit) < len(unit)
+
+    def test_fallback_on_odd_pivot_products(self, monkeypatch):
+        # patterns whose pivot product, found by the reference, an odd
+        # prime ell divides: each degree takes the fallback, one `_image`
+        # of the active rows, and agrees with the bordered Smith form
+        images = []
+        real = fl._image
+
+        def counting(rows, moduli):
+            images.append(len(rows))
+            return real(rows, moduli)
+
+        monkeypatch.setattr(fl, "_image", counting)
+        rng = random.Random(3607)
+        fallbacks = 0
+        for group, conj, phi in ODD_PIVOTS:
+            cs = build_character_system(single_factor(group, conj, phi))
+            m = 2 * cs.genus
+            for _ in range(80):
+                active = rng.sample(range(m), rng.randint(1, m))
+                levels = {i: rng.randint(1, 3) for i in active}
+                product = active_lattice_reference(cs.char_coords, staircase_indices(levels))[1]
+                ells = [ell for ell in (3, 5, 7) if product % ell == 0]
+                if not ells:
+                    continue
+                ell = rng.choice(ells)
+                images.clear()
+                assert degree_of_subgroup(cs, ell, levels) == \
+                    degree_reference(cs, ell, levels), (cs.datum, ell, levels)
+                assert images == [len(levels)]
+                assert staircase_bounds(cs, ell, levels) == \
+                    staircase_bounds_reference(cs, ell, levels)
+                fallbacks += 1
+        assert fallbacks >= 100
+
+
+# single-factor classes with a pivot divisible by 3, 5 or 7 (group, conj, phi)
+ODD_PIVOTS = [
+    (FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]),
+    (FiniteGroup.abelian([12]), 6, [0, 1, 2, 4, 5, 9]),
+    (FiniteGroup.dicyclic(3), 3, [0, 1, 2, 6, 8, 10]),
+    (FiniteGroup.abelian([14]), 7, [0, 1, 2, 4, 5, 6, 10]),
+    (FiniteGroup.abelian([14]), 7, [0, 1, 2, 4, 6, 10, 12]),
+    (FiniteGroup.abelian([2, 8]), 4, [0, 1, 2, 3, 8, 9, 11, 14]),
+    (FiniteGroup.abelian([4, 4]), 8, [0, 1, 2, 4, 5, 11, 14, 15]),
+    (FiniteGroup.abelian([18]), 9, [0, 1, 5, 6, 7, 8, 11, 12, 13]),
+]
+
 
 # non-saturated single-factor classes of order 16 (group, conj, phi)
 NON_SATURATED_16 = [
@@ -727,11 +838,11 @@ class TestScaledImage:
         for name in ("hermite_echelon", "hermite_divisors", "elementary_divisors", "_image"):
             recording(fl, name)
         recording(el, "elementary_divisors")
-        c10 = build_character_system(single_factor(FiniteGroup.abelian([10]), 5, [0, 1, 2, 4, 8]))
+        c10 = decic()
         big = unit_order(3, 2)
         cases = [
-            # pivot product 1: no elementary divisors at all
-            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_echelon", "hermite_divisors"]),
+            # pivot product 1: no reduction and no elementary divisors
+            (quaternion(), 7, {0: 1, 2: 3, 5: 2}, ["hermite_echelon"]),
             # pivot product 2, ell = 3: the divisors of H, from the
             # content of its one row with a non-unit pivot
             (quaternion(), 3, {i: 1 + i % 3 for i in range(8)},

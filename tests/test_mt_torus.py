@@ -456,8 +456,10 @@ class TestInvariantError:
             "InvariantError: saturation index 2 disagrees with the build's 1 optimized")
 
     def test_saturation_index_disagreement_raises(self, monkeypatch):
-        # the build's divisors of H claim index 2, the divisors that
-        # `cochar_basis` reads for the rows of H give 1
+        # the build's divisors of H claim index 4, the divisors that
+        # `cochar_basis` reads for the rows of H give 2; the quaternion
+        # type has a pivot of 2, so its divisors are read off H by
+        # `hermite_divisors`, not taken as all 1
         real = mt.hermite_divisors
 
         def doubled(m, pivots):
@@ -465,10 +467,10 @@ class TestInvariantError:
             return (2 * diag[0],) + diag[1:]
 
         monkeypatch.setattr(mt, "hermite_divisors", doubled)
-        cs = build_character_system(quartic())
-        assert cs.saturation_index == 2
+        cs = build_character_system(single_factor(FiniteGroup.dicyclic(2), 2, [0, 1, 4, 5]))
+        assert cs.saturation_index == 4
         with pytest.raises(InvariantError,
-                           match="saturation index 1 disagrees with the build's 2"):
+                           match="saturation index 2 disagrees with the build's 4"):
             cs.cochar_basis
 
     def test_equivariance_checked_with_asserts_stripped(self):
@@ -547,9 +549,12 @@ class TestHermiteOnFirstRead:
 
     def test_document_reduces_once(self, monkeypatch):
         # a one-factor document reads the saturation index, off the
-        # divisors of H, which its report did not form; the divisors of
-        # a block with two non-unit pivots take Hermite forms of their own
+        # divisors of H, which its report did not form: H is formed once
+        # when some pivot is above 1, and not at all when every pivot is
+        # 1 (the divisors are then all 1); the divisors of a block with
+        # two non-unit pivots take Hermite forms of their own
         calls = counting_reductions(monkeypatch, mt)
+        seen = set()
         for datum in itertools.islice(orbit_matrix_data(), 0, None, 25):
             try:
                 cs = build_character_system(datum)
@@ -559,7 +564,10 @@ class TestHermiteOnFirstRead:
             calls.clear()
             first = report_to_dict(report, cs)
             assert report_to_dict(report, cs) == first
-            assert calls == [cs.dim]
+            unit = all(row[c] == 1 for row, c in zip(cs.echelon, cs.pivots))
+            assert calls == ([] if unit else [cs.dim])
+            seen.add(unit)
+        assert seen == {True, False}
 
     def test_two_factor_report_reduces_once(self, monkeypatch):
         # the union of the second factor alone is no prefix: it is
